@@ -63,11 +63,8 @@ def _output_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _load_scenario(path: str) -> Scenario:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise exc
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
     sc = parse_scenario(text)
     validate_scenario(sc)
     return sc

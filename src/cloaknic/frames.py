@@ -1,7 +1,8 @@
 """Byte-exact Ethernet II / ARP / IPv4 / ICMP / TCP-UDP-view codec.
 
 Everything here is a pure function over immutable values: parse, build,
-serialize. Big-endian throughout. FCS is not modeled; neither is the
+serialize. The one exception, `Wire`, only memoises a frame's parse and
+hex form. Big-endian throughout. FCS is not modeled; neither is the
 46-byte minimum-payload padding rule (no physical medium exists here).
 Unknown ethertypes and IP protocols decode to opaque bytes on purpose --
 rejecting them is the packet filter's job, not the parser's.
@@ -10,7 +11,7 @@ rejecting them is the packet filter's job, not the parser's.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 ETHERTYPE_IPV4 = 0x0800
@@ -196,22 +197,15 @@ class Ipv4Packet:
 
     HEADER_LEN = 20
 
-    def payload_bytes(self) -> bytes:
-        if isinstance(self.payload, IcmpMessage):
-            return self.payload.to_bytes()
-        return self.payload
+    def header(self, body_len: int, checksum: int) -> bytes:
+        return struct.pack(">BBHHHBBH4s4s", 0x45, 0, self.HEADER_LEN + body_len,
+                           self.identification, 0, self.ttl, self.protocol, checksum,
+                           self.src.octets, self.dst.octets)
 
     def to_bytes(self) -> bytes:
-        body = self.payload_bytes()
-        total = self.HEADER_LEN + len(body)
-        head = struct.pack(
-            ">BBHHHBBH4s4s",
-            0x45, 0, total, self.identification, 0, self.ttl, self.protocol,
-            0, self.src.octets, self.dst.octets,
-        )
-        cks = internet_checksum(head)
-        head = head[:10] + struct.pack(">H", cks) + head[12:]
-        return head + body
+        body = self.payload.to_bytes() if isinstance(self.payload, IcmpMessage) else self.payload
+        cks = internet_checksum(self.header(len(body), 0))
+        return self.header(len(body), cks) + body
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Ipv4Packet":
@@ -287,6 +281,49 @@ def parse_frame(wire: bytes) -> EthernetFrame:
     return EthernetFrame(dst, src, ethertype, payload)
 
 
+class Wire:
+    """One frame on the wire: its bytes, parsed at most once, hex-encoded at most once.
+
+    `from_frame` keeps the frame it serializes as the parse: the `make_*`
+    builders return frames equal to their own round trip. `summary` is the
+    one-line trace description, filled by the segment when first needed.
+    """
+
+    __slots__ = ("data", "_parsed", "_hex", "summary")
+
+    def __init__(self, data: bytes, parsed: Optional[EthernetFrame] = None):
+        self.data = data
+        self._parsed: Union[EthernetFrame, FrameError, None] = parsed
+        self._hex: Optional[str] = None
+        self.summary: Optional[str] = None
+
+    @classmethod
+    def from_frame(cls, frame: EthernetFrame) -> "Wire":
+        return cls(serialize_frame(frame), frame)
+
+    @classmethod
+    def wrap(cls, wire: Union["Wire", bytes]) -> "Wire":
+        return wire if isinstance(wire, Wire) else cls(wire)
+
+    @property
+    def frame(self) -> EthernetFrame:
+        """The parsed frame; raises the parse's `FrameError` on every access."""
+        if self._parsed is None:
+            try:
+                self._parsed = parse_frame(self.data)
+            except FrameError as exc:
+                self._parsed = exc
+        if isinstance(self._parsed, FrameError):
+            raise self._parsed.with_traceback(None)
+        return self._parsed
+
+    @property
+    def hex(self) -> str:
+        if self._hex is None:
+            self._hex = self.data.hex()
+        return self._hex
+
+
 def make_arp(
     operation: int,
     sender_mac: MacAddress,
@@ -322,9 +359,15 @@ def make_ipv4_frame(src_mac: MacAddress, dst_mac: MacAddress,
                     src_ip: Ipv4Address, dst_ip: Ipv4Address,
                     protocol: int, payload: Union[IcmpMessage, bytes],
                     identification: int = 0, ttl: int = 64) -> EthernetFrame:
+    """An IPv4 frame with its checksums filled in: equal to its own round trip."""
+    body = payload.to_bytes() if isinstance(payload, IcmpMessage) else payload
+    if protocol == PROTO_ICMP and len(body) >= 8:
+        payload = IcmpMessage.from_bytes(body)  # carries its checksum, as parsed
+    else:
+        payload = body
     pkt = Ipv4Packet(src_ip, dst_ip, protocol, payload, ttl, identification)
-    # bake in the checksums so the frame compares equal after a round trip
-    return parse_frame(serialize_frame(EthernetFrame(dst_mac, src_mac, ETHERTYPE_IPV4, pkt)))
+    pkt = replace(pkt, header_checksum=internet_checksum(pkt.header(len(body), 0)))
+    return EthernetFrame(dst_mac, src_mac, ETHERTYPE_IPV4, pkt)
 
 
 def make_icmp_echo(src_mac: MacAddress, dst_mac: MacAddress,

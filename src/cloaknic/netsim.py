@@ -18,10 +18,9 @@ verdict.
 from __future__ import annotations
 
 import heapq
-import struct
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from . import frames
 from .frames import (
@@ -30,7 +29,6 @@ from .frames import (
     ICMP_ECHO_REQUEST,
     MAC_BROADCAST,
     MAC_ZERO,
-    PROTO_ICMP,
     PROTO_TCP,
     PROTO_UDP,
     TCP_FLAG_ACK,
@@ -43,8 +41,7 @@ from .frames import (
     Ipv4Address,
     Ipv4Packet,
     MacAddress,
-    parse_frame,
-    serialize_frame,
+    Wire,
 )
 from .knock import is_knock_payload
 from .nic import (
@@ -54,8 +51,6 @@ from .nic import (
     Delivered,
     DropReason,
     DropRecord,
-    LinkStats,
-    NicConfig,
 )
 
 PLAIN_STAGE_LINK = 1
@@ -104,10 +99,10 @@ class NodeMetrics:
 
 class Metrics:
     def __init__(self):
-        self.nodes: Dict[str, NodeMetrics] = {}
+        self.nodes: Dict[str, NodeMetrics] = defaultdict(NodeMetrics)
 
     def node(self, name: str) -> NodeMetrics:
-        return self.nodes.setdefault(name, NodeMetrics())
+        return self.nodes[name]
 
     def to_text(self) -> str:
         out = []
@@ -125,12 +120,13 @@ class Metrics:
         return "\n".join(out) + "\n"
 
 
-def describe_frame(wire: bytes) -> str:
+def describe_frame(wire: Union[Wire, bytes]) -> str:
     """One-line human summary of a frame for trace records."""
+    wire = Wire.wrap(wire)
     try:
-        frame = parse_frame(wire)
+        frame = wire.frame
     except FrameError as exc:
-        return f"malformed ({type(exc).__name__}, {len(wire)} bytes)"
+        return f"malformed ({type(exc).__name__}, {len(wire.data)} bytes)"
     p = frame.payload
     if isinstance(p, ArpPacket):
         if p.operation == ARP_REQUEST:
@@ -146,7 +142,14 @@ def describe_frame(wire: bytes) -> str:
             flag = " syn" if view.is_syn else ""
             return f"{view.kind} {p.src}:{view.src_port}->{p.dst}:{view.dst_port}{flag}"
         return f"ipv4 proto={p.protocol} {p.src}->{p.dst}"
-    return f"ethertype=0x{frame.ethertype:04x} ({len(wire)} bytes)"
+    return f"ethertype=0x{frame.ethertype:04x} ({len(wire.data)} bytes)"
+
+
+def _summary(wire: Wire) -> str:
+    """The frame's description, made by its first trace record and then reused."""
+    if wire.summary is None:
+        wire.summary = describe_frame(wire)
+    return wire.summary
 
 
 # --------------------------------------------------------------------------
@@ -197,10 +200,10 @@ class Node:
         self.mac = mac
         self.ip = ip
 
-    def receive(self, wire: bytes, now: int) -> Actions:
+    def receive(self, wire: Wire, now: int) -> Actions:
         raise NotImplementedError
 
-    def observe(self, wire: bytes, now: int) -> None:
+    def observe(self, wire: Wire, now: int) -> None:
         """Promiscuous tap; called for every frame regardless of address."""
 
     def perform(self, step, now: int) -> Actions:
@@ -214,7 +217,7 @@ class CloakedServerNode(Node):
         self.nic = nic
         self.services = set(services)
 
-    def receive(self, wire: bytes, now: int) -> Actions:
+    def receive(self, wire: Wire, now: int) -> Actions:
         return self.nic.on_wire_receive(wire, now)
 
 
@@ -226,7 +229,7 @@ class ClientNode(Node):
         self.nic = nic
         self._ident = 0
 
-    def receive(self, wire: bytes, now: int) -> Actions:
+    def receive(self, wire: Wire, now: int) -> Actions:
         return self.nic.on_wire_receive(wire, now)
 
     def perform(self, step, now: int) -> Actions:
@@ -241,10 +244,8 @@ class ClientNode(Node):
                 proto_num = PROTO_UDP
             self._ident += 1
             # dst MAC left zero: the NIC resolves it via ARP and parks the frame
-            pkt = Ipv4Packet(self.ip, dst_ip, proto_num, payload,
-                             identification=self._ident)
-            frame = parse_frame(serialize_frame(
-                EthernetFrame(MAC_ZERO, self.mac, frames.ETHERTYPE_IPV4, pkt)))
+            frame = frames.make_ipv4_frame(self.mac, MAC_ZERO, self.ip, dst_ip, proto_num,
+                                           payload, identification=self._ident)
             return self.nic.on_host_transmit(frame, now)
         if kind == "ping":
             _, dst_ip, dst_mac = step
@@ -266,10 +267,10 @@ class PlainHostNode(Node):
         self.services = set(services)
         self.arp_cache: Dict[Ipv4Address, MacAddress] = {}
 
-    def receive(self, wire: bytes, now: int) -> Actions:
+    def receive(self, wire: Wire, now: int) -> Actions:
         actions = Actions()
         try:
-            frame = parse_frame(wire)
+            frame = wire.frame
         except FrameError as exc:
             actions.drops.append(DropRecord(DropReason.MALFORMED, PLAIN_STAGE_LINK,
                                             type(exc).__name__))
@@ -288,19 +289,19 @@ class PlainHostNode(Node):
                                                 PLAIN_STAGE_LINK, "arp-other-ip"))
             return actions
         if isinstance(p, Ipv4Packet):
-            return self._receive_ipv4(actions, frame, p)
+            return self._receive_ipv4(actions, wire, frame, p)
         actions.drops.append(DropRecord(DropReason.NO_FILTER_MATCH,
                                         PLAIN_STAGE_LINK, "unknown-ethertype"))
         return actions
 
-    def _receive_ipv4(self, actions: Actions, frame: EthernetFrame,
+    def _receive_ipv4(self, actions: Actions, wire: Wire, frame: EthernetFrame,
                       p: Ipv4Packet) -> Actions:
         if isinstance(p.payload, IcmpMessage):
             if p.payload.icmp_type == ICMP_ECHO_REQUEST:
                 actions.tx_frames.append(frames.make_icmp_echo(
                     self.mac, frame.src, self.ip, p.src, p.payload.payload,
                     p.payload.identifier, p.payload.sequence, reply=True))
-                actions.host_events.append(Delivered(frame, PLAIN_STAGE_TRANSPORT))
+                actions.host_events.append(Delivered(wire, PLAIN_STAGE_TRANSPORT))
             else:
                 actions.drops.append(DropRecord(DropReason.NO_FILTER_MATCH,
                                                 PLAIN_STAGE_TRANSPORT, "icmp-other"))
@@ -316,7 +317,7 @@ class PlainHostNode(Node):
             seg = frames.tcp_segment(view.dst_port, view.src_port, flags)
             actions.tx_frames.append(frames.make_ipv4_frame(
                 self.mac, frame.src, self.ip, p.src, PROTO_TCP, seg))
-            actions.host_events.append(Delivered(frame, PLAIN_STAGE_TRANSPORT))
+            actions.host_events.append(Delivered(wire, PLAIN_STAGE_TRANSPORT))
             return actions
         actions.drops.append(DropRecord(DropReason.NO_FILTER_MATCH,
                                         PLAIN_STAGE_TRANSPORT, f"{view.kind}-closed"))
@@ -330,11 +331,11 @@ class AttackerNode(Node):
 
     def __init__(self, name, mac, ip):
         super().__init__(name, mac, ip)
-        self.captured_knocks: List[bytes] = []
+        self.captured_knocks: List[Wire] = []
 
-    def observe(self, wire: bytes, now: int) -> None:
+    def observe(self, wire: Wire, now: int) -> None:
         try:
-            frame = parse_frame(wire)
+            frame = wire.frame
         except FrameError:
             return
         p = frame.payload
@@ -342,22 +343,21 @@ class AttackerNode(Node):
                 and is_knock_payload(p.payload.payload)):
             self.captured_knocks.append(wire)
 
-    def receive(self, wire: bytes, now: int) -> Actions:
+    def receive(self, wire: Wire, now: int) -> Actions:
         return Actions()  # attackers never answer traffic aimed at them
 
-    def frames_for(self, program: AttackProgram, shot: int,
-                   lookup) -> List[bytes]:
+    def frames_for(self, program: AttackProgram, lookup) -> List[Wire]:
         """Wire frames for one firing of a program; `lookup(name) -> Node`."""
         if isinstance(program, ArpPoison):
             victim = lookup(program.victim)
             forged = frames.make_arp(ARP_REPLY, program.claimed_mac,
                                      program.claimed_ip, victim.mac, victim.ip)
-            return [serialize_frame(forged)]
+            return [Wire.from_frame(forged)]
         if isinstance(program, MacSpoof):
             victim = lookup(program.victim)
             # any frame with the victim's source MAC hijacks switch learning
             spoofed = EthernetFrame(MAC_BROADCAST, victim.mac, 0x88B5, b"spoof")
-            return [serialize_frame(spoofed)]
+            return [Wire.from_frame(spoofed)]
         if isinstance(program, KnockReplay):
             if not self.captured_knocks:
                 raise NothingCaptured(f"{self.name} has observed no knock to replay")
@@ -367,11 +367,11 @@ class AttackerNode(Node):
             out = []
             for i, port in enumerate(range(program.port_lo, program.port_hi + 1)):
                 seg = frames.tcp_segment(50000 + (i % 10000), port, TCP_FLAG_SYN)
-                out.append(serialize_frame(frames.make_ipv4_frame(
+                out.append(Wire.from_frame(frames.make_ipv4_frame(
                     self.mac, target.mac, self.ip, target.ip, PROTO_TCP, seg,
                     identification=i & 0xFFFF)))
             if program.with_ping:
-                out.append(serialize_frame(frames.make_icmp_echo(
+                out.append(Wire.from_frame(frames.make_icmp_echo(
                     self.mac, target.mac, self.ip, target.ip, b"probe")))
             return out
         raise SimError(f"unknown attack program {program!r}")
@@ -405,8 +405,8 @@ class Segment:
         heapq.heappush(self._queue, (time, self._seq, kind, payload))
         self._seq += 1
 
-    def inject(self, time: int, wire: bytes, origin: str) -> None:
-        self._push(time, "frame", wire, origin)
+    def inject(self, time: int, wire: Union[Wire, bytes], origin: str) -> None:
+        self._push(time, "frame", Wire.wrap(wire), origin)
 
     def schedule(self, time: int, node: str, step: tuple) -> None:
         self._push(time, "action", node, step)
@@ -417,69 +417,52 @@ class Segment:
         reps = getattr(program, "count", 1)
         period = getattr(program, "period", 1)
         for shot in range(reps):
-            self.schedule(start + shot * period, attacker.name,
-                          ("attack", program, shot))
+            self.schedule(start + shot * period, attacker.name, ("attack", program))
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _record(self, rec: TraceRecord) -> None:
-        self.trace.append(rec)
-
-    def _emit(self, origin: Node, out_frames: Iterable[EthernetFrame], now: int) -> None:
-        m = self.metrics.node(origin.name)
-        for frame in out_frames:
-            wire = serialize_frame(frame)
-            m.tx += 1
-            self._record(TraceRecord(now, origin.name, "tx",
-                                     describe_frame(wire), 0, wire.hex()))
-            self.inject(now + 1, wire, origin.name)
-
-    def _emit_raw(self, origin: Node, wires: Iterable[bytes], now: int) -> None:
+    def _emit_raw(self, origin: Node, wires: Iterable[Wire], now: int) -> None:
         m = self.metrics.node(origin.name)
         for wire in wires:
             m.tx += 1
-            self._record(TraceRecord(now, origin.name, "tx",
-                                     describe_frame(wire), 0, wire.hex()))
+            self.trace.append(TraceRecord(now, origin.name, "tx", _summary(wire), 0, wire.hex))
             self.inject(now + 1, wire, origin.name)
 
     def _apply_actions(self, node: Node, actions: Actions, now: int,
-                       wire: Optional[bytes] = None) -> None:
+                       wire: Optional[Wire] = None) -> None:
         m = self.metrics.node(node.name)
         terminal = False
         for drop in actions.drops:
             detail = f" {drop.detail}" if drop.detail else ""
             summary = f"{drop.reason.value}{detail}"
             if wire is not None:
-                summary += f" | {describe_frame(wire)}"
+                summary += f" | {_summary(wire)}"
             m.dropped_by_reason[drop.reason.value] += 1
             m.cep_histogram[drop.stage_count] += 1
-            self._record(TraceRecord(now, node.name, "drop", summary,
-                                     drop.stage_count,
-                                     wire.hex() if wire else None))
+            self.trace.append(TraceRecord(now, node.name, "drop", summary, drop.stage_count,
+                                          wire.hex if wire is not None else None))
             terminal = True
         for event in actions.host_events:
             if isinstance(event, Delivered):
                 m.delivered += 1
                 m.cep_histogram[event.stage_count] += 1
-                fw = serialize_frame(event.frame)
-                self._record(TraceRecord(now, node.name, "host_event",
-                                         f"delivered | {describe_frame(fw)}",
-                                         event.stage_count, fw.hex()))
+                self.trace.append(TraceRecord(now, node.name, "host_event",
+                                              f"delivered | {_summary(event.wire)}",
+                                              event.stage_count, event.wire.hex))
                 terminal = True
             elif isinstance(event, ArpCacheUpdate):
                 m.arp_cache_writes += 1
                 m.cep_histogram[2] += 1
-                self._record(TraceRecord(now, node.name, "host_event",
-                                         f"arp-cache-update {event.ip} is-at {event.mac}",
-                                         2))
+                self.trace.append(TraceRecord(now, node.name, "host_event",
+                                              f"arp-cache-update {event.ip} is-at {event.mac}",
+                                              2))
                 terminal = True
         if wire is not None and not terminal:
             # frame consumed by answering it (e.g. an ARP reply went out)
             m.cep_histogram[1] += 1
-            self._record(TraceRecord(now, node.name, "rx",
-                                     f"processed | {describe_frame(wire)}", 1,
-                                     wire.hex()))
-        self._emit(node, actions.tx_frames, now)
+            self.trace.append(TraceRecord(now, node.name, "rx",
+                                          f"processed | {_summary(wire)}", 1, wire.hex))
+        self._emit_raw(node, map(Wire.from_frame, actions.tx_frames), now)
 
     # -- the event loop ------------------------------------------------------
 
@@ -491,16 +474,16 @@ class Segment:
         self.clock = time
         if kind == "frame":
             wire, origin = payload
-            dst = MacAddress(wire[:6]) if len(wire) >= 6 else None
+            dst = wire.data[:6] if len(wire.data) >= 6 else None
             for node in self.nodes:
                 if node.name == origin:
                     continue
                 if node.promiscuous:
                     node.observe(wire, time)
-                if dst is not None and dst not in (node.mac, MAC_BROADCAST):
+                if dst is not None and dst != node.mac.octets and dst != MAC_BROADCAST.octets:
                     self.metrics.node(node.name).ignored += 1
-                    self._record(TraceRecord(time, node.name, "rx",
-                                             f"ignored (other dst) | {describe_frame(wire)}", 0))
+                    self.trace.append(TraceRecord(time, node.name, "rx",
+                                                  f"ignored (other dst) | {_summary(wire)}", 0))
                     continue
                 self._apply_actions(node, node.receive(wire, time), time, wire)
         else:
@@ -508,8 +491,7 @@ class Segment:
             node = self._by_name[name]
             if step[0] == "attack":
                 assert isinstance(node, AttackerNode)
-                _, program, shot = step
-                self._emit_raw(node, node.frames_for(program, shot, self.node), time)
+                self._emit_raw(node, node.frames_for(step[1], self.node), time)
             else:
                 self._apply_actions(node, node.perform(step, time), time)
         return self.trace[mark:]

@@ -2,7 +2,7 @@
 
 Default-drop packet filter keyed on <source IP, source port>, stateless
 ARP responder for the NIC's own IP, knock validation with replay cache,
-bounded rx/tx FIFOs, and client-side automatic knock generation. A NIC
+a bounded rx FIFO, and client-side automatic knock generation. A NIC
 never emits anything toward an unauthenticated peer except the ARP reply
 for its own address; every other rejection is silent.
 
@@ -21,18 +21,14 @@ from . import frames
 from .frames import (
     ARP_REPLY,
     ARP_REQUEST,
-    ETHERTYPE_IPV4,
-    MAC_BROADCAST,
     MAC_ZERO,
-    PROTO_ICMP,
     ArpPacket,
     EthernetFrame,
     IcmpMessage,
     Ipv4Address,
     Ipv4Packet,
     MacAddress,
-    parse_frame,
-    serialize_frame,
+    Wire,
 )
 from .knock import (
     DEFAULT_FRESHNESS_SECONDS,
@@ -93,16 +89,11 @@ class ArpCacheUpdate:
 
 @dataclass(frozen=True)
 class Delivered:
-    frame: EthernetFrame
+    wire: Wire  # the received frame, as it came off the wire
     stage_count: int = 2
 
 
-@dataclass(frozen=True)
-class LinkStats:
-    counters: Dict[str, int]
-
-
-HostEvent = Union[ArpCacheUpdate, Delivered, LinkStats]
+HostEvent = Union[ArpCacheUpdate, Delivered]
 
 
 @dataclass
@@ -194,7 +185,6 @@ class CloakingNic:
         self.filter = FilterTable()
         self.replay_cache = ReplayCache(config.replay_window_seconds)
         self.rx_fifo = ByteFifo()
-        self.tx_fifo = ByteFifo()
         # client side: live knock records per <local port, peer ip>
         self._knocked: Dict[Tuple[int, Ipv4Address], int] = {}
         # client side: parked frames awaiting an ARP reply, per target ip
@@ -224,11 +214,8 @@ class CloakingNic:
         return nonce
 
     def _transmit(self, actions: Actions, frame: EthernetFrame) -> None:
-        wire = serialize_frame(frame)
-        if not self.tx_fifo.push(wire):
-            self._drop(actions, DropReason.FIFO_OVERFLOW, 1, "tx")
-            return
-        self.tx_fifo.pop()  # the simulated wire drains immediately
+        # no tx FIFO: a frame serializes to at most 1514 bytes and the wire
+        # drains at once, so a FIFO of two 1518-byte frames never overflows
         actions.tx_frames.append(frame)
         self.counters["tx_frames"] += 1
 
@@ -280,21 +267,23 @@ class CloakingNic:
             return ArpPacket(ARP_REPLY, self.mac, self.ip, arp.sender_mac, arp.sender_ip)
         return None
 
-    def on_wire_receive(self, wire: bytes, now: int) -> Actions:
+    def on_wire_receive(self, wire: Union[Wire, bytes], now: int) -> Actions:
+        """Verdict on one received frame; plain bytes are wrapped and parsed here."""
+        wire = Wire.wrap(wire)
         actions = Actions()
         self.counters["rx_frames"] += 1
-        if not self.rx_fifo.push(wire):
+        if not self.rx_fifo.push(wire.data):
             return self._drop(actions, DropReason.FIFO_OVERFLOW, 1, "rx")
         self.rx_fifo.pop()  # processed in the same step; occupancy is per frame
         try:
-            frame = parse_frame(wire)
+            frame = wire.frame
         except frames.FrameError as exc:
             return self._drop(actions, DropReason.MALFORMED, 1, type(exc).__name__)
 
         if isinstance(frame.payload, ArpPacket):
             return self._receive_arp(actions, frame.payload, now)
         if isinstance(frame.payload, Ipv4Packet):
-            return self._receive_ipv4(actions, frame, frame.payload, now)
+            return self._receive_ipv4(actions, wire, frame, frame.payload, now)
         return self._drop(actions, DropReason.NO_FILTER_MATCH, 1, "non-ip ethertype")
 
     def _receive_arp(self, actions: Actions, arp: ArpPacket, now: int) -> Actions:
@@ -317,7 +306,7 @@ class CloakingNic:
             return actions
         return self._drop(actions, DropReason.UNSOLICITED_ARP_REPLY, 1)
 
-    def _receive_ipv4(self, actions: Actions, frame: EthernetFrame,
+    def _receive_ipv4(self, actions: Actions, wire: Wire, frame: EthernetFrame,
                       pkt: Ipv4Packet, now: int) -> Actions:
         if isinstance(pkt.payload, IcmpMessage) and is_knock_payload(pkt.payload.payload):
             return self._receive_knock(actions, frame, pkt, now)
@@ -325,7 +314,7 @@ class CloakingNic:
         if view is not None:
             if self.filter.lookup(pkt.src, view.src_port, now,
                                   refresh_ttl=self.config.filter_ttl_seconds):
-                actions.host_events.append(Delivered(frame, stage_count=2))
+                actions.host_events.append(Delivered(wire, stage_count=2))
                 return actions
             return self._drop(actions, DropReason.NO_FILTER_MATCH, 1)
         # plain ICMP and unknown IP protocols fall through to the default drop
@@ -358,9 +347,6 @@ class CloakingNic:
         cache_evict(self.replay_cache, now)
         self._knocked = {k: e for k, e in self._knocked.items() if now <= e}
         return Actions()
-
-    def link_stats(self) -> LinkStats:
-        return LinkStats(dict(self.counters))
 
 
 def nic_init(config: NicConfig) -> CloakingNic:

@@ -37,6 +37,7 @@ from .frames import Ipv4Address, MacAddress
 from .knock import KEY_LEN, SharedKey
 from .netsim import (
     ArpPoison,
+    AttackProgram,
     AttackerNode,
     ClientNode,
     CloakedServerNode,
@@ -239,27 +240,22 @@ def _validate_attack(sc: Scenario, step: StepSpec) -> None:
         raise InvalidScenario(f"unknown attack program {program!r}", step.line_no)
 
 
-def _attack_program(sc: Scenario, args_action) -> tuple:
-    """Returns (program, period, count) from a validated attack step."""
-    program, args = args_action
+def _attack_program(program: str, args: List[str]) -> AttackProgram:
+    """The program of a validated attack step."""
     if program == "portscan":
         lo, hi = args[1].split("-")
-        return PortScan(args[0], int(lo), int(hi)), 1, 1
+        return PortScan(args[0], int(lo), int(hi))
     if program == "ping":
-        return PortScan(args[0], 1, 0, with_ping=True), 1, 1
+        return PortScan(args[0], 1, 0, with_ping=True)
     if program == "arppoison":
         opts = _parse_kv(args[3:])
-        period = int(opts.get("period", 1))
-        count = int(opts.get("count", 1))
-        return ArpPoison(args[0], Ipv4Address.from_str(args[1]),
-                         MacAddress.from_str(args[2]), period, count), period, count
+        return ArpPoison(args[0], Ipv4Address.from_str(args[1]), MacAddress.from_str(args[2]),
+                         int(opts.get("period", 1)), int(opts.get("count", 1)))
     if program == "macspoof":
         opts = _parse_kv(args[1:])
-        period = int(opts.get("period", 1))
-        count = int(opts.get("count", 1))
-        return MacSpoof(args[0], count, period), period, count
+        return MacSpoof(args[0], int(opts.get("count", 1)), int(opts.get("period", 1)))
     if program == "knockreplay":
-        return KnockReplay(), 1, 1
+        return KnockReplay()
     raise InvalidScenario(f"unknown attack program {program!r}")
 
 
@@ -299,20 +295,13 @@ def build_segment(sc: Scenario, seed: int = 0) -> Segment:
                          ("send", sc.nodes[dst].ip, proto, sp, dp))
         elif verb == "ping":
             _, actor, dst = step.action
-            target = sc.nodes[dst]
-            actor_spec = sc.nodes[actor]
-            if actor_spec.kind == "attacker":
-                node = seg.node(actor)
-                assert isinstance(node, AttackerNode)
-                seg.inject_attack(node, step.time, PortScan(dst, 1, 0, with_ping=True))
+            if sc.nodes[actor].kind == "attacker":
+                seg.inject_attack(seg.node(actor), step.time, _attack_program("ping", [dst]))
             else:
-                seg.schedule(step.time, actor, ("ping", target.ip, target.mac))
+                seg.schedule(step.time, actor, ("ping", sc.nodes[dst].ip, sc.nodes[dst].mac))
         elif verb == "attack":
             _, actor, program_name, args = step.action
-            program, _period, _count = _attack_program(sc, (program_name, args))
-            node = seg.node(actor)
-            assert isinstance(node, AttackerNode)
-            seg.inject_attack(node, step.time, program)
+            seg.inject_attack(seg.node(actor), step.time, _attack_program(program_name, args))
     return seg
 
 

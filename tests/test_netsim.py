@@ -132,14 +132,14 @@ class TestAttackPrograms:
         victim = seg.attach(plain("victim", "10.0.0.3", "aa:00:00:00:00:03"))
         seg.attach(plain("other", "10.0.0.4", "aa:00:00:00:00:04"))
         mal = seg.attach(attacker())
-        frames_out = mal.frames_for(MacSpoof("victim"), 0, seg.node)
-        assert frames_out[0][6:12] == victim.mac.octets
+        frames_out = mal.frames_for(MacSpoof("victim"), seg.node)
+        assert frames_out[0].data[6:12] == victim.mac.octets
 
     def test_portscan_covers_range(self):
         seg = Segment()
         seg.attach(plain("victim", "10.0.0.3", "aa:00:00:00:00:03"))
         mal = seg.attach(attacker())
-        out = mal.frames_for(PortScan("victim", 10, 20), 0, seg.node)
+        out = mal.frames_for(PortScan("victim", 10, 20), seg.node)
         assert len(out) == 11
 
 
