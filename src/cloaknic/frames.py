@@ -11,7 +11,7 @@ rejecting them is the packet filter's job, not the parser's.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 ETHERTYPE_IPV4 = 0x0800
@@ -183,6 +183,13 @@ class TransportView:
     raw: bytes
 
 
+def _ipv4_header(src: Ipv4Address, dst: Ipv4Address, protocol: int, ttl: int,
+                 identification: int, body_len: int) -> bytes:
+    """The 20-byte IPv4 header with a zero checksum field."""
+    return struct.pack(">BBHHHBBH4s4s", 0x45, 0, 20 + body_len, identification, 0, ttl,
+                       protocol, 0, src.octets, dst.octets)
+
+
 @dataclass(frozen=True)
 class Ipv4Packet:
     """IPv4 with IHL fixed at 5; no options or fragments are modeled."""
@@ -197,15 +204,11 @@ class Ipv4Packet:
 
     HEADER_LEN = 20
 
-    def header(self, body_len: int, checksum: int) -> bytes:
-        return struct.pack(">BBHHHBBH4s4s", 0x45, 0, self.HEADER_LEN + body_len,
-                           self.identification, 0, self.ttl, self.protocol, checksum,
-                           self.src.octets, self.dst.octets)
-
     def to_bytes(self) -> bytes:
         body = self.payload.to_bytes() if isinstance(self.payload, IcmpMessage) else self.payload
-        cks = internet_checksum(self.header(len(body), 0))
-        return self.header(len(body), cks) + body
+        head = _ipv4_header(self.src, self.dst, self.protocol, self.ttl, self.identification,
+                            len(body))
+        return head[:10] + internet_checksum(head).to_bytes(2, "big") + head[12:] + body
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Ipv4Packet":
@@ -361,12 +364,10 @@ def make_ipv4_frame(src_mac: MacAddress, dst_mac: MacAddress,
                     identification: int = 0, ttl: int = 64) -> EthernetFrame:
     """An IPv4 frame with its checksums filled in: equal to its own round trip."""
     body = payload.to_bytes() if isinstance(payload, IcmpMessage) else payload
-    if protocol == PROTO_ICMP and len(body) >= 8:
-        payload = IcmpMessage.from_bytes(body)  # carries its checksum, as parsed
-    else:
-        payload = body
-    pkt = Ipv4Packet(src_ip, dst_ip, protocol, payload, ttl, identification)
-    pkt = replace(pkt, header_checksum=internet_checksum(pkt.header(len(body), 0)))
+    # an ICMP body is kept as the message a parse would make, checksum and all
+    payload = IcmpMessage.from_bytes(body) if protocol == PROTO_ICMP and len(body) >= 8 else body
+    cks = internet_checksum(_ipv4_header(src_ip, dst_ip, protocol, ttl, identification, len(body)))
+    pkt = Ipv4Packet(src_ip, dst_ip, protocol, payload, ttl, identification, cks)
     return EthernetFrame(dst_mac, src_mac, ETHERTYPE_IPV4, pkt)
 
 
