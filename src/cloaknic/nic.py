@@ -214,8 +214,6 @@ class CloakingNic:
         return nonce
 
     def _transmit(self, actions: Actions, frame: EthernetFrame) -> None:
-        # no tx FIFO: a frame serializes to at most 1514 bytes and the wire
-        # drains at once, so a FIFO of two 1518-byte frames never overflows
         actions.tx_frames.append(frame)
         self.counters["tx_frames"] += 1
 
