@@ -13,20 +13,16 @@ import sys
 from typing import List, Optional
 
 from . import demos
-from .knock import KEY_LEN, KnockFields, SharedKey, format_vector_line
+from .knock import KnockFields, SharedKey, format_vector_line
 from .frames import Ipv4Address
 from .netsim import SimError
 from .nic import NicError
-from .scenario import Scenario, ScenarioError, parse_scenario, run_scenario, validate_scenario
+from .scenario import ScenarioError, parse_scenario, run_scenario, validate_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 EXIT_IO = 3
-
-
-class BadKeyLength(ValueError):
-    pass
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,47 +58,35 @@ def _output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--quiet", action="store_true", help="suppress stdout data output")
 
 
-def _load_scenario(path: str) -> Scenario:
+def _read(path: str) -> str:
     with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    sc = parse_scenario(text)
-    validate_scenario(sc)
-    return sc
+        return handle.read()
 
 
 def _write_outputs(args, trace, metrics) -> None:
     trace_text = "\n".join(r.format_line(with_hex=args.hex) for r in trace) + "\n"
-    metrics_text = metrics.to_text()
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            handle.write(trace_text)
-    elif not args.quiet:
-        sys.stdout.write(trace_text)
-    if args.metrics:
-        with open(args.metrics, "w", encoding="utf-8") as handle:
-            handle.write(metrics_text)
-    elif not args.quiet:
-        sys.stdout.write(metrics_text)
+    for path, text in ((args.trace, trace_text), (args.metrics, metrics.to_text())):
+        if path:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        elif not args.quiet:
+            sys.stdout.write(text)
 
 
 def cmd_run(args) -> int:
-    sc = _load_scenario(args.scenario)
-    trace, metrics = run_scenario(sc, seed=args.seed)
+    trace, metrics = run_scenario(parse_scenario(_read(args.scenario)), seed=args.seed)
     _write_outputs(args, trace, metrics)
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
-    _load_scenario(args.scenario)
+    validate_scenario(parse_scenario(_read(args.scenario)))
     print("ok")
     return EXIT_OK
 
 
 def cmd_vectors(args) -> int:
-    key_bytes = bytes.fromhex(args.key)
-    if len(key_bytes) != KEY_LEN:
-        raise BadKeyLength(f"key must be {KEY_LEN} bytes, got {len(key_bytes)}")
-    key = SharedKey(key_bytes)
+    key = SharedKey.from_hex(args.key)
     lines = []
     for i in range(args.count):
         nonce = struct.pack(">Q", i)
@@ -121,9 +105,7 @@ def cmd_demo(args) -> int:
     if args.name not in demos.DEMOS:
         raise ScenarioError(
             f"unknown demo {args.name!r}; valid names: {', '.join(sorted(demos.DEMOS))}")
-    sc = parse_scenario(demos.DEMOS[args.name])
-    validate_scenario(sc)
-    trace, metrics = run_scenario(sc, seed=args.seed)
+    trace, metrics = run_scenario(parse_scenario(demos.DEMOS[args.name]), seed=args.seed)
     _write_outputs(args, trace, metrics)
     if not args.quiet:
         print(demos.interpret(args.name, metrics))
@@ -136,7 +118,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                "vectors": cmd_vectors, "demo": cmd_demo}[args.command]
     try:
         return handler(args)
-    except (ScenarioError, BadKeyLength, ValueError) as exc:
+    except (ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (SimError, NicError) as exc:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from . import frames
 from .frames import (
@@ -153,7 +153,7 @@ def _summary(wire: Wire) -> str:
 
 
 # --------------------------------------------------------------------------
-# attack programs
+# attack programs, and the steps a scenario schedules
 
 @dataclass
 class ArpPoison:
@@ -178,13 +178,39 @@ class KnockReplay:
 
 @dataclass
 class PortScan:
-    target: str
+    victim: str            # node whose ports are probed
     port_lo: int = 1
     port_hi: int = 1024
     with_ping: bool = False
 
+    @classmethod
+    def ping(cls, victim: str) -> "PortScan":
+        """The echo probe alone: an attacker's `ping` step."""
+        return cls(victim, 1, 0, with_ping=True)
+
 
 AttackProgram = Union[ArpPoison, MacSpoof, KnockReplay, PortScan]
+
+
+@dataclass
+class Send:                # a client's TCP SYN or UDP datagram, through its NIC
+    dst: str
+    proto: str             # tcp | udp
+    src_port: int
+    dst_port: int
+
+
+@dataclass
+class Ping:                # an ICMP echo request
+    dst: str
+
+
+@dataclass
+class Attack:              # one firing of an attacker's program
+    program: AttackProgram
+
+
+Step = Union[Send, Ping, Attack]
 
 
 # --------------------------------------------------------------------------
@@ -194,6 +220,7 @@ class Node:
     """Base: owns a name/mac/ip; subclasses produce `Actions` per frame."""
 
     promiscuous = False
+    lookup: Callable[[str], "Node"]  # name -> attached node, set by `Segment.attach`
 
     def __init__(self, name: str, mac: MacAddress, ip: Ipv4Address):
         self.name = name
@@ -206,7 +233,7 @@ class Node:
     def observe(self, wire: Wire, now: int) -> None:
         """Promiscuous tap; called for every frame regardless of address."""
 
-    def perform(self, step, now: int) -> Actions:
+    def perform(self, step: Step, now: int) -> Actions:
         """Execute a scheduled scenario step."""
         raise NotImplementedError
 
@@ -232,27 +259,22 @@ class ClientNode(Node):
     def receive(self, wire: Wire, now: int) -> Actions:
         return self.nic.on_wire_receive(wire, now)
 
-    def perform(self, step, now: int) -> Actions:
-        kind = step[0]
-        if kind == "send":
-            _, dst_ip, proto, src_port, dst_port = step
-            if proto == "tcp":
-                payload = frames.tcp_segment(src_port, dst_port, TCP_FLAG_SYN)
+    def perform(self, step: Union[Send, Ping], now: int) -> Actions:
+        dst = self.lookup(step.dst)
+        if isinstance(step, Ping):
+            frame = frames.make_icmp_echo(self.mac, dst.mac, self.ip, dst.ip, b"ping")
+        else:
+            if step.proto == "tcp":
+                payload = frames.tcp_segment(step.src_port, step.dst_port, TCP_FLAG_SYN)
                 proto_num = PROTO_TCP
             else:
-                payload = frames.udp_datagram(src_port, dst_port)
+                payload = frames.udp_datagram(step.src_port, step.dst_port)
                 proto_num = PROTO_UDP
             self._ident += 1
             # dst MAC left zero: the NIC resolves it via ARP and parks the frame
-            frame = frames.make_ipv4_frame(self.mac, MAC_ZERO, self.ip, dst_ip, proto_num,
+            frame = frames.make_ipv4_frame(self.mac, MAC_ZERO, self.ip, dst.ip, proto_num,
                                            payload, identification=self._ident)
-            return self.nic.on_host_transmit(frame, now)
-        if kind == "ping":
-            _, dst_ip, dst_mac = step
-            frame = frames.make_icmp_echo(self.mac, dst_mac or MAC_BROADCAST,
-                                          self.ip, dst_ip, b"ping")
-            return self.nic.on_host_transmit(frame, now)
-        raise SimError(f"unknown client step {kind!r}")
+        return self.nic.on_host_transmit(frame, now)
 
 
 class PlainHostNode(Node):
@@ -363,7 +385,7 @@ class AttackerNode(Node):
                 raise NothingCaptured(f"{self.name} has observed no knock to replay")
             return [self.captured_knocks[-1]]
         if isinstance(program, PortScan):
-            target = lookup(program.target)
+            target = lookup(program.victim)
             out = []
             for i, port in enumerate(range(program.port_lo, program.port_hi + 1)):
                 seg = frames.tcp_segment(50000 + (i % 10000), port, TCP_FLAG_SYN)
@@ -395,6 +417,7 @@ class Segment:
             raise DuplicateHandle(f"node {node.name!r} already attached")
         self.nodes.append(node)
         self._by_name[node.name] = node
+        node.lookup = self.node
         self.metrics.node(node.name)
         return node
 
@@ -408,7 +431,7 @@ class Segment:
     def inject(self, time: int, wire: Union[Wire, bytes], origin: str) -> None:
         self._push(time, "frame", Wire.wrap(wire), origin)
 
-    def schedule(self, time: int, node: str, step: tuple) -> None:
+    def schedule(self, time: int, node: str, step: Step) -> None:
         self._push(time, "action", node, step)
 
     def inject_attack(self, attacker: AttackerNode, start: int,
@@ -416,8 +439,9 @@ class Segment:
         """Schedule a program; repetition expands to one action per firing."""
         reps = getattr(program, "count", 1)
         period = getattr(program, "period", 1)
+        action = Attack(program)
         for shot in range(reps):
-            self.schedule(start + shot * period, attacker.name, ("attack", program))
+            self.schedule(start + shot * period, attacker.name, action)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -489,9 +513,8 @@ class Segment:
         else:
             name, step = payload
             node = self._by_name[name]
-            if step[0] == "attack":
-                assert isinstance(node, AttackerNode)
-                self._emit_raw(node, node.frames_for(step[1], self.node), time)
+            if isinstance(step, Attack):
+                self._emit_raw(node, node.frames_for(step.program, self.node), time)
             else:
                 self._apply_actions(node, node.perform(step, time), time)
         return self.trace[mark:]

@@ -302,6 +302,8 @@ class CloakingNic:
                 assert isinstance(resolved.payload, Ipv4Packet)
                 self._emit_with_knock(actions, resolved, resolved.payload, now)
             return actions
+        if arp.operation == ARP_REQUEST:
+            return self._drop(actions, DropReason.NO_FILTER_MATCH, 1, "arp-other-ip")
         return self._drop(actions, DropReason.UNSOLICITED_ARP_REPLY, 1)
 
     def _receive_ipv4(self, actions: Actions, wire: Wire, frame: EthernetFrame,

@@ -1,52 +1,56 @@
-"""Scenario files: a flat, line-oriented text format.
+"""Scenario files: a flat, line-oriented text format; `#` starts a comment.
 
-    # comment
     [nodes]
-    server cloaked 10.0.0.2 aa:00:00:00:00:02 services=22,80
-    client client  10.0.0.5 aa:00:00:00:00:05
-    mallory attacker 10.0.0.66 aa:00:00:00:00:66
-
+    NAME cloaked|plainhost|client|attacker IP MAC [services=P,P,...]
     [keys]
-    client server 000102...1f        # 32-byte hex, shared by the pair
-
+    NODE NODE KEY_HEX                  # 32 bytes, shared by the pair
     [protected]
-    client server                    # client knocks before talking to server
-
+    NODE NODE                          # the first knocks before talking to the second
     [steps]
-    5  send client server tcp 40000 22
-    9  ping mallory server
-    10 attack mallory portscan server 1-1024
-    12 attack mallory arppoison server 10.0.0.1 de:ad:be:ef:00:01 period=1 count=10
-    15 attack mallory macspoof server count=3
-    20 attack mallory knockreplay
-    30 attack mallory macspoof client
-
+    T send CLIENT DST tcp|udp SRC_PORT DST_PORT
+    T ping CLIENT|ATTACKER DST         # an attacker's is `attack ... ping`
+    T attack ATTACKER portscan VICTIM LO-HI
+    T attack ATTACKER arppoison VICTIM IP MAC [period=N] [count=N]
+    T attack ATTACKER macspoof VICTIM [count=N] [period=N]
+    T attack ATTACKER knockreplay
+    T attack ATTACKER ping VICTIM      # one echo request
     [horizon]
-    200
+    TICKS
 
-`check` and `run` accept exactly the same inputs: validation happens once,
-in `parse_scenario` + `validate_scenario`.
+Ports (P, SRC_PORT, DST_PORT) are in 0..65535, with 1 <= LO <= HI for a
+scan. The step time T, TICKS and N (default 1) are integers >= 0. No other
+option is accepted, nor one given twice. `demos.py` has complete scenarios.
+
+`parse_scenario` checks what one line shows (its fields, integers and their
+ranges, addresses, key length, option names) and raises `ParseError` naming
+the line. `validate_scenario` checks what lines say of each other: names are
+nodes, protected pairs have keys, actors are of a kind that may perform the
+step. `check` runs both; `run` parses and `build_segment` validates, so the
+two commands accept exactly the same inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .frames import Ipv4Address, MacAddress
-from .knock import KEY_LEN, SharedKey
+from .knock import SharedKey
 from .netsim import (
     ArpPoison,
-    AttackProgram,
+    Attack,
     AttackerNode,
     ClientNode,
     CloakedServerNode,
     KnockReplay,
     MacSpoof,
     Metrics,
+    Ping,
     PlainHostNode,
     PortScan,
     Segment,
+    Send,
+    Step,
     TraceRecord,
 )
 from .nic import CloakingNic, NicConfig
@@ -76,6 +80,9 @@ class InvalidScenario(ScenarioError):
 
 
 NODE_KINDS = ("cloaked", "plainhost", "client", "attacker")
+SECTIONS = ("nodes", "keys", "protected", "steps", "horizon")
+# the node kinds that may perform each step
+ACTOR_KINDS = {Send: ("client",), Ping: ("client", "attacker"), Attack: ("attacker",)}
 
 
 @dataclass
@@ -90,173 +97,164 @@ class NodeSpec:
 @dataclass
 class StepSpec:
     time: int
-    action: tuple
     actor: str
+    action: Step
     line_no: int
 
 
 @dataclass
 class Scenario:
     nodes: Dict[str, NodeSpec] = field(default_factory=dict)
-    keys: List[Tuple[str, str, SharedKey]] = field(default_factory=list)
-    protected: List[Tuple[str, str]] = field(default_factory=list)
+    keys: List[Tuple[str, str, SharedKey, int]] = field(default_factory=list)  # a, b, key, line
+    protected: List[Tuple[str, str, int]] = field(default_factory=list)  # a, b, line
     steps: List[StepSpec] = field(default_factory=list)
     horizon: int = 1000
-
-
-def _parse_kv(tokens: List[str]) -> Dict[str, str]:
-    out = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise ValueError(f"expected key=value, got {tok!r}")
-        k, v = tok.split("=", 1)
-        out[k] = v
-    return out
 
 
 def parse_scenario(text: str) -> Scenario:
     sc = Scenario()
     section = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        if line.startswith("[") and line.endswith("]"):
+        if line[0] == "[" and line[-1] == "]":
             section = line[1:-1].strip().lower()
-            if section not in ("nodes", "keys", "protected", "steps", "horizon"):
+            if section not in SECTIONS:
                 raise ParseError(f"unknown section [{section}]", line_no)
             continue
         if section is None:
             raise ParseError("content before any [section] header", line_no)
         try:
-            _parse_line(sc, section, line, line_no)
-        except ScenarioError:
-            raise
-        except (ValueError, IndexError) as exc:
+            _parse_line(sc, section, line.split(), line_no)
+        except ValueError as exc:
             raise ParseError(str(exc), line_no) from exc
     return sc
 
 
-def _parse_line(sc: Scenario, section: str, line: str, line_no: int) -> None:
-    tokens = line.split()
-    if section == "nodes":
-        name, kind, ip, mac = tokens[:4]
+def _int(text: str, what: str, hi: Optional[int] = None) -> int:
+    """A non-negative integer, at most `hi` if given."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {text!r}") from None
+    if value < 0 or (hi is not None and value > hi):
+        raise ValueError(f"{what} must be {'>= 0' if hi is None else f'in 0..{hi}'}, got {value}")
+    return value
+
+
+def _fields(tokens: List[str], form: str,
+            options: Sequence[str] = ()) -> Tuple[List[str], Dict[str, str]]:
+    """The positional fields `form` names, then at most one of each option."""
+    n = form.count(" ") + 1
+    if len(tokens) < n:
+        raise ValueError(f"expected {form!r}")
+    opts: Dict[str, str] = {}
+    for tok in tokens[n:]:
+        key, eq, value = tok.partition("=")
+        if not eq or key not in options or key in opts:
+            allowed = f"; options, each at most once: {', '.join(options)}" if options else ""
+            raise ValueError(f"unexpected {tok!r} after {form!r}{allowed}")
+        opts[key] = value
+    return tokens[:n], opts
+
+
+def _parse_line(sc: Scenario, section: str, tokens: List[str], line_no: int) -> None:
+    if section == "steps":
+        if len(tokens) < 3:
+            raise ValueError("expected 'T VERB ACTOR ...'")
+        sc.steps.append(StepSpec(_int(tokens[0], "step time"), tokens[2],
+                                 _parse_step(tokens), line_no))
+    elif section == "nodes":
+        (name, kind, ip, mac), opts = _fields(tokens, "NAME KIND IP MAC", ("services",))
         if kind not in NODE_KINDS:
-            raise ParseError(f"unknown node kind {kind!r}", line_no)
+            raise ValueError(f"unknown node kind {kind!r}; expected {', '.join(NODE_KINDS)}")
         if name in sc.nodes:
-            raise ParseError(f"duplicate node name {name!r}", line_no)
-        opts = _parse_kv(tokens[4:])
-        services = {int(p) for p in opts.get("services", "").split(",") if p}
+            raise ValueError(f"duplicate node name {name!r}")
+        services = {_int(p, "port", 0xFFFF) for p in opts.get("services", "").split(",") if p}
         sc.nodes[name] = NodeSpec(name, kind, Ipv4Address.from_str(ip),
                                   MacAddress.from_str(mac), services)
     elif section == "keys":
-        a, b, key_hex = tokens
-        key_bytes = bytes.fromhex(key_hex)
-        if len(key_bytes) != KEY_LEN:
-            raise ParseError(f"key must be {KEY_LEN} bytes, got {len(key_bytes)}", line_no)
-        sc.keys.append((a, b, SharedKey(key_bytes)))
+        (a, b, key_hex), _ = _fields(tokens, "NODE NODE KEY_HEX")
+        sc.keys.append((a, b, SharedKey.from_hex(key_hex), line_no))
     elif section == "protected":
-        a, b = tokens
-        sc.protected.append((a, b))
-    elif section == "steps":
-        time = int(tokens[0])
-        verb = tokens[1]
-        if verb == "send":
-            actor, dst, proto, src_port, dst_port = tokens[2:7]
-            if proto not in ("tcp", "udp"):
-                raise ParseError(f"send protocol must be tcp or udp, got {proto!r}", line_no)
-            action = ("send", actor, dst, proto, int(src_port), int(dst_port))
-        elif verb == "ping":
-            actor, dst = tokens[2:4]
-            action = ("ping", actor, dst)
-        elif verb == "attack":
-            actor = tokens[2]
-            action = ("attack", actor, tokens[3], tokens[4:])
-        else:
-            raise ParseError(f"unknown step verb {verb!r}", line_no)
-        sc.steps.append(StepSpec(time, action, actor, line_no))
-    elif section == "horizon":
-        sc.horizon = int(tokens[0])
+        (a, b), _ = _fields(tokens, "NODE NODE")
+        sc.protected.append((a, b, line_no))
+    else:
+        (horizon,), _ = _fields(tokens, "TICKS")
+        sc.horizon = _int(horizon, "horizon")
 
 
-def _require_node(sc: Scenario, name: str, line_no: Optional[int]) -> NodeSpec:
+def _parse_step(tokens: List[str]) -> Step:
+    """A step from its tokens, `T VERB ACTOR ...`."""
+    verb = tokens[1]
+    if verb == "send":
+        (_, _, _, dst, proto, src_port, dst_port), _ = _fields(
+            tokens, "T send CLIENT DST tcp|udp SRC_PORT DST_PORT")
+        if proto not in ("tcp", "udp"):
+            raise ValueError(f"send protocol must be tcp or udp, got {proto!r}")
+        return Send(dst, proto, _int(src_port, "port", 0xFFFF), _int(dst_port, "port", 0xFFFF))
+    if verb == "ping":
+        (_, _, _, dst), _ = _fields(tokens, "T ping ACTOR DST")
+        return Ping(dst)
+    if verb != "attack":
+        raise ValueError(f"unknown step verb {verb!r}; expected send, ping or attack")
+    program = tokens[3] if len(tokens) > 3 else ""
+    if program == "portscan":
+        (_, _, _, _, victim, span), _ = _fields(tokens, "T attack ATTACKER portscan VICTIM LO-HI")
+        lo, dash, hi = span.partition("-")
+        port_lo, port_hi = _int(lo, "port", 0xFFFF), _int(hi, "port", 0xFFFF)
+        if not dash or not 1 <= port_lo <= port_hi:
+            raise ValueError(f"port range must be LO-HI with 1 <= LO <= HI, got {span!r}")
+        return Attack(PortScan(victim, port_lo, port_hi))
+    if program == "arppoison":
+        (_, _, _, _, victim, ip, mac), opts = _fields(
+            tokens, "T attack ATTACKER arppoison VICTIM IP MAC", ("period", "count"))
+        return Attack(ArpPoison(victim, Ipv4Address.from_str(ip), MacAddress.from_str(mac),
+                                **{k: _int(v, k) for k, v in opts.items()}))
+    if program == "macspoof":
+        (_, _, _, _, victim), opts = _fields(tokens, "T attack ATTACKER macspoof VICTIM",
+                                     ("count", "period"))
+        return Attack(MacSpoof(victim, **{k: _int(v, k) for k, v in opts.items()}))
+    if program == "knockreplay":
+        _fields(tokens, "T attack ATTACKER knockreplay")
+        return Attack(KnockReplay())
+    if program == "ping":
+        (_, _, _, _, victim), _ = _fields(tokens, "T attack ATTACKER ping VICTIM")
+        return Attack(PortScan.ping(victim))
+    raise ValueError(f"unknown attack program {program!r}; "
+                     "expected portscan, arppoison, macspoof, knockreplay or ping")
+
+
+def _require_node(sc: Scenario, name: str, line_no: int) -> NodeSpec:
     if name not in sc.nodes:
         raise UnknownNodeReference(f"undefined node {name!r}", line_no)
     return sc.nodes[name]
 
 
 def validate_scenario(sc: Scenario) -> None:
-    """Referential and key-coherence checks; raises a ScenarioError subtype."""
-    for a, b, _key in sc.keys:
-        _require_node(sc, a, None)
-        _require_node(sc, b, None)
-    keyed_pairs = {frozenset((a, b)) for a, b, _ in sc.keys}
-    for a, b in sc.protected:
-        _require_node(sc, a, None)
-        _require_node(sc, b, None)
+    """Cross-reference checks, O(nodes + keys + protected + steps); errors name the line."""
+    for a, b, _key, line_no in sc.keys:
+        _require_node(sc, a, line_no)
+        _require_node(sc, b, line_no)
+    keyed_pairs = {frozenset((a, b)) for a, b, _key, _line in sc.keys}
+    for a, b, line_no in sc.protected:
+        _require_node(sc, a, line_no)
+        _require_node(sc, b, line_no)
         if frozenset((a, b)) not in keyed_pairs:
-            raise MissingKey(f"protected pair {a}/{b} has no configured key")
+            raise MissingKey(f"protected pair {a}/{b} has no configured key", line_no)
     for step in sc.steps:
-        actor = _require_node(sc, step.actor, step.line_no)
-        verb = step.action[0]
-        if verb == "send":
-            if actor.kind != "client":
-                raise InvalidScenario(f"only client nodes can send, {step.actor} is {actor.kind}",
-                                      step.line_no)
-            dst = _require_node(sc, step.action[2], step.line_no)
-            if frozenset((step.actor, dst.name)) in {frozenset(p) for p in sc.protected} \
-                    and frozenset((step.actor, dst.name)) not in keyed_pairs:
-                raise MissingKey(f"no key for protected pair {step.actor}/{dst.name}",
-                                 step.line_no)
-        elif verb == "ping":
-            _require_node(sc, step.action[2], step.line_no)
-        elif verb == "attack":
-            if actor.kind != "attacker":
-                raise InvalidScenario(f"only attacker nodes can attack, {step.actor} is "
-                                      f"{actor.kind}", step.line_no)
-            _validate_attack(sc, step)
-
-
-def _validate_attack(sc: Scenario, step: StepSpec) -> None:
-    _verb, _actor, program, args = step.action
-    if program == "portscan":
-        _require_node(sc, args[0], step.line_no)
-        lo, hi = args[1].split("-")
-        if not (1 <= int(lo) <= int(hi) <= 0xFFFF):
-            raise InvalidScenario(f"bad port range {args[1]!r}", step.line_no)
-    elif program == "arppoison":
-        _require_node(sc, args[0], step.line_no)
-        Ipv4Address.from_str(args[1])
-        MacAddress.from_str(args[2])
-        _parse_kv(args[3:])
-    elif program == "macspoof":
-        _require_node(sc, args[0], step.line_no)
-        _parse_kv(args[1:])
-    elif program == "knockreplay":
-        pass
-    elif program == "ping":
-        _require_node(sc, args[0], step.line_no)
-    else:
-        raise InvalidScenario(f"unknown attack program {program!r}", step.line_no)
-
-
-def _attack_program(program: str, args: List[str]) -> AttackProgram:
-    """The program of a validated attack step."""
-    if program == "portscan":
-        lo, hi = args[1].split("-")
-        return PortScan(args[0], int(lo), int(hi))
-    if program == "ping":
-        return PortScan(args[0], 1, 0, with_ping=True)
-    if program == "arppoison":
-        opts = _parse_kv(args[3:])
-        return ArpPoison(args[0], Ipv4Address.from_str(args[1]), MacAddress.from_str(args[2]),
-                         int(opts.get("period", 1)), int(opts.get("count", 1)))
-    if program == "macspoof":
-        opts = _parse_kv(args[1:])
-        return MacSpoof(args[0], int(opts.get("count", 1)), int(opts.get("period", 1)))
-    if program == "knockreplay":
-        return KnockReplay()
-    raise InvalidScenario(f"unknown attack program {program!r}")
+        action, line_no = step.action, step.line_no
+        kind, kinds = _require_node(sc, step.actor, line_no).kind, ACTOR_KINDS[type(action)]
+        if kind not in kinds:
+            raise InvalidScenario(f"only {' or '.join(kinds)} nodes can "
+                                  f"{type(action).__name__.lower()}, {step.actor} is {kind}",
+                                  line_no)
+        # a knock replay names no node besides its actor
+        aimed_at = getattr(action.program, "victim", None) if isinstance(action, Attack) \
+            else action.dst
+        if aimed_at is not None:
+            _require_node(sc, aimed_at, line_no)
 
 
 def build_segment(sc: Scenario, seed: int = 0) -> Segment:
@@ -269,11 +267,11 @@ def build_segment(sc: Scenario, seed: int = 0) -> Segment:
             # distinct nonce streams per node keep replay caches honest
             configs[spec.name] = NicConfig(mac=spec.mac, ip=spec.ip,
                                            nonce_seed=seed + (idx << 32))
-    for a, b, key in sc.keys:
+    for a, b, key, _line in sc.keys:
         for left, right in ((a, b), (b, a)):
             if left in configs:
                 configs[left].role_keys[sc.nodes[right].ip] = key
-    for a, b in sc.protected:
+    for a, b, _line in sc.protected:
         if a in configs:
             configs[a].protected_peers.add(sc.nodes[b].ip)
     for spec in sc.nodes.values():
@@ -288,20 +286,13 @@ def build_segment(sc: Scenario, seed: int = 0) -> Segment:
         else:
             seg.attach(AttackerNode(spec.name, spec.mac, spec.ip))
     for step in sc.steps:
-        verb = step.action[0]
-        if verb == "send":
-            _, actor, dst, proto, sp, dp = step.action
-            seg.schedule(step.time, actor,
-                         ("send", sc.nodes[dst].ip, proto, sp, dp))
-        elif verb == "ping":
-            _, actor, dst = step.action
-            if sc.nodes[actor].kind == "attacker":
-                seg.inject_attack(seg.node(actor), step.time, _attack_program("ping", [dst]))
-            else:
-                seg.schedule(step.time, actor, ("ping", sc.nodes[dst].ip, sc.nodes[dst].mac))
-        elif verb == "attack":
-            _, actor, program_name, args = step.action
-            seg.inject_attack(seg.node(actor), step.time, _attack_program(program_name, args))
+        action = step.action
+        if isinstance(action, Ping) and sc.nodes[step.actor].kind == "attacker":
+            action = Attack(PortScan.ping(action.dst))
+        if isinstance(action, Attack):
+            seg.inject_attack(seg.node(step.actor), step.time, action.program)
+        else:
+            seg.schedule(step.time, step.actor, action)
     return seg
 
 

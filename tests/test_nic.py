@@ -28,6 +28,7 @@ from cloaknic.nic import (
     CloakingNic,
     Delivered,
     DropReason,
+    DropRecord,
     FilterTable,
     MissingIp,
     NicConfig,
@@ -173,7 +174,7 @@ class TestArpProcessing:
         wire = serialize_frame(make_arp(ARP_REQUEST, CLIENT_MAC, CLIENT_IP, MAC_ZERO, ATTACKER_IP))
         actions = nic.on_wire_receive(wire, now=0)
         assert actions.tx_frames == [] and actions.host_events == []
-        assert len(actions.drops) == 1
+        assert actions.drops == [DropRecord(DropReason.NO_FILTER_MATCH, 1, "arp-other-ip")]
 
     def test_gratuitous_reply_never_reaches_host(self):
         nic = server_nic()

@@ -17,6 +17,25 @@ VECTOR_FILE = pathlib.Path(__file__).parent / "data" / "knock_vectors.txt"
 
 GOOD = DEMOS["happy-path"]
 
+# GOOD plus a plain host `plain` and an attacker `m`, ending in [steps]
+WITH_STEPS = GOOD + ("[nodes]\nplain plainhost 10.0.0.3 aa:00:00:00:00:03\n"
+                     "m attacker 10.0.0.66 aa:00:00:00:00:66\n[steps]\n")
+STEP_LINE = len(WITH_STEPS.splitlines()) + 1
+
+# Inputs that `check` once accepted although `run` crashed on them or ran
+# them wrongly, or that crashed both; each with the line at fault.
+DEFECTS = {step: (WITH_STEPS + step + "\n", STEP_LINE) for step in (
+    "5 ping plain server",                   # a plain host cannot perform steps
+    "5 ping server plain",                   # nor can a cloaked server
+    "5 attack m portscan server",            # no port range
+    "5 attack m arppoison server",           # no claimed IP and MAC
+    "5 attack m arppoison server 10.0.0.1 de:ad:be:ef:00:01 period=x",
+    "5 send client server tcp 70000 22",     # ports are 16-bit
+    "5 send client server udp 1 -1",
+    "5 attack m macspoof server cnt=3",      # misspelt option
+)}
+DEFECTS["services=70000,-1"] = (GOOD.replace("services=22", "services=70000,-1"), 3)
+
 
 class TestParse:
     def test_happy_path_parses(self):
@@ -83,7 +102,7 @@ class TestCheckRunParity:
         GOOD + "\n[steps]\n9 send ghost server tcp 1 2\n",  # unknown node
         GOOD.replace(TEST_KEY_HEX, "00"),                # short key
         "[nodes]\nx cloaked 1.2.3.4 aa:bb:cc:dd:ee:ff\n[protected]\nx x\n",
-    ]
+    ] + [text for text, _line in DEFECTS.values()]
 
     def test_parity(self, tmp_path):
         for i, text in enumerate(self.CORPUS):
@@ -93,6 +112,14 @@ class TestCheckRunParity:
             run_rc = main(["run", "--scenario", str(path), "--quiet",
                            "--trace", str(tmp_path / "t"), "--metrics", str(tmp_path / "m")])
             assert (check_rc == 0) == (run_rc == 0), f"corpus item {i} diverged"
+
+    @pytest.mark.parametrize("text, line_no", DEFECTS.values(), ids=DEFECTS)
+    def test_defect_rejected_by_both_naming_line(self, text, line_no, tmp_path, capsys):
+        path = tmp_path / "sc.txt"
+        path.write_text(text)
+        for argv in (["check"], ["run", "--quiet"]):
+            assert main(argv + ["--scenario", str(path)]) == EXIT_VALIDATION
+            assert capsys.readouterr().err.startswith(f"error: line {line_no}: ")
 
 
 class TestCli:
