@@ -28,12 +28,11 @@ from .knock import (
     RejectReason,
     ReplayCache,
     SharedKey,
-    cache_evict,
     open_knock,
     prf,
     seal_knock,
 )
-from .nic import Actions, CloakingNic, DropReason, FilterTable, ByteFifo, NicConfig, nic_init
+from .nic import Actions, CloakingNic, DropReason, FilterTable, ByteFifo, NicConfig
 from .scenario import Scenario, parse_scenario, run_scenario, validate_scenario
 
 __version__ = "0.1.0"

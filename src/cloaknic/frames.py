@@ -272,6 +272,8 @@ def parse_frame(wire: bytes) -> EthernetFrame:
     """Decode a frame into typed payloads; unknown protocols stay opaque bytes."""
     if len(wire) < ETH_HEADER_LEN:
         raise TooShort(f"frame is {len(wire)} bytes, need 14")
+    if len(wire) > MAX_FRAME:
+        raise Oversize(f"frame is {len(wire)} bytes, max {MAX_FRAME}")
     dst = MacAddress(wire[:6])
     src = MacAddress(wire[6:12])
     (ethertype,) = struct.unpack(">H", wire[12:14])

@@ -12,17 +12,20 @@ tag = HMAC-SHA-256(key, magic || version || flags || nonce || ciphertext)[:16]
 
 Freshness: a knock is fresh while |now - timestamp| <= freshness_seconds.
 Replay: an accepted nonce is rejected on re-presentation until it ages out
-of the replay window (eviction removes entries strictly older than the
-window).
+of the replay window. Expiry happens on write: recording a nonce first
+forgets those recorded more than the window ago. A forgotten nonce is
+already stale as long as the window is at least twice the freshness bound,
+which `NicConfig` requires.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Union
+from typing import Union
 
 from .frames import Ipv4Address
 
@@ -106,18 +109,34 @@ class KnockPayload:
         )
 
 
+class ExpiryMap(OrderedDict):
+    """Key -> last tick it is live. Each owner gives its entries one lifetime
+    and writes at non-decreasing times, so `put` keeps the map in expiry order
+    and `drop_expired` pops only an expired prefix: amortised O(1) per write.
+    """
+
+    def drop_expired(self, now: int) -> None:
+        while self and now > self[next(iter(self))]:
+            self.popitem(last=False)
+
+    def put(self, key, expires: int) -> None:
+        self[key] = expires
+        self.move_to_end(key)
+
+
 @dataclass
 class ReplayCache:
     """Windowed set of accepted nonces, owned by a single NIC."""
 
     window_seconds: int = DEFAULT_REPLAY_WINDOW_SECONDS
-    seen: Dict[bytes, int] = field(default_factory=dict)
+    seen: ExpiryMap = field(default_factory=ExpiryMap)  # nonce -> last tick in the window
 
     def contains(self, nonce: bytes) -> bool:
         return nonce in self.seen
 
     def record(self, nonce: bytes, now: int) -> None:
-        self.seen[nonce] = now
+        self.seen.drop_expired(now)
+        self.seen.put(nonce, now + self.window_seconds)
 
     def __len__(self) -> int:
         return len(self.seen)
@@ -171,12 +190,6 @@ def open_knock(
         return RejectReason.REPLAYED
     cache.record(nonce, now)
     return fields
-
-
-def cache_evict(cache: ReplayCache, now: int) -> ReplayCache:
-    """Drop entries strictly older than the window; idempotent."""
-    cache.seen = {n: t for n, t in cache.seen.items() if now - t <= cache.window_seconds}
-    return cache
 
 
 def is_knock_payload(data: bytes) -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from . import frames
@@ -407,7 +407,7 @@ class Segment:
         self.nodes: List[Node] = []
         self._by_name: Dict[str, Node] = {}
         self.clock = 0
-        self._queue: List[tuple] = []  # (time, seq, kind, *payload)
+        self._queue: List[tuple] = []  # (time, seq, kind, payload)
         self._seq = 0
         self.metrics = Metrics()
         self.trace: List[TraceRecord] = []
@@ -432,16 +432,16 @@ class Segment:
         self._push(time, "frame", Wire.wrap(wire), origin)
 
     def schedule(self, time: int, node: str, step: Step) -> None:
-        self._push(time, "action", node, step)
+        """Queue a step; an attack queues its first firing, and each firing the next."""
+        program = getattr(step, "program", None)
+        if getattr(program, "period", 1) < 1:
+            raise ValueError(f"attack period must be >= 1, got {program.period}")
+        if getattr(program, "count", 1) > 0:
+            self._push(time, "action", node, step)
 
     def inject_attack(self, attacker: AttackerNode, start: int,
                       program: AttackProgram) -> None:
-        """Schedule a program; repetition expands to one action per firing."""
-        reps = getattr(program, "count", 1)
-        period = getattr(program, "period", 1)
-        action = Attack(program)
-        for shot in range(reps):
-            self.schedule(start + shot * period, attacker.name, action)
+        self.schedule(start, attacker.name, Attack(program))
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -494,7 +494,7 @@ class Segment:
         if not self._queue:
             return []
         mark = len(self.trace)
-        time, _seq, kind, payload = heapq.heappop(self._queue)
+        time, seq, kind, payload = heapq.heappop(self._queue)
         self.clock = time
         if kind == "frame":
             wire, origin = payload
@@ -514,6 +514,12 @@ class Segment:
             name, step = payload
             node = self._by_name[name]
             if isinstance(step, Attack):
+                # the program's remaining firings keep its seq, so they order
+                # among equal times as if every firing had been queued up front
+                rest = getattr(step.program, "count", 1) - 1
+                if rest > 0:
+                    heapq.heappush(self._queue, (time + step.program.period, seq, kind,
+                                                 (name, Attack(replace(step.program, count=rest)))))
                 self._emit_raw(node, node.frames_for(step.program, self.node), time)
             else:
                 self._apply_actions(node, node.perform(step, time), time)

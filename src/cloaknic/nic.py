@@ -2,9 +2,13 @@
 
 Default-drop packet filter keyed on <source IP, source port>, stateless
 ARP responder for the NIC's own IP, knock validation with replay cache,
-a bounded rx FIFO, and client-side automatic knock generation. A NIC
-never emits anything toward an unauthenticated peer except the ARP reply
-for its own address; every other rejection is silent.
+and client-side automatic knock generation. A NIC never emits anything
+toward an unauthenticated peer except the ARP reply for its own address;
+every other rejection is silent.
+
+State is bounded however long a run lasts: a filter insert, a replay-cache
+record and a client knock each first drop their table's expired entries,
+so every table holds only live entries (the filter at most 1024).
 
 One instance is a single-threaded state machine; all cross-NIC traffic
 goes through the simulator.
@@ -15,7 +19,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Union
 
 from . import frames
 from .frames import (
@@ -33,11 +37,11 @@ from .frames import (
 from .knock import (
     DEFAULT_FRESHNESS_SECONDS,
     DEFAULT_REPLAY_WINDOW_SECONDS,
+    ExpiryMap,
     KnockFields,
     RejectReason,
     ReplayCache,
     SharedKey,
-    cache_evict,
     is_knock_payload,
     open_knock,
     seal_knock,
@@ -68,7 +72,6 @@ class DropReason(Enum):
     NO_FILTER_MATCH = "NoFilterMatch"
     BAD_KNOCK = "BadKnock"
     UNSOLICITED_ARP_REPLY = "UnsolicitedArpReply"
-    FIFO_OVERFLOW = "FifoOverflow"
     MALFORMED = "Malformed"
 
 
@@ -116,31 +119,40 @@ class NicConfig:
     replay_window_seconds: int = DEFAULT_REPLAY_WINDOW_SECONDS
     nonce_seed: int = 0
 
+    def __post_init__(self):
+        # The replay cache forgets a nonce one window after accepting it. Its
+        # knock was fresh until at most accept + 2 * freshness, so with this
+        # bound a forgotten nonce can only come back stale.
+        if self.replay_window_seconds < 2 * self.freshness_seconds:
+            raise ValueError("replay_window_seconds must be at least 2 * freshness_seconds")
+
 
 class FilterTable:
-    """Exact-match <src ip, src port> admissions with idle TTL; default drop."""
+    """Exact-match <src ip, src port> admissions with an idle TTL; default drop.
 
-    def __init__(self, capacity: int = FILTER_TABLE_CAP):
+    An insert first drops the expired entries, so only live admissions
+    count against the capacity.
+    """
+
+    def __init__(self, ttl: int, capacity: int = FILTER_TABLE_CAP):
+        self.ttl = ttl
         self.capacity = capacity
-        self.entries: Dict[Tuple[Ipv4Address, int], int] = {}
+        self.entries = ExpiryMap()
 
-    def lookup(self, src_ip: Ipv4Address, src_port: int, now: int,
-               refresh_ttl: Optional[int] = None) -> bool:
-        expires = self.entries.get((src_ip, src_port))
-        if expires is None or now > expires:
+    def lookup(self, src_ip: Ipv4Address, src_port: int, now: int) -> bool:
+        """A hit refreshes the entry's TTL."""
+        key = (src_ip, src_port)
+        if now > self.entries.get(key, -1):
             return False
-        if refresh_ttl is not None:
-            self.entries[(src_ip, src_port)] = now + refresh_ttl
+        self.entries.put(key, now + self.ttl)
         return True
 
-    def insert(self, src_ip: Ipv4Address, src_port: int, now: int, ttl: int) -> None:
+    def insert(self, src_ip: Ipv4Address, src_port: int, now: int) -> None:
         key = (src_ip, src_port)
+        self.entries.drop_expired(now)
         if key not in self.entries and len(self.entries) >= self.capacity:
             raise TableFull(f"filter table at capacity {self.capacity}")
-        self.entries[key] = now + ttl
-
-    def sweep(self, now: int) -> None:
-        self.entries = {k: e for k, e in self.entries.items() if now <= e}
+        self.entries.put(key, now + self.ttl)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -182,40 +194,25 @@ class CloakingNic:
         self.config = config
         self.mac = config.mac
         self.ip = config.ip
-        self.filter = FilterTable()
+        self.filter = FilterTable(config.filter_ttl_seconds)
         self.replay_cache = ReplayCache(config.replay_window_seconds)
-        self.rx_fifo = ByteFifo()
-        # client side: live knock records per <local port, peer ip>
-        self._knocked: Dict[Tuple[int, Ipv4Address], int] = {}
+        # client side: <local port, peer ip> -> last tick its knock is live
+        self._knocked = ExpiryMap()
         # client side: parked frames awaiting an ARP reply, per target ip
         self._pending_arp: Dict[Ipv4Address, List[EthernetFrame]] = {}
         self._nonce_counter = 0
-        self.counters: Dict[str, int] = {
-            "rx_frames": 0,
-            "tx_frames": 0,
-            "fifo_overflows": 0,
-        }
-        for reason in DropReason:
-            self.counters[f"drop_{reason.value}"] = 0
 
     # -- internals ---------------------------------------------------------
 
     def _drop(self, actions: Actions, reason: DropReason, stage: int,
               detail: Optional[str] = None) -> Actions:
         actions.drops.append(DropRecord(reason, stage, detail))
-        self.counters[f"drop_{reason.value}"] += 1
-        if reason is DropReason.FIFO_OVERFLOW:
-            self.counters["fifo_overflows"] += 1
         return actions
 
     def _next_nonce(self) -> bytes:
         nonce = struct.pack(">Q", (self.config.nonce_seed + self._nonce_counter) & (2**64 - 1))
         self._nonce_counter += 1
         return nonce
-
-    def _transmit(self, actions: Actions, frame: EthernetFrame) -> None:
-        actions.tx_frames.append(frame)
-        self.counters["tx_frames"] += 1
 
     def _knock_frame(self, peer_ip: Ipv4Address, dst_mac: MacAddress,
                      local_port: int, now: int) -> EthernetFrame:
@@ -232,11 +229,12 @@ class CloakingNic:
         view = pkt.transport_view()
         if view is not None and pkt.dst in self.config.protected_peers:
             state_key = (view.src_port, pkt.dst)
-            expires = self._knocked.get(state_key)
-            if expires is None or now > expires:
-                self._transmit(actions, self._knock_frame(pkt.dst, frame.dst, view.src_port, now))
-                self._knocked[state_key] = now + self.config.filter_ttl_seconds
-        self._transmit(actions, frame)
+            if now > self._knocked.get(state_key, -1):
+                actions.tx_frames.append(
+                    self._knock_frame(pkt.dst, frame.dst, view.src_port, now))
+                self._knocked.drop_expired(now)
+                self._knocked.put(state_key, now + self.config.filter_ttl_seconds)
+        actions.tx_frames.append(frame)
 
     # -- host-facing operations --------------------------------------------
 
@@ -245,16 +243,15 @@ class CloakingNic:
             raise NicError("host frame source MAC must match the NIC MAC")
         actions = Actions()
         pkt = frame.payload
-        if isinstance(pkt, Ipv4Packet):
-            if frame.dst == MAC_ZERO:
-                # destination MAC unresolved: park and resolve it ourselves
-                self._pending_arp.setdefault(pkt.dst, []).append(frame)
-                self._transmit(actions, frames.make_arp(
-                    ARP_REQUEST, self.mac, self.ip, MAC_ZERO, pkt.dst))
-                return actions
+        if not isinstance(pkt, Ipv4Packet):
+            actions.tx_frames.append(frame)
+        elif frame.dst == MAC_ZERO:
+            # destination MAC unresolved: park and resolve it ourselves
+            self._pending_arp.setdefault(pkt.dst, []).append(frame)
+            actions.tx_frames.append(frames.make_arp(
+                ARP_REQUEST, self.mac, self.ip, MAC_ZERO, pkt.dst))
+        else:
             self._emit_with_knock(actions, frame, pkt, now)
-            return actions
-        self._transmit(actions, frame)
         return actions
 
     # -- wire-facing operations --------------------------------------------
@@ -269,10 +266,6 @@ class CloakingNic:
         """Verdict on one received frame; plain bytes are wrapped and parsed here."""
         wire = Wire.wrap(wire)
         actions = Actions()
-        self.counters["rx_frames"] += 1
-        if not self.rx_fifo.push(wire.data):
-            return self._drop(actions, DropReason.FIFO_OVERFLOW, 1, "rx")
-        self.rx_fifo.pop()  # processed in the same step; occupancy is per frame
         try:
             frame = wire.frame
         except frames.FrameError as exc:
@@ -287,7 +280,7 @@ class CloakingNic:
     def _receive_arp(self, actions: Actions, arp: ArpPacket, now: int) -> Actions:
         reply = self.arp_process(arp)
         if reply is not None:
-            self._transmit(actions, frames.make_arp(
+            actions.tx_frames.append(frames.make_arp(
                 reply.operation, reply.sender_mac, reply.sender_ip,
                 reply.target_mac, reply.target_ip))
             return actions
@@ -311,13 +304,10 @@ class CloakingNic:
         if isinstance(pkt.payload, IcmpMessage) and is_knock_payload(pkt.payload.payload):
             return self._receive_knock(actions, frame, pkt, now)
         view = pkt.transport_view()
-        if view is not None:
-            if self.filter.lookup(pkt.src, view.src_port, now,
-                                  refresh_ttl=self.config.filter_ttl_seconds):
-                actions.host_events.append(Delivered(wire, stage_count=2))
-                return actions
-            return self._drop(actions, DropReason.NO_FILTER_MATCH, 1)
-        # plain ICMP and unknown IP protocols fall through to the default drop
+        # plain ICMP and unknown IP protocols have no view: the default drop
+        if view is not None and self.filter.lookup(pkt.src, view.src_port, now):
+            actions.host_events.append(Delivered(wire, stage_count=2))
+            return actions
         return self._drop(actions, DropReason.NO_FILTER_MATCH, 1)
 
     def _receive_knock(self, actions: Actions, frame: EthernetFrame,
@@ -331,23 +321,12 @@ class CloakingNic:
                             self.config.freshness_seconds)
         if isinstance(result, RejectReason):
             return self._drop(actions, DropReason.BAD_KNOCK, 2, result.value)
+        if result.client_ip != pkt.src:
+            # a key holder may only open the filter for the address it sends from
+            return self._drop(actions, DropReason.BAD_KNOCK, 2, "IpMismatch")
         try:
-            self.filter.insert(result.client_ip, result.client_port, now,
-                               self.config.filter_ttl_seconds)
+            self.filter.insert(result.client_ip, result.client_port, now)
         except TableFull:
             return self._drop(actions, DropReason.BAD_KNOCK, 2, "TableFull")
         actions.host_events.append(ArpCacheUpdate(result.client_ip, frame.src))
         return actions
-
-    # -- maintenance ---------------------------------------------------------
-
-    def tick(self, now: int) -> Actions:
-        """Expiry sweep for filter TTLs, replay window, and client knock state."""
-        self.filter.sweep(now)
-        cache_evict(self.replay_cache, now)
-        self._knocked = {k: e for k, e in self._knocked.items() if now <= e}
-        return Actions()
-
-
-def nic_init(config: NicConfig) -> CloakingNic:
-    return CloakingNic(config)

@@ -18,8 +18,9 @@
     TICKS
 
 Ports (P, SRC_PORT, DST_PORT) are in 0..65535, with 1 <= LO <= HI for a
-scan. The step time T, TICKS and N (default 1) are integers >= 0. No other
-option is accepted, nor one given twice. `demos.py` has complete scenarios.
+scan. The step time T, TICKS and a count N are integers >= 0, and a period N
+is >= 1; N defaults to 1. No other option is accepted, nor one given twice.
+`demos.py` has complete scenarios.
 
 `parse_scenario` checks what one line shows (its fields, integers and their
 ranges, addresses, key length, option names) and raises `ParseError` naming
@@ -81,6 +82,7 @@ class InvalidScenario(ScenarioError):
 
 NODE_KINDS = ("cloaked", "plainhost", "client", "attacker")
 SECTIONS = ("nodes", "keys", "protected", "steps", "horizon")
+REPEAT_LO = {"count": 0, "period": 1}  # least value of each repeated-program option
 # the node kinds that may perform each step
 ACTOR_KINDS = {Send: ("client",), Ping: ("client", "attacker"), Attack: ("attacker",)}
 
@@ -132,14 +134,15 @@ def parse_scenario(text: str) -> Scenario:
     return sc
 
 
-def _int(text: str, what: str, hi: Optional[int] = None) -> int:
-    """A non-negative integer, at most `hi` if given."""
+def _int(text: str, what: str, hi: Optional[int] = None, lo: int = 0) -> int:
+    """An integer of at least `lo`, and at most `hi` if given."""
     try:
         value = int(text)
     except ValueError:
         raise ValueError(f"{what} must be an integer, got {text!r}") from None
-    if value < 0 or (hi is not None and value > hi):
-        raise ValueError(f"{what} must be {'>= 0' if hi is None else f'in 0..{hi}'}, got {value}")
+    if value < lo or (hi is not None and value > hi):
+        raise ValueError(f"{what} must be {f'>= {lo}' if hi is None else f'in {lo}..{hi}'}, "
+                         f"got {value}")
     return value
 
 
@@ -211,11 +214,11 @@ def _parse_step(tokens: List[str]) -> Step:
         (_, _, _, _, victim, ip, mac), opts = _fields(
             tokens, "T attack ATTACKER arppoison VICTIM IP MAC", ("period", "count"))
         return Attack(ArpPoison(victim, Ipv4Address.from_str(ip), MacAddress.from_str(mac),
-                                **{k: _int(v, k) for k, v in opts.items()}))
+                                **{k: _int(v, k, lo=REPEAT_LO[k]) for k, v in opts.items()}))
     if program == "macspoof":
         (_, _, _, _, victim), opts = _fields(tokens, "T attack ATTACKER macspoof VICTIM",
                                      ("count", "period"))
-        return Attack(MacSpoof(victim, **{k: _int(v, k) for k, v in opts.items()}))
+        return Attack(MacSpoof(victim, **{k: _int(v, k, lo=REPEAT_LO[k]) for k, v in opts.items()}))
     if program == "knockreplay":
         _fields(tokens, "T attack ATTACKER knockreplay")
         return Attack(KnockReplay())
@@ -289,10 +292,7 @@ def build_segment(sc: Scenario, seed: int = 0) -> Segment:
         action = step.action
         if isinstance(action, Ping) and sc.nodes[step.actor].kind == "attacker":
             action = Attack(PortScan.ping(action.dst))
-        if isinstance(action, Attack):
-            seg.inject_attack(seg.node(step.actor), step.time, action.program)
-        else:
-            seg.schedule(step.time, step.actor, action)
+        seg.schedule(step.time, step.actor, action)
     return seg
 
 

@@ -25,8 +25,8 @@ def pick(good, bad=()):
 
 
 GOOD_INTS, BAD_INTS = ["0", "1", "2", "22", "65535"], ["-1", "65536", "x"]
-SMALL = ["0", "1", "2"]  # count/period: thousands of firings would be slow
-REPEAT = [f"{k}={v}" for k in ("count", "period") for v in SMALL]
+# thousands of firings would be slow; a period is at least one tick
+REPEAT = ["count=0", "count=1", "count=2", "period=1", "period=2"]
 
 name = pick(["a", "b", "c"], ["ghost"])
 kind = pick(NODE_KINDS, ["router"])
@@ -37,7 +37,8 @@ port_range = pick(["1-64", "65472-65535", "22-22"], ["0-5", "5-2", "7", "1-65536
 key = pick([TEST_KEY_HEX], ["00", "zz"])
 services = st.lists(pick(["services=22", "services=22,65535"],
                          ["services=65536", "services=-1", "count=1"]), max_size=1)
-repeat = st.lists(pick(REPEAT, ["count=-1", "period=x", "cnt=1", "services=22"]), max_size=2)
+repeat = st.lists(pick(REPEAT, ["count=-1", "period=0", "period=x", "cnt=1", "services=22"]),
+                  max_size=2)
 HEADERS = [f"[{s}]" for s in SECTIONS] + ["[bogus]"]
 VOCABULARY = (["a", "b", "ghost", "router", "-1", "0", "65535", "65536", "x", "10.0.0.1",
                "aa:00:00:00:00:01", "1-64", "5-2", "count=1", "cnt=1", "services=65536", "00",

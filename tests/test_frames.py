@@ -137,6 +137,12 @@ class TestParse:
         f = EthernetFrame(MAC_A, MAC_B, 0x1234, b"\x00" * 1500)
         assert len(serialize_frame(f)) == 1514
 
+    def test_parse_oversize(self):
+        wire = serialize_frame(EthernetFrame(MAC_A, MAC_B, 0x1234, b"\x00" * 1500))
+        assert parse_frame(wire).payload == b"\x00" * 1500
+        with pytest.raises(Oversize):
+            parse_frame(wire + b"\x00")
+
     def test_unknown_ethertype_is_opaque(self):
         f = parse_frame(serialize_frame(EthernetFrame(MAC_A, MAC_B, 0x88B5, b"hello")))
         assert f.payload == b"hello"

@@ -12,7 +12,6 @@ from cloaknic.knock import (
     RejectReason,
     ReplayCache,
     SharedKey,
-    cache_evict,
     format_vector_line,
     is_knock_payload,
     open_knock,
@@ -194,27 +193,38 @@ class TestOpenRejections:
         assert acceptances == 0
 
 
-class TestCacheEvict:
+class TestReplayCacheExpiry:
+    """A record first forgets the nonces recorded more than the window ago."""
+
     def test_window_arithmetic(self):
         cache = ReplayCache(window_seconds=60)
         cache.record(b"\x01" * 8, 0)
-        cache_evict(cache, 61)
-        assert len(cache) == 0
+        cache.record(b"\x02" * 8, 61)
+        assert len(cache) == 1
+        assert not cache.contains(b"\x01" * 8)
 
     def test_boundary_is_strict(self):
         cache = ReplayCache(window_seconds=60)
         cache.record(b"\x01" * 8, 0)
-        cache_evict(cache, 60)
-        assert len(cache) == 1
+        cache.record(b"\x02" * 8, 60)
+        assert len(cache) == 2
+        assert cache.contains(b"\x01" * 8)
 
     def test_idempotent(self):
         cache = ReplayCache(window_seconds=60)
         cache.record(b"\x01" * 8, 0)
         cache.record(b"\x02" * 8, 50)
-        cache_evict(cache, 61)
+        cache.record(b"\x03" * 8, 61)
         first = dict(cache.seen)
-        cache_evict(cache, 61)
+        assert first == {b"\x02" * 8: 110, b"\x03" * 8: 121}
+        cache.seen.drop_expired(61)
         assert cache.seen == first
+
+    def test_expired_prefix_popped_in_order(self):
+        cache = ReplayCache(window_seconds=10)
+        for t in range(100):
+            cache.record(t.to_bytes(8, "big"), t)
+            assert list(cache.seen.values()) == list(range(max(0, t - 10) + 10, t + 11))
 
 
 class TestVectorFile:

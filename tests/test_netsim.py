@@ -135,6 +135,46 @@ class TestAttackPrograms:
         frames_out = mal.frames_for(MacSpoof("victim"), seg.node)
         assert frames_out[0].data[6:12] == victim.mac.octets
 
+    def test_each_firing_queues_the_next(self):
+        sc = parse_scenario(DEMOS["replay"].replace(
+            "20 attack mallory knockreplay", "0 attack mallory macspoof server count=200000"))
+        seg = build_segment(sc)
+        assert len(seg._queue) == 2  # the client's send and the program's first firing
+        seg.run(sc.horizon)
+        assert seg.metrics.node("mallory").tx == sc.horizon + 1
+        # one queued firing, and the last firing's frame still in flight
+        assert sorted(entry[2] for entry in seg._queue) == ["action", "frame"]
+
+    def test_zero_count_fires_nothing(self):
+        seg = Segment()
+        seg.attach(plain("victim", "10.0.0.3", "aa:00:00:00:00:03"))
+        mal = seg.attach(attacker())
+        seg.inject_attack(mal, 0, MacSpoof("victim", count=0))
+        assert seg._queue == []
+        seg.run()
+        assert seg.trace == []
+
+    def test_zero_period_is_refused(self):
+        seg = Segment()
+        mal = seg.attach(attacker())
+        with pytest.raises(ValueError, match="period"):
+            seg.inject_attack(mal, 0, MacSpoof("victim", count=10**8, period=0))
+        assert seg._queue == []
+
+    def test_repeated_firings_keep_their_order_at_equal_times(self):
+        seg = Segment()
+        victim = seg.attach(plain("victim", "10.0.0.3", "aa:00:00:00:00:03"))
+        mal = seg.attach(attacker())
+        # the spoof's second firing is queued after the poison was injected,
+        # yet both fall at tick 1 and the program injected first goes first
+        seg.inject_attack(mal, 0, MacSpoof("victim", count=2, period=1))
+        seg.inject_attack(mal, 1, ArpPoison("victim", IP("10.0.0.1"),
+                                            MAC("de:ad:be:ef:00:01")))
+        seg.run()
+        sent = [(r.time, r.summary.split(" ")[0]) for r in seg.trace if r.direction == "tx"]
+        assert sent == [(0, "ethertype=0x88b5"), (1, "ethertype=0x88b5"), (1, "arp-reply")]
+        assert victim.arp_cache[IP("10.0.0.1")] == MAC("de:ad:be:ef:00:01")
+
     def test_portscan_covers_range(self):
         seg = Segment()
         seg.attach(plain("victim", "10.0.0.3", "aa:00:00:00:00:03"))

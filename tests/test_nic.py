@@ -35,7 +35,6 @@ from cloaknic.nic import (
     NicError,
     TableFull,
     UnknownPeerKey,
-    nic_init,
 )
 
 SERVER_MAC = MacAddress.from_str("aa:00:00:00:00:02")
@@ -75,7 +74,7 @@ def syn_wire(src_ip=CLIENT_IP, src_mac=CLIENT_MAC, src_port=40000, dst_port=22) 
 class TestInit:
     def test_missing_ip(self):
         with pytest.raises(MissingIp):
-            nic_init(NicConfig(mac=SERVER_MAC))
+            CloakingNic(NicConfig(mac=SERVER_MAC))
 
     def test_default_drop_on_fresh_nic(self):
         nic = server_nic()
@@ -85,49 +84,69 @@ class TestInit:
     def test_independent_state(self):
         cfg = NicConfig(mac=SERVER_MAC, ip=SERVER_IP)
         a, b = CloakingNic(cfg), CloakingNic(cfg)
-        a.filter.insert(CLIENT_IP, 1, 0, 60)
+        a.filter.insert(CLIENT_IP, 1, 0)
         assert len(b.filter) == 0
+
+
+class TestConfig:
+    def test_default_windows_pass(self):
+        cfg = NicConfig(mac=SERVER_MAC, ip=SERVER_IP)
+        assert cfg.replay_window_seconds == 60 and cfg.freshness_seconds == 30
+
+    def test_replay_window_below_twice_freshness_fails(self):
+        with pytest.raises(ValueError, match="replay_window_seconds"):
+            NicConfig(mac=SERVER_MAC, ip=SERVER_IP, replay_window_seconds=59)
 
 
 class TestFilterTable:
     def test_insert_then_lookup(self):
-        t = FilterTable()
-        t.insert(CLIENT_IP, 40000, now=0, ttl=60)
+        t = FilterTable(ttl=60)
+        t.insert(CLIENT_IP, 40000, now=0)
         assert t.lookup(CLIENT_IP, 40000, now=0)
 
     def test_exact_match_key(self):
-        t = FilterTable()
-        t.insert(CLIENT_IP, 40000, now=0, ttl=60)
+        t = FilterTable(ttl=60)
+        t.insert(CLIENT_IP, 40000, now=0)
         assert not t.lookup(CLIENT_IP, 40001, now=0)
         assert not t.lookup(ATTACKER_IP, 40000, now=0)
 
     def test_ttl_boundary(self):
-        t = FilterTable()
-        t.insert(CLIENT_IP, 40000, now=0, ttl=60)
+        t = FilterTable(ttl=60)
+        t.insert(CLIENT_IP, 40000, now=0)
+        t.insert(CLIENT_IP, 40001, now=0)
         assert t.lookup(CLIENT_IP, 40000, now=60)
-        assert not t.lookup(CLIENT_IP, 40000, now=61)
+        assert not t.lookup(CLIENT_IP, 40001, now=61)
 
     def test_reinsert_refreshes_without_duplicating(self):
-        t = FilterTable()
-        t.insert(CLIENT_IP, 40000, now=0, ttl=60)
-        t.insert(CLIENT_IP, 40000, now=30, ttl=60)
+        t = FilterTable(ttl=60)
+        t.insert(CLIENT_IP, 40000, now=0)
+        t.insert(CLIENT_IP, 40000, now=30)
         assert len(t) == 1
         assert t.lookup(CLIENT_IP, 40000, now=90)
 
     def test_lookup_refreshes_expiry(self):
-        t = FilterTable()
-        t.insert(CLIENT_IP, 40000, now=0, ttl=60)
-        assert t.lookup(CLIENT_IP, 40000, now=50, refresh_ttl=60)
+        t = FilterTable(ttl=60)
+        t.insert(CLIENT_IP, 40000, now=0)
+        assert t.lookup(CLIENT_IP, 40000, now=50)
         assert t.lookup(CLIENT_IP, 40000, now=105)
 
     def test_capacity_1024(self):
-        t = FilterTable()
+        t = FilterTable(ttl=60)
         for i in range(1024):
-            t.insert(Ipv4Address(bytes([10, 1, i >> 8, i & 0xFF])), 1, now=0, ttl=60)
+            t.insert(Ipv4Address(bytes([10, 1, i >> 8, i & 0xFF])), 1, now=0)
         with pytest.raises(TableFull):
-            t.insert(Ipv4Address(bytes([10, 2, 0, 0])), 1, now=0, ttl=60)
+            t.insert(Ipv4Address(bytes([10, 2, 0, 0])), 1, now=60)
         # refreshing an existing key is still allowed at capacity
-        t.insert(Ipv4Address(bytes([10, 1, 0, 0])), 1, now=10, ttl=60)
+        t.insert(Ipv4Address(bytes([10, 1, 0, 0])), 1, now=10)
+
+    def test_expired_entries_do_not_count_against_capacity(self):
+        t = FilterTable(ttl=60)
+        for i in range(1024):
+            t.insert(Ipv4Address(bytes([10, 1, i >> 8, i & 0xFF])), 1, now=0)
+        t.insert(Ipv4Address(bytes([10, 1, 0, 0])), 1, now=10)  # refreshed, still live
+        t.insert(Ipv4Address(bytes([10, 2, 0, 0])), 1, now=61)
+        assert list(t.entries) == [(Ipv4Address(bytes([10, 1, 0, 0])), 1),
+                                   (Ipv4Address(bytes([10, 2, 0, 0])), 1)]
 
 
 class TestByteFifo:
@@ -253,6 +272,25 @@ class TestKnockAdmission:
         actions = nic.on_wire_receive(b"\x00" * 13, now=0)
         assert actions.drops[0].reason is DropReason.MALFORMED
 
+    def test_oversize_buffer_is_malformed_at_stage_1(self):
+        nic = server_nic()
+        padded = syn_wire()
+        padded += bytes(1514 - len(padded))  # the largest frame still parses
+        assert nic.on_wire_receive(padded, now=0).drops == [
+            DropRecord(DropReason.NO_FILTER_MATCH, 1)]
+        actions = nic.on_wire_receive(padded + b"\x00", now=0)
+        assert actions == Actions(drops=[DropRecord(DropReason.MALFORMED, 1, "Oversize")])
+
+    def test_knock_sealing_another_ip_is_refused(self):
+        nic = server_nic()
+        payload = seal_knock(KEY, bytes(8), KnockFields(ATTACKER_IP, 40000, 0)).to_bytes()
+        wire = serialize_frame(make_icmp_echo(CLIENT_MAC, SERVER_MAC, CLIENT_IP,
+                                              SERVER_IP, payload))
+        actions = nic.on_wire_receive(wire, now=0)
+        assert actions == Actions(drops=[DropRecord(DropReason.BAD_KNOCK, 2, "IpMismatch")])
+        assert len(nic.filter) == 0
+        assert not nic.filter.lookup(ATTACKER_IP, 40000, now=1)
+
 
 class TestCloakingSweep:
     def test_port_sweep_and_echo_elicit_zero_bytes(self):
@@ -267,7 +305,6 @@ class TestCloakingSweep:
                                               ATTACKER_IP, SERVER_IP, b"x"))
         actions = nic.on_wire_receive(echo, now=2000)
         assert actions.tx_frames == []
-        assert nic.counters["tx_frames"] == 0
 
     def test_udp_probe_is_silent(self):
         nic = server_nic()
@@ -341,25 +378,37 @@ class TestHostTransmit:
         assert all(f.dst == SERVER_MAC for f in actions.tx_frames)
 
 
-class TestTick:
-    def test_expired_entries_swept(self):
-        nic = server_nic()
-        nic.filter.insert(CLIENT_IP, 40000, now=40, ttl=60)
-        nic.tick(now=101)
-        assert len(nic.filter) == 0
+class TestExpiryOnWrite:
+    """Each NIC table drops its expired entries when it is next written."""
 
-    def test_idempotent(self):
+    def test_filter_insert_drops_expired(self):
+        nic = server_nic()
+        nic.filter.insert(CLIENT_IP, 40000, now=40)
+        nic.filter.insert(CLIENT_IP, 40001, now=100)  # 40000 is live until 100
+        assert len(nic.filter) == 2
+        nic.filter.insert(CLIENT_IP, 40002, now=101)
+        assert list(nic.filter.entries) == [(CLIENT_IP, 40001), (CLIENT_IP, 40002)]
+
+    def test_knock_keeps_live_state(self):
         nic = server_nic()
         nic.on_wire_receive(knock_wire(now=0), now=0)
-        nic.tick(now=30)
-        state = (dict(nic.filter.entries), dict(nic.replay_cache.seen))
-        nic.tick(now=30)
-        assert (dict(nic.filter.entries), dict(nic.replay_cache.seen)) == state
+        nic.on_wire_receive(knock_wire(now=30, nonce=bytes(7) + b"\x01", port=40001), now=30)
+        assert dict(nic.filter.entries) == {(CLIENT_IP, 40000): 60, (CLIENT_IP, 40001): 90}
+        assert dict(nic.replay_cache.seen) == {bytes(8): 60, bytes(7) + b"\x01": 90}
 
-    def test_empty_noop(self):
+    def test_knock_drops_expired_state(self):
         nic = server_nic()
-        actions = nic.tick(now=0)
-        assert actions == Actions()
+        nic.on_wire_receive(knock_wire(now=0), now=0)
+        nic.on_wire_receive(knock_wire(now=61, nonce=bytes(7) + b"\x01", port=40001), now=61)
+        assert dict(nic.filter.entries) == {(CLIENT_IP, 40001): 121}
+        assert dict(nic.replay_cache.seen) == {bytes(7) + b"\x01": 121}
+
+    def test_client_knock_map_drops_expired(self):
+        nic = client_nic()
+        for port, now in ((40000, 0), (40001, 60), (40002, 61)):
+            nic.on_host_transmit(make_ipv4_frame(nic.mac, SERVER_MAC, nic.ip, SERVER_IP,
+                                                 PROTO_TCP, tcp_segment(port, 22)), now)
+        assert dict(nic._knocked) == {(40001, SERVER_IP): 120, (40002, SERVER_IP): 121}
 
 
 class TestConservation:

@@ -1,0 +1,196 @@
+"""NIC state stays within its stated bounds however long a run lasts.
+
+Each NIC table expires where it is written, so a long run keeps only live
+entries: a regression run past the filter's capacity, and a hypothesis
+state machine that checks the NIC's invariants after every input.
+"""
+
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+
+from cloaknic.demos import TEST_KEY_HEX
+from cloaknic.frames import (
+    ARP_REPLY,
+    ARP_REQUEST,
+    MAC_ZERO,
+    PROTO_TCP,
+    ArpPacket,
+    Ipv4Address,
+    MacAddress,
+    make_arp,
+    make_icmp_echo,
+    make_ipv4_frame,
+    serialize_frame,
+    tcp_segment,
+)
+from cloaknic.knock import KnockFields, SharedKey, seal_knock
+from cloaknic.nic import (
+    FILTER_TABLE_CAP,
+    Actions,
+    ArpCacheUpdate,
+    CloakingNic,
+    Delivered,
+    DropReason,
+    DropRecord,
+    NicConfig,
+)
+from cloaknic.scenario import build_segment, parse_scenario
+
+PORTS = 1100
+TTL = 60
+
+
+def test_long_run_of_distinct_ports_keeps_every_table_live():
+    # one client knocks from 1,100 ports two ticks apart: at most 31 are live
+    # at once, but over the run more pairs are used than the filter can hold
+    steps = "".join(f"{2 * i} send client server tcp {40000 + i} 22\n" for i in range(PORTS))
+    sc = parse_scenario(
+        "[nodes]\n"
+        "server cloaked 10.0.0.2 aa:00:00:00:00:02 services=22\n"
+        "client client 10.0.0.5 aa:00:00:00:00:05\n"
+        f"[keys]\nclient server {TEST_KEY_HEX}\n"
+        "[protected]\nclient server\n"
+        f"[steps]\n{steps}"
+        f"[horizon]\n{2 * PORTS + 10}\n")
+    seg = build_segment(sc)
+    seg.run(sc.horizon)
+    server = seg.metrics.node("server")
+    assert server.delivered == PORTS
+    assert sum(server.dropped_by_reason.values()) == 0
+    live_max = TTL // 2 + 1
+    assert len(seg.node("server").nic.filter) <= live_max
+    assert len(seg.node("server").nic.replay_cache) <= live_max
+    assert len(seg.node("client").nic._knocked) <= live_max
+
+
+SERVER_MAC = MacAddress.from_str("aa:00:00:00:00:02")
+SERVER_IP = Ipv4Address.from_str("10.0.0.2")
+CLIENTS = [(Ipv4Address.from_str(f"10.0.0.{i}"), MacAddress.from_str(f"aa:00:00:00:00:0{i}"),
+            SharedKey(bytes([i]) * 32)) for i in (5, 6, 7)]
+STRANGER_IP = Ipv4Address.from_str("10.0.0.66")
+STRANGER_MAC = MacAddress.from_str("de:ad:be:ef:00:66")
+SENDERS = [(ip, mac) for ip, mac, _ in CLIENTS] + [(STRANGER_IP, STRANGER_MAC)]
+CLIENT_PORTS = [40000, 40001, 40002]
+
+
+class NicMachine(RuleBasedStateMachine):
+    """A cloaked server NIC fed knocks, replays, SYNs, ARP and noise.
+
+    `admitted` models the filter, <ip, port> -> last live tick, and
+    `accepted` the replay cache, nonce -> last tick in the window. Both are
+    pruned of expired entries exactly when the NIC writes the table.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.nic = CloakingNic(NicConfig(mac=SERVER_MAC, ip=SERVER_IP,
+                                         role_keys={ip: key for ip, _, key in CLIENTS}))
+        self.now = 0
+        self.nonce = 0
+        self.knocks = []  # (wire, timestamp) of every admitted knock
+        self.admitted = {}
+        self.accepted = {}
+
+    def receive(self, wire: bytes) -> Actions:
+        actions = self.nic.on_wire_receive(wire, self.now)
+        assert len(actions.tx_frames) + len(actions.host_events) + len(actions.drops) == 1
+        for frame in actions.tx_frames:
+            arp = frame.payload
+            assert isinstance(arp, ArpPacket)
+            assert (arp.operation, arp.sender_ip) == (ARP_REPLY, SERVER_IP)
+        return actions
+
+    def write(self, model, key, expires):
+        for k in [k for k, e in model.items() if self.now > e]:
+            del model[k]
+        model[key] = expires
+
+    def seal(self, sealed_ip, key) -> bytes:
+        self.nonce += 1
+        return seal_knock(key, self.nonce.to_bytes(8, "big"),
+                          KnockFields(sealed_ip, self.port, self.now)).to_bytes()
+
+    @rule(dt=st.integers(0, 80))
+    def advance(self, dt):
+        self.now += dt
+
+    @rule(client=st.sampled_from(CLIENTS), port=st.sampled_from(CLIENT_PORTS))
+    def fresh_knock(self, client, port):
+        ip, mac, key = client
+        self.port = port
+        wire = serialize_frame(make_icmp_echo(mac, SERVER_MAC, ip, SERVER_IP,
+                                              self.seal(ip, key)))
+        assert self.receive(wire) == Actions(host_events=[ArpCacheUpdate(ip, mac)])
+        self.write(self.admitted, (ip, port), self.now + TTL)
+        self.write(self.accepted, self.nonce.to_bytes(8, "big"), self.now + 60)
+        self.knocks.append((wire, self.now))
+        assert min(self.nic.filter.entries.values()) >= self.now
+        assert min(self.nic.replay_cache.seen.values()) >= self.now
+
+    @rule(i=st.integers(0, len(CLIENTS) - 1), shift=st.integers(1, len(CLIENTS) - 1))
+    def knock_sealing_another_ip(self, i, shift):
+        ip, mac, key = CLIENTS[i]
+        other_ip = CLIENTS[(i + shift) % len(CLIENTS)][0]
+        self.port = CLIENT_PORTS[0]
+        wire = serialize_frame(make_icmp_echo(mac, SERVER_MAC, ip, SERVER_IP,
+                                              self.seal(other_ip, key)))
+        assert self.receive(wire) == Actions(
+            drops=[DropRecord(DropReason.BAD_KNOCK, 2, "IpMismatch")])
+        # the knock was authentic, so its nonce is spent
+        self.write(self.accepted, self.nonce.to_bytes(8, "big"), self.now + 60)
+        assert min(self.nic.replay_cache.seen.values()) >= self.now
+
+    @precondition(lambda self: self.knocks)
+    @rule(data=st.data())
+    def replay(self, data):
+        wire, stamp = data.draw(st.sampled_from(self.knocks))
+        detail = "Stale" if self.now - stamp > 30 else "Replayed"
+        assert self.receive(wire) == Actions(drops=[DropRecord(DropReason.BAD_KNOCK, 2, detail)])
+
+    @rule(sender=st.sampled_from(SENDERS), port=st.sampled_from(CLIENT_PORTS))
+    def syn(self, sender, port):
+        ip, mac = sender
+        self.syn_from(ip, mac, port)
+
+    @precondition(lambda self: self.admitted)
+    @rule(data=st.data())
+    def syn_from_admitted_pair(self, data):
+        ip, port = data.draw(st.sampled_from(sorted(self.admitted, key=str)))
+        self.syn_from(ip, next(mac for i, mac in SENDERS if i == ip), port)
+
+    def syn_from(self, ip, mac, port):
+        wire = serialize_frame(make_ipv4_frame(mac, SERVER_MAC, ip, SERVER_IP, PROTO_TCP,
+                                               tcp_segment(port, 22)))
+        actions = self.receive(wire)
+        if self.now <= self.admitted.get((ip, port), -1):
+            assert [type(e) for e in actions.host_events] == [Delivered]
+            self.admitted[(ip, port)] = self.now + TTL
+        else:
+            assert actions.drops == [DropRecord(DropReason.NO_FILTER_MATCH, 1)]
+
+    @rule(own=st.booleans())
+    def arp_request(self, own):
+        target = SERVER_IP if own else STRANGER_IP
+        actions = self.receive(serialize_frame(make_arp(
+            ARP_REQUEST, CLIENTS[0][1], CLIENTS[0][0], MAC_ZERO, target)))
+        if own:
+            assert len(actions.tx_frames) == 1
+        else:
+            assert actions.drops == [DropRecord(DropReason.NO_FILTER_MATCH, 1, "arp-other-ip")]
+
+    @rule(data=st.binary(max_size=80))
+    def noise(self, data):
+        self.receive(data)
+
+    @invariant()
+    def tables_match_the_model(self):
+        assert dict(self.nic.filter.entries) == self.admitted
+        assert dict(self.nic.replay_cache.seen) == self.accepted
+        assert len(self.nic.filter) <= FILTER_TABLE_CAP
+
+
+NicMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow])
+TestNicMachine = NicMachine.TestCase

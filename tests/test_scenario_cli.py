@@ -33,6 +33,7 @@ DEFECTS = {step: (WITH_STEPS + step + "\n", STEP_LINE) for step in (
     "5 send client server tcp 70000 22",     # ports are 16-bit
     "5 send client server udp 1 -1",
     "5 attack m macspoof server cnt=3",      # misspelt option
+    "5 attack m macspoof server count=100000000 period=0",  # every firing at one tick
 )}
 DEFECTS["services=70000,-1"] = (GOOD.replace("services=22", "services=70000,-1"), 3)
 
