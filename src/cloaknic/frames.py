@@ -5,7 +5,8 @@ serialize. The one exception, `Wire`, only memoises a frame's parse and
 hex form. Big-endian throughout. FCS is not modeled; neither is the
 46-byte minimum-payload padding rule (no physical medium exists here).
 Unknown ethertypes and IP protocols decode to opaque bytes on purpose --
-rejecting them is the packet filter's job, not the parser's.
+rejecting them is the packet filter's job, not the parser's. An ARP or IPv4
+body that cannot be read as one raises a typed `FrameError`.
 """
 
 from __future__ import annotations
@@ -50,6 +51,14 @@ class BadChecksum(FrameError):
 
 class Oversize(FrameError):
     """Ethernet payload above 1500 bytes."""
+
+
+class UnsupportedIpHeader(FrameError):
+    """IPv4 version other than 4, or a header with options (IHL other than 5)."""
+
+
+class BadTotalLength(FrameError):
+    """IPv4 total length below the 20-byte header or beyond the frame."""
 
 
 @dataclass(frozen=True)
@@ -217,9 +226,14 @@ class Ipv4Packet:
         (vihl, _tos, total, ident, _frag, ttl, proto, cks, src, dst) = struct.unpack(
             ">BBHHHBBH4s4s", data[: cls.HEADER_LEN]
         )
+        if vihl != 0x45:
+            raise UnsupportedIpHeader(f"IPv4 version {vihl >> 4}, IHL {vihl & 0xF}; need 4, 5")
         if internet_checksum(data[: cls.HEADER_LEN]) != 0:
             raise BadChecksum("IPv4 header checksum mismatch")
-        body = data[cls.HEADER_LEN:total] if total >= cls.HEADER_LEN else data[cls.HEADER_LEN:]
+        if not cls.HEADER_LEN <= total <= len(data):
+            raise BadTotalLength(f"IPv4 total length {total} in {len(data)} bytes")
+        # bytes past the total length are Ethernet padding
+        body = data[cls.HEADER_LEN:total]
         payload: Union[IcmpMessage, bytes] = body
         if proto == PROTO_ICMP and len(body) >= 8:
             payload = IcmpMessage.from_bytes(body)
@@ -279,9 +293,9 @@ def parse_frame(wire: bytes) -> EthernetFrame:
     (ethertype,) = struct.unpack(">H", wire[12:14])
     body = wire[14:]
     payload: Union[ArpPacket, Ipv4Packet, bytes] = body
-    if ethertype == ETHERTYPE_ARP and len(body) >= ArpPacket.BODY_LEN:
+    if ethertype == ETHERTYPE_ARP:
         payload = ArpPacket.from_bytes(body)
-    elif ethertype == ETHERTYPE_IPV4 and len(body) >= Ipv4Packet.HEADER_LEN:
+    elif ethertype == ETHERTYPE_IPV4:
         payload = Ipv4Packet.from_bytes(body)
     return EthernetFrame(dst, src, ethertype, payload)
 
@@ -337,12 +351,11 @@ def make_arp(
     target_ip: Ipv4Address,
 ) -> EthernetFrame:
     """ARP request frames are broadcast; replies go unicast to the requester."""
-    arp = ArpPacket(operation, sender_mac, sender_ip, target_mac, target_ip)
     if operation == ARP_REQUEST:
-        arp = ArpPacket(operation, sender_mac, sender_ip, MAC_ZERO, target_ip)
-        eth_dst = MAC_BROADCAST
+        target_mac, eth_dst = MAC_ZERO, MAC_BROADCAST
     else:
         eth_dst = target_mac
+    arp = ArpPacket(operation, sender_mac, sender_ip, target_mac, target_ip)
     return EthernetFrame(eth_dst, sender_mac, ETHERTYPE_ARP, arp)
 
 
@@ -380,10 +393,3 @@ def make_icmp_echo(src_mac: MacAddress, dst_mac: MacAddress,
     icmp = IcmpMessage(ICMP_ECHO_REPLY if reply else ICMP_ECHO_REQUEST, 0, identifier, sequence, payload)
     return make_ipv4_frame(src_mac, dst_mac, src_ip, dst_ip, PROTO_ICMP, icmp)
 
-
-def hex_dump(data: bytes) -> str:
-    """Lowercase hex pairs, space separated, 16 bytes per line."""
-    lines = []
-    for off in range(0, len(data), 16):
-        lines.append(" ".join(f"{b:02x}" for b in data[off:off + 16]))
-    return "\n".join(lines)

@@ -10,12 +10,12 @@ all big-endian. Keystream = HMAC-SHA-256(key, nonce || 0x01)[:16],
 tag = HMAC-SHA-256(key, magic || version || flags || nonce || ciphertext)[:16]
 (encrypt-then-MAC; the tag is checked before any plaintext is touched).
 
-Freshness: a knock is fresh while |now - timestamp| <= freshness_seconds.
-Replay: an accepted nonce is rejected on re-presentation until it ages out
-of the replay window. Expiry happens on write: recording a nonce first
-forgets those recorded more than the window ago. A forgotten nonce is
-already stale as long as the window is at least twice the freshness bound,
-which `NicConfig` requires.
+Freshness: a knock is fresh while |now - timestamp| <= FRESHNESS_SECONDS
+(30). Replay: an accepted nonce is rejected on re-presentation until it
+ages out of the REPLAY_WINDOW_SECONDS (60) window. Expiry happens on write:
+recording a nonce first forgets those recorded more than the window ago.
+The window is twice the freshness bound so that a forgotten nonce is
+already stale (see REPLAY_WINDOW_SECONDS).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
@@ -38,8 +38,11 @@ TAG_LEN = 16
 PAYLOAD_LEN = 4 + 1 + 1 + NONCE_LEN + CIPHERTEXT_LEN + TAG_LEN  # 46
 KEY_LEN = 32
 
-DEFAULT_FRESHNESS_SECONDS = 30
-DEFAULT_REPLAY_WINDOW_SECONDS = 60
+FRESHNESS_SECONDS = 30
+# The replay cache forgets a nonce one window after accepting it. Its knock
+# was fresh until at most accept + 2 * freshness, so with this window a
+# forgotten nonce can only come back stale.
+REPLAY_WINDOW_SECONDS = 2 * FRESHNESS_SECONDS
 
 
 class RejectReason(Enum):
@@ -124,19 +127,18 @@ class ExpiryMap(OrderedDict):
         self.move_to_end(key)
 
 
-@dataclass
 class ReplayCache:
     """Windowed set of accepted nonces, owned by a single NIC."""
 
-    window_seconds: int = DEFAULT_REPLAY_WINDOW_SECONDS
-    seen: ExpiryMap = field(default_factory=ExpiryMap)  # nonce -> last tick in the window
+    def __init__(self):
+        self.seen = ExpiryMap()  # nonce -> last tick in the window
 
     def contains(self, nonce: bytes) -> bool:
         return nonce in self.seen
 
     def record(self, nonce: bytes, now: int) -> None:
         self.seen.drop_expired(now)
-        self.seen.put(nonce, now + self.window_seconds)
+        self.seen.put(nonce, now + REPLAY_WINDOW_SECONDS)
 
     def __len__(self) -> int:
         return len(self.seen)
@@ -158,13 +160,8 @@ def seal_knock(key: SharedKey, nonce: bytes, fields: KnockFields) -> KnockPayloa
     return KnockPayload(nonce, ciphertext, tag)
 
 
-def open_knock(
-    key: SharedKey,
-    payload: bytes,
-    now: int,
-    cache: ReplayCache,
-    freshness_seconds: int = DEFAULT_FRESHNESS_SECONDS,
-) -> Union[KnockFields, RejectReason]:
+def open_knock(key: SharedKey, payload: bytes, now: int,
+               cache: ReplayCache) -> Union[KnockFields, RejectReason]:
     """Validate a candidate knock; every failure is a silent typed rejection.
 
     The tag covers header, nonce and ciphertext and is verified before
@@ -184,7 +181,7 @@ def open_knock(
         return RejectReason.BAD_TAG
     keystream = prf(key, nonce + b"\x01")[:CIPHERTEXT_LEN]
     fields = KnockFields.from_plaintext(bytes(c ^ k for c, k in zip(ciphertext, keystream)))
-    if abs(now - fields.timestamp) > freshness_seconds:
+    if abs(now - fields.timestamp) > FRESHNESS_SECONDS:
         return RejectReason.STALE
     if cache.contains(nonce):
         return RejectReason.REPLAYED

@@ -239,10 +239,9 @@ class Node:
 
 
 class CloakedServerNode(Node):
-    def __init__(self, name, mac, ip, nic: CloakingNic, services=frozenset()):
+    def __init__(self, name, mac, ip, nic: CloakingNic):
         super().__init__(name, mac, ip)
         self.nic = nic
-        self.services = set(services)
 
     def receive(self, wire: Wire, now: int) -> Actions:
         return self.nic.on_wire_receive(wire, now)
@@ -438,10 +437,6 @@ class Segment:
             raise ValueError(f"attack period must be >= 1, got {program.period}")
         if getattr(program, "count", 1) > 0:
             self._push(time, "action", node, step)
-
-    def inject_attack(self, attacker: AttackerNode, start: int,
-                      program: AttackProgram) -> None:
-        self.schedule(start, attacker.name, Attack(program))
 
     # -- bookkeeping ---------------------------------------------------------
 

@@ -6,9 +6,14 @@ and client-side automatic knock generation. A NIC never emits anything
 toward an unauthenticated peer except the ARP reply for its own address;
 every other rejection is silent.
 
+The paper fixes the NIC's parameters, so they are constants: an admission
+lives FILTER_TTL_SECONDS (60) past its last use, the filter holds at most
+FILTER_TABLE_CAP (1024) admissions, and a FIFO holds FIFO_CAPACITY (3036)
+bytes. The knock freshness bound and the replay window are `knock`'s.
+
 State is bounded however long a run lasts: a filter insert, a replay-cache
-record and a client knock each first drop their table's expired entries,
-so every table holds only live entries (the filter at most 1024).
+record, a client knock and a parked frame each first drop their table's
+expired entries, so every table holds only live entries.
 
 One instance is a single-threaded state machine; all cross-NIC traffic
 goes through the simulator.
@@ -19,7 +24,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from . import frames
 from .frames import (
@@ -35,8 +40,6 @@ from .frames import (
     Wire,
 )
 from .knock import (
-    DEFAULT_FRESHNESS_SECONDS,
-    DEFAULT_REPLAY_WINDOW_SECONDS,
     ExpiryMap,
     KnockFields,
     RejectReason,
@@ -49,7 +52,10 @@ from .knock import (
 
 FIFO_CAPACITY = 3036  # two maximum-size (1518 byte) Ethernet packets
 FILTER_TABLE_CAP = 1024
-DEFAULT_FILTER_TTL_SECONDS = 60
+FILTER_TTL_SECONDS = 60
+# An ARP reply comes back two ticks after the request, one hop each way; a
+# frame parked longer than that awaits an IP that does not answer.
+ARP_TIMEOUT_TICKS = 2
 
 
 class NicError(Exception):
@@ -114,17 +120,7 @@ class NicConfig:
     ip: Optional[Ipv4Address] = None
     role_keys: Dict[Ipv4Address, SharedKey] = field(default_factory=dict)
     protected_peers: Set[Ipv4Address] = field(default_factory=set)
-    freshness_seconds: int = DEFAULT_FRESHNESS_SECONDS
-    filter_ttl_seconds: int = DEFAULT_FILTER_TTL_SECONDS
-    replay_window_seconds: int = DEFAULT_REPLAY_WINDOW_SECONDS
     nonce_seed: int = 0
-
-    def __post_init__(self):
-        # The replay cache forgets a nonce one window after accepting it. Its
-        # knock was fresh until at most accept + 2 * freshness, so with this
-        # bound a forgotten nonce can only come back stale.
-        if self.replay_window_seconds < 2 * self.freshness_seconds:
-            raise ValueError("replay_window_seconds must be at least 2 * freshness_seconds")
 
 
 class FilterTable:
@@ -134,9 +130,7 @@ class FilterTable:
     count against the capacity.
     """
 
-    def __init__(self, ttl: int, capacity: int = FILTER_TABLE_CAP):
-        self.ttl = ttl
-        self.capacity = capacity
+    def __init__(self):
         self.entries = ExpiryMap()
 
     def lookup(self, src_ip: Ipv4Address, src_port: int, now: int) -> bool:
@@ -144,15 +138,15 @@ class FilterTable:
         key = (src_ip, src_port)
         if now > self.entries.get(key, -1):
             return False
-        self.entries.put(key, now + self.ttl)
+        self.entries.put(key, now + FILTER_TTL_SECONDS)
         return True
 
     def insert(self, src_ip: Ipv4Address, src_port: int, now: int) -> None:
         key = (src_ip, src_port)
         self.entries.drop_expired(now)
-        if key not in self.entries and len(self.entries) >= self.capacity:
-            raise TableFull(f"filter table at capacity {self.capacity}")
-        self.entries.put(key, now + self.ttl)
+        if key not in self.entries and len(self.entries) >= FILTER_TABLE_CAP:
+            raise TableFull(f"filter table at capacity {FILTER_TABLE_CAP}")
+        self.entries.put(key, now + FILTER_TTL_SECONDS)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -161,14 +155,13 @@ class FilterTable:
 class ByteFifo:
     """Bounded byte queue preserving frame boundaries; whole-frame drops only."""
 
-    def __init__(self, capacity: int = FIFO_CAPACITY):
-        self.capacity = capacity
+    def __init__(self):
         self._frames: List[bytes] = []
         self.buffered = 0
 
     def push(self, frame_bytes: bytes) -> bool:
         """True = Accepted, False = Overflow (prior contents untouched)."""
-        if self.buffered + len(frame_bytes) > self.capacity:
+        if self.buffered + len(frame_bytes) > FIFO_CAPACITY:
             return False
         self._frames.append(frame_bytes)
         self.buffered += len(frame_bytes)
@@ -194,12 +187,12 @@ class CloakingNic:
         self.config = config
         self.mac = config.mac
         self.ip = config.ip
-        self.filter = FilterTable(config.filter_ttl_seconds)
-        self.replay_cache = ReplayCache(config.replay_window_seconds)
+        self.filter = FilterTable()
+        self.replay_cache = ReplayCache()
         # client side: <local port, peer ip> -> last tick its knock is live
         self._knocked = ExpiryMap()
-        # client side: parked frames awaiting an ARP reply, per target ip
-        self._pending_arp: Dict[Ipv4Address, List[EthernetFrame]] = {}
+        # client side: (last live tick, target ip, frame) awaiting an ARP reply
+        self._pending_arp: List[Tuple[int, Ipv4Address, EthernetFrame]] = []
         self._nonce_counter = 0
 
     # -- internals ---------------------------------------------------------
@@ -213,6 +206,12 @@ class CloakingNic:
         nonce = struct.pack(">Q", (self.config.nonce_seed + self._nonce_counter) & (2**64 - 1))
         self._nonce_counter += 1
         return nonce
+
+    def _unpark(self, now: int, ip: Optional[Ipv4Address] = None) -> List[EthernetFrame]:
+        """Forget the frames parked over ARP_TIMEOUT_TICKS ago; take those for `ip`."""
+        live = [entry for entry in self._pending_arp if now <= entry[0]]
+        self._pending_arp = [entry for entry in live if entry[1] != ip]
+        return [frame for _, dst, frame in live if dst == ip]
 
     def _knock_frame(self, peer_ip: Ipv4Address, dst_mac: MacAddress,
                      local_port: int, now: int) -> EthernetFrame:
@@ -233,7 +232,7 @@ class CloakingNic:
                 actions.tx_frames.append(
                     self._knock_frame(pkt.dst, frame.dst, view.src_port, now))
                 self._knocked.drop_expired(now)
-                self._knocked.put(state_key, now + self.config.filter_ttl_seconds)
+                self._knocked.put(state_key, now + FILTER_TTL_SECONDS)
         actions.tx_frames.append(frame)
 
     # -- host-facing operations --------------------------------------------
@@ -246,8 +245,9 @@ class CloakingNic:
         if not isinstance(pkt, Ipv4Packet):
             actions.tx_frames.append(frame)
         elif frame.dst == MAC_ZERO:
-            # destination MAC unresolved: park and resolve it ourselves
-            self._pending_arp.setdefault(pkt.dst, []).append(frame)
+            # MAC unresolved: forget expired parked frames, park this one, resolve it
+            self._unpark(now)
+            self._pending_arp.append((now + ARP_TIMEOUT_TICKS, pkt.dst, frame))
             actions.tx_frames.append(frames.make_arp(
                 ARP_REQUEST, self.mac, self.ip, MAC_ZERO, pkt.dst))
         else:
@@ -287,8 +287,8 @@ class CloakingNic:
         # Replies never reach the host ARP cache. A reply answering our own
         # outstanding request does complete parked transmissions (the NIC is
         # the resolver on the client side), but it is still not delivered.
-        if arp.operation == ARP_REPLY and arp.sender_ip in self._pending_arp:
-            parked = self._pending_arp.pop(arp.sender_ip)
+        parked = self._unpark(now, arp.sender_ip) if arp.operation == ARP_REPLY else []
+        if parked:
             self._drop(actions, DropReason.UNSOLICITED_ARP_REPLY, 1, "consumed by resolver")
             for frame in parked:
                 resolved = EthernetFrame(arp.sender_mac, frame.src, frame.ethertype, frame.payload)
@@ -317,8 +317,7 @@ class CloakingNic:
             # unauthenticatable sender: indistinguishable from a forged tag
             return self._drop(actions, DropReason.BAD_KNOCK, 2, RejectReason.BAD_TAG.value)
         assert isinstance(pkt.payload, IcmpMessage)
-        result = open_knock(key, pkt.payload.payload, now, self.replay_cache,
-                            self.config.freshness_seconds)
+        result = open_knock(key, pkt.payload.payload, now, self.replay_cache)
         if isinstance(result, RejectReason):
             return self._drop(actions, DropReason.BAD_KNOCK, 2, result.value)
         if result.client_ip != pkt.src:

@@ -17,10 +17,12 @@
     [horizon]
     TICKS
 
-Ports (P, SRC_PORT, DST_PORT) are in 0..65535, with 1 <= LO <= HI for a
-scan. The step time T, TICKS and a count N are integers >= 0, and a period N
-is >= 1; N defaults to 1. No other option is accepted, nor one given twice.
-`demos.py` has complete scenarios.
+Ports P and DST_PORT are in 0..65535, SRC_PORT in 1..65535 (a knock seals
+it), and 1 <= LO <= HI for a scan. The step time T and a count N are
+integers >= 0, a period N is >= 1, N defaults to 1, and TICKS is at most
+2**64-1, so a knock sealed by the horizon has a 64-bit timestamp. Only the
+options shown are accepted, each at most once; only a plain host reads
+`services=`. `demos.py` has complete scenarios.
 
 `parse_scenario` checks what one line shows (its fields, integers and their
 ranges, addresses, key length, option names) and raises `ParseError` naming
@@ -185,7 +187,7 @@ def _parse_line(sc: Scenario, section: str, tokens: List[str], line_no: int) -> 
         sc.protected.append((a, b, line_no))
     else:
         (horizon,), _ = _fields(tokens, "TICKS")
-        sc.horizon = _int(horizon, "horizon")
+        sc.horizon = _int(horizon, "horizon", 2**64 - 1)
 
 
 def _parse_step(tokens: List[str]) -> Step:
@@ -196,7 +198,7 @@ def _parse_step(tokens: List[str]) -> Step:
             tokens, "T send CLIENT DST tcp|udp SRC_PORT DST_PORT")
         if proto not in ("tcp", "udp"):
             raise ValueError(f"send protocol must be tcp or udp, got {proto!r}")
-        return Send(dst, proto, _int(src_port, "port", 0xFFFF), _int(dst_port, "port", 0xFFFF))
+        return Send(dst, proto, _int(src_port, "port", 0xFFFF, 1), _int(dst_port, "port", 0xFFFF))
     if verb == "ping":
         (_, _, _, dst), _ = _fields(tokens, "T ping ACTOR DST")
         return Ping(dst)
@@ -280,7 +282,7 @@ def build_segment(sc: Scenario, seed: int = 0) -> Segment:
     for spec in sc.nodes.values():
         if spec.kind == "cloaked":
             seg.attach(CloakedServerNode(spec.name, spec.mac, spec.ip,
-                                         CloakingNic(configs[spec.name]), spec.services))
+                                         CloakingNic(configs[spec.name])))
         elif spec.kind == "client":
             seg.attach(ClientNode(spec.name, spec.mac, spec.ip,
                                   CloakingNic(configs[spec.name])))

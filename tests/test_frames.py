@@ -9,7 +9,9 @@ from cloaknic.frames import (
     MAC_BROADCAST,
     PROTO_TCP,
     PROTO_UDP,
+    ETH_HEADER_LEN,
     ArpPacket,
+    BadTotalLength,
     EthernetFrame,
     IcmpMessage,
     Ipv4Address,
@@ -17,7 +19,8 @@ from cloaknic.frames import (
     MacAddress,
     Oversize,
     TooShort,
-    hex_dump,
+    UnsupportedIpHeader,
+    internet_checksum,
     make_arp,
     make_icmp_echo,
     make_ipv4_frame,
@@ -204,8 +207,78 @@ def test_parse_never_crashes(data):
         pass
 
 
-def test_hex_dump_layout():
-    assert hex_dump(bytes(range(18))) == (
-        "00 01 02 03 04 05 06 07 08 09 0a 0b 0c 0d 0e 0f\n10 11"
-    )
-    assert hex_dump(b"") == ""
+def with_ip_checksum(wire: bytearray) -> bytes:
+    """The frame with its IPv4 header checksum recomputed."""
+    wire[24:26] = b"\x00\x00"
+    wire[24:26] = internet_checksum(bytes(wire[14:34])).to_bytes(2, "big")
+    return bytes(wire)
+
+
+@st.composite
+def mutated_wires(draw):
+    """A valid frame's bytes with a few overwritten and perhaps a tail cut off.
+
+    Half the time an IPv4 header checksum is recomputed afterwards, so that
+    a mutated header field reaches the checks behind the checksum.
+    """
+    wire = bytearray(serialize_frame(draw(any_frame)))
+    for _ in range(draw(st.integers(1, 3))):
+        # mostly in the Ethernet, ARP and IPv4 headers
+        i = draw(st.integers(0, 41) | st.integers(0, len(wire) - 1))
+        wire[i % len(wire)] = draw(st.integers(0, 0xFF))
+    if draw(st.booleans()):
+        del wire[draw(st.integers(ETH_HEADER_LEN, len(wire))):]
+    if wire[12:14] == b"\x08\x00" and len(wire) >= 34 and draw(st.booleans()):
+        return with_ip_checksum(wire)
+    return bytes(wire)
+
+
+@given(mutated_wires())
+@settings(max_examples=500)
+def test_mutated_frame_parses_or_raises_frame_error(wire):
+    try:
+        frame = parse_frame(wire)
+    except frames.FrameError:
+        return
+    # an ARP or IPv4 frame that parses is exactly what its header says
+    if wire[12:14] == b"\x08\x06":
+        assert isinstance(frame.payload, ArpPacket)
+    if wire[12:14] == b"\x08\x00":
+        assert isinstance(frame.payload, Ipv4Packet)
+        assert wire[14] == 0x45
+        assert len(frame.payload.to_bytes()) == int.from_bytes(wire[16:18], "big")
+
+
+class TestTypedCodecFailures:
+    """Each frame the codec cannot read raises its own `FrameError`."""
+
+    def ipv4(self) -> bytearray:
+        return bytearray(serialize_frame(make_ipv4_frame(
+            MAC_A, MAC_B, IP_A, IP_B, PROTO_TCP, tcp_segment(40000, 22))))
+
+    @pytest.mark.parametrize("vihl", [0x46, 0x65, 0x44, 0x00])
+    def test_ipv4_version_other_than_4_or_options(self, vihl):
+        wire = self.ipv4()
+        wire[14] = vihl
+        with pytest.raises(UnsupportedIpHeader):
+            parse_frame(with_ip_checksum(wire))
+
+    @pytest.mark.parametrize("total", [0, 19, 41, 0xFFFF])
+    def test_total_length_below_header_or_beyond_frame(self, total):
+        wire = self.ipv4()  # a 40-byte packet
+        wire[16:18] = total.to_bytes(2, "big")
+        with pytest.raises(BadTotalLength):
+            parse_frame(with_ip_checksum(wire))
+
+    def test_padding_past_total_length_is_dropped(self):
+        frame = parse_frame(bytes(self.ipv4()) + b"\x00" * 6)
+        assert frame == parse_frame(bytes(self.ipv4()))
+
+    def test_short_arp_body(self):
+        wire = serialize_frame(make_arp(ARP_REQUEST, MAC_A, IP_A, MAC_B, IP_B))
+        with pytest.raises(TooShort):
+            parse_frame(wire[:-1])
+
+    def test_short_ipv4_body(self):
+        with pytest.raises(TooShort):
+            parse_frame(bytes(self.ipv4()[:33]))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cloaknic.frames import Ipv4Address
 from cloaknic.knock import (
     PAYLOAD_LEN,
+    REPLAY_WINDOW_SECONDS,
     KnockFields,
     RejectReason,
     ReplayCache,
@@ -161,14 +162,13 @@ class TestOpenRejections:
         assert open_knock(other, self.golden(), 1000, ReplayCache()) is RejectReason.BAD_TAG
 
     def test_stale_boundary(self):
-        fresh = open_knock(KEY, self.golden(), now=1000 + 30, cache=ReplayCache(),
-                           freshness_seconds=30)
+        fresh = open_knock(KEY, self.golden(), now=1000 + 30, cache=ReplayCache())
         assert fresh == FIELDS
-        assert open_knock(KEY, self.golden(), now=1000 + 31, cache=ReplayCache(),
-                          freshness_seconds=30) is RejectReason.STALE
+        assert open_knock(KEY, self.golden(), now=1000 + 31,
+                          cache=ReplayCache()) is RejectReason.STALE
         # freshness is symmetric: a future-dated knock is equally stale
-        assert open_knock(KEY, self.golden(), now=1000 - 31, cache=ReplayCache(),
-                          freshness_seconds=30) is RejectReason.STALE
+        assert open_knock(KEY, self.golden(), now=1000 - 31,
+                          cache=ReplayCache()) is RejectReason.STALE
 
     def test_replay(self):
         cache = ReplayCache()
@@ -197,21 +197,21 @@ class TestReplayCacheExpiry:
     """A record first forgets the nonces recorded more than the window ago."""
 
     def test_window_arithmetic(self):
-        cache = ReplayCache(window_seconds=60)
+        cache = ReplayCache()
         cache.record(b"\x01" * 8, 0)
         cache.record(b"\x02" * 8, 61)
         assert len(cache) == 1
         assert not cache.contains(b"\x01" * 8)
 
     def test_boundary_is_strict(self):
-        cache = ReplayCache(window_seconds=60)
+        cache = ReplayCache()
         cache.record(b"\x01" * 8, 0)
         cache.record(b"\x02" * 8, 60)
         assert len(cache) == 2
         assert cache.contains(b"\x01" * 8)
 
     def test_idempotent(self):
-        cache = ReplayCache(window_seconds=60)
+        cache = ReplayCache()
         cache.record(b"\x01" * 8, 0)
         cache.record(b"\x02" * 8, 50)
         cache.record(b"\x03" * 8, 61)
@@ -221,10 +221,11 @@ class TestReplayCacheExpiry:
         assert cache.seen == first
 
     def test_expired_prefix_popped_in_order(self):
-        cache = ReplayCache(window_seconds=10)
-        for t in range(100):
+        cache, window = ReplayCache(), REPLAY_WINDOW_SECONDS
+        for t in range(200):
             cache.record(t.to_bytes(8, "big"), t)
-            assert list(cache.seen.values()) == list(range(max(0, t - 10) + 10, t + 11))
+            assert list(cache.seen.values()) == list(range(max(0, t - window) + window,
+                                                           t + window + 1))
 
 
 class TestVectorFile:

@@ -10,6 +10,7 @@ from cloaknic.frames import (
 )
 from cloaknic.netsim import (
     ArpPoison,
+    Attack,
     AttackerNode,
     ClientNode,
     CloakedServerNode,
@@ -94,8 +95,8 @@ class TestPlainHost:
         victim = plain("victim", "10.0.0.3", "aa:00:00:00:00:03")
         seg.attach(victim)
         mal = seg.attach(attacker())
-        seg.inject_attack(mal, 0, ArpPoison("victim", IP("10.0.0.1"),
-                                            MAC("de:ad:be:ef:00:01"), count=3))
+        seg.schedule(0, mal.name, Attack(ArpPoison("victim", IP("10.0.0.1"),
+                                                   MAC("de:ad:be:ef:00:01"), count=3)))
         seg.run()
         assert victim.arp_cache[IP("10.0.0.1")] == MAC("de:ad:be:ef:00:01")
         assert seg.metrics.node("victim").arp_cache_writes == 3
@@ -104,7 +105,7 @@ class TestPlainHost:
         seg = Segment()
         seg.attach(plain("victim", "10.0.0.3", "aa:00:00:00:00:03", services={22}))
         mal = seg.attach(attacker())
-        seg.inject_attack(mal, 0, PortScan("victim", 1, 32, with_ping=True))
+        seg.schedule(0, mal.name, Attack(PortScan("victim", 1, 32, with_ping=True)))
         seg.run()
         m = seg.metrics.node("victim")
         assert m.tx == 33  # 32 RST/SYN-ACK + echo reply
@@ -115,7 +116,7 @@ class TestAttackPrograms:
     def test_knock_replay_without_capture(self):
         seg = Segment()
         mal = seg.attach(attacker())
-        seg.inject_attack(mal, 0, KnockReplay())
+        seg.schedule(0, mal.name, Attack(KnockReplay()))
         with pytest.raises(NothingCaptured):
             seg.run()
 
@@ -149,7 +150,7 @@ class TestAttackPrograms:
         seg = Segment()
         seg.attach(plain("victim", "10.0.0.3", "aa:00:00:00:00:03"))
         mal = seg.attach(attacker())
-        seg.inject_attack(mal, 0, MacSpoof("victim", count=0))
+        seg.schedule(0, mal.name, Attack(MacSpoof("victim", count=0)))
         assert seg._queue == []
         seg.run()
         assert seg.trace == []
@@ -158,7 +159,7 @@ class TestAttackPrograms:
         seg = Segment()
         mal = seg.attach(attacker())
         with pytest.raises(ValueError, match="period"):
-            seg.inject_attack(mal, 0, MacSpoof("victim", count=10**8, period=0))
+            seg.schedule(0, mal.name, Attack(MacSpoof("victim", count=10**8, period=0)))
         assert seg._queue == []
 
     def test_repeated_firings_keep_their_order_at_equal_times(self):
@@ -167,9 +168,9 @@ class TestAttackPrograms:
         mal = seg.attach(attacker())
         # the spoof's second firing is queued after the poison was injected,
         # yet both fall at tick 1 and the program injected first goes first
-        seg.inject_attack(mal, 0, MacSpoof("victim", count=2, period=1))
-        seg.inject_attack(mal, 1, ArpPoison("victim", IP("10.0.0.1"),
-                                            MAC("de:ad:be:ef:00:01")))
+        seg.schedule(0, mal.name, Attack(MacSpoof("victim", count=2, period=1)))
+        seg.schedule(1, mal.name, Attack(ArpPoison("victim", IP("10.0.0.1"),
+                                                   MAC("de:ad:be:ef:00:01"))))
         seg.run()
         sent = [(r.time, r.summary.split(" ")[0]) for r in seg.trace if r.direction == "tx"]
         assert sent == [(0, "ethertype=0x88b5"), (1, "ethertype=0x88b5"), (1, "arp-reply")]

@@ -20,7 +20,14 @@ from cloaknic.frames import (
     tcp_segment,
     udp_datagram,
 )
-from cloaknic.knock import KnockFields, RejectReason, SharedKey, seal_knock
+from cloaknic.knock import (
+    FRESHNESS_SECONDS,
+    REPLAY_WINDOW_SECONDS,
+    KnockFields,
+    RejectReason,
+    SharedKey,
+    seal_knock,
+)
 from cloaknic.nic import (
     Actions,
     ArpCacheUpdate,
@@ -88,50 +95,45 @@ class TestInit:
         assert len(b.filter) == 0
 
 
-class TestConfig:
-    def test_default_windows_pass(self):
-        cfg = NicConfig(mac=SERVER_MAC, ip=SERVER_IP)
-        assert cfg.replay_window_seconds == 60 and cfg.freshness_seconds == 30
-
-    def test_replay_window_below_twice_freshness_fails(self):
-        with pytest.raises(ValueError, match="replay_window_seconds"):
-            NicConfig(mac=SERVER_MAC, ip=SERVER_IP, replay_window_seconds=59)
+def test_replay_window_outlasts_every_fresh_knock():
+    # a nonce forgotten one window after it was accepted can only come back stale
+    assert REPLAY_WINDOW_SECONDS >= 2 * FRESHNESS_SECONDS
 
 
 class TestFilterTable:
     def test_insert_then_lookup(self):
-        t = FilterTable(ttl=60)
+        t = FilterTable()
         t.insert(CLIENT_IP, 40000, now=0)
         assert t.lookup(CLIENT_IP, 40000, now=0)
 
     def test_exact_match_key(self):
-        t = FilterTable(ttl=60)
+        t = FilterTable()
         t.insert(CLIENT_IP, 40000, now=0)
         assert not t.lookup(CLIENT_IP, 40001, now=0)
         assert not t.lookup(ATTACKER_IP, 40000, now=0)
 
     def test_ttl_boundary(self):
-        t = FilterTable(ttl=60)
+        t = FilterTable()
         t.insert(CLIENT_IP, 40000, now=0)
         t.insert(CLIENT_IP, 40001, now=0)
         assert t.lookup(CLIENT_IP, 40000, now=60)
         assert not t.lookup(CLIENT_IP, 40001, now=61)
 
     def test_reinsert_refreshes_without_duplicating(self):
-        t = FilterTable(ttl=60)
+        t = FilterTable()
         t.insert(CLIENT_IP, 40000, now=0)
         t.insert(CLIENT_IP, 40000, now=30)
         assert len(t) == 1
         assert t.lookup(CLIENT_IP, 40000, now=90)
 
     def test_lookup_refreshes_expiry(self):
-        t = FilterTable(ttl=60)
+        t = FilterTable()
         t.insert(CLIENT_IP, 40000, now=0)
         assert t.lookup(CLIENT_IP, 40000, now=50)
         assert t.lookup(CLIENT_IP, 40000, now=105)
 
     def test_capacity_1024(self):
-        t = FilterTable(ttl=60)
+        t = FilterTable()
         for i in range(1024):
             t.insert(Ipv4Address(bytes([10, 1, i >> 8, i & 0xFF])), 1, now=0)
         with pytest.raises(TableFull):
@@ -140,7 +142,7 @@ class TestFilterTable:
         t.insert(Ipv4Address(bytes([10, 1, 0, 0])), 1, now=10)
 
     def test_expired_entries_do_not_count_against_capacity(self):
-        t = FilterTable(ttl=60)
+        t = FilterTable()
         for i in range(1024):
             t.insert(Ipv4Address(bytes([10, 1, i >> 8, i & 0xFF])), 1, now=0)
         t.insert(Ipv4Address(bytes([10, 1, 0, 0])), 1, now=10)  # refreshed, still live
@@ -280,6 +282,17 @@ class TestKnockAdmission:
             DropRecord(DropReason.NO_FILTER_MATCH, 1)]
         actions = nic.on_wire_receive(padded + b"\x00", now=0)
         assert actions == Actions(drops=[DropRecord(DropReason.MALFORMED, 1, "Oversize")])
+
+    @pytest.mark.parametrize("wire, reason", [
+        (syn_wire()[:14] + bytes([0x46]) + syn_wire()[15:], "UnsupportedIpHeader"),
+        (syn_wire()[:-1], "BadTotalLength"),
+        (syn_wire()[:33], "TooShort"),
+        (serialize_frame(make_arp(ARP_REQUEST, CLIENT_MAC, CLIENT_IP, MAC_ZERO,
+                                  SERVER_IP))[:41], "TooShort"),
+    ])
+    def test_unreadable_ip_or_arp_is_malformed_at_stage_1(self, wire, reason):
+        actions = server_nic().on_wire_receive(wire, now=0)
+        assert actions == Actions(drops=[DropRecord(DropReason.MALFORMED, 1, reason)])
 
     def test_knock_sealing_another_ip_is_refused(self):
         nic = server_nic()

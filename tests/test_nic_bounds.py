@@ -24,9 +24,17 @@ from cloaknic.frames import (
     serialize_frame,
     tcp_segment,
 )
-from cloaknic.knock import KnockFields, SharedKey, seal_knock
+from cloaknic.knock import (
+    FRESHNESS_SECONDS,
+    REPLAY_WINDOW_SECONDS,
+    KnockFields,
+    SharedKey,
+    seal_knock,
+)
 from cloaknic.nic import (
+    ARP_TIMEOUT_TICKS,
     FILTER_TABLE_CAP,
+    FILTER_TTL_SECONDS,
     Actions,
     ArpCacheUpdate,
     CloakingNic,
@@ -38,7 +46,6 @@ from cloaknic.nic import (
 from cloaknic.scenario import build_segment, parse_scenario
 
 PORTS = 1100
-TTL = 60
 
 
 def test_long_run_of_distinct_ports_keeps_every_table_live():
@@ -58,10 +65,32 @@ def test_long_run_of_distinct_ports_keeps_every_table_live():
     server = seg.metrics.node("server")
     assert server.delivered == PORTS
     assert sum(server.dropped_by_reason.values()) == 0
-    live_max = TTL // 2 + 1
+    live_max = FILTER_TTL_SECONDS // 2 + 1
     assert len(seg.node("server").nic.filter) <= live_max
     assert len(seg.node("server").nic.replay_cache) <= live_max
     assert len(seg.node("client").nic._knocked) <= live_max
+
+
+def test_frames_for_an_ip_that_never_answers_arp_are_forgotten():
+    # 1,000 sends to an attacker, which never answers ARP, one tick apart;
+    # then a forged reply for its IP must not release the unanswered frames
+    sends = 1000
+    steps = "".join(f"{t} send client mallory udp 5000 53\n" for t in range(sends))
+    sc = parse_scenario(
+        "[nodes]\n"
+        "client client 10.0.0.5 aa:00:00:00:00:05\n"
+        "mallory attacker 10.0.0.66 aa:00:00:00:00:66\n"
+        f"[steps]\n{steps}"
+        f"{sends + 5} attack mallory arppoison client 10.0.0.66 de:ad:be:ef:00:66\n"
+        f"[horizon]\n{sends + 10}\n")
+    seg = build_segment(sc)
+    seg.run(sc.horizon)
+    client = seg.metrics.node("client")
+    assert client.tx == sends  # one ARP request per send, and nothing released
+    assert client.dropped_by_reason == {"UnsolicitedArpReply": 1}
+    assert seg.trace[-1].summary.startswith("UnsolicitedArpReply | arp-reply 10.0.0.66")
+    # at most the frames parked in the last ARP_TIMEOUT_TICKS + 1 ticks are kept
+    assert len(seg.node("client").nic._pending_arp) <= ARP_TIMEOUT_TICKS + 1
 
 
 SERVER_MAC = MacAddress.from_str("aa:00:00:00:00:02")
@@ -122,8 +151,9 @@ class NicMachine(RuleBasedStateMachine):
         wire = serialize_frame(make_icmp_echo(mac, SERVER_MAC, ip, SERVER_IP,
                                               self.seal(ip, key)))
         assert self.receive(wire) == Actions(host_events=[ArpCacheUpdate(ip, mac)])
-        self.write(self.admitted, (ip, port), self.now + TTL)
-        self.write(self.accepted, self.nonce.to_bytes(8, "big"), self.now + 60)
+        self.write(self.admitted, (ip, port), self.now + FILTER_TTL_SECONDS)
+        self.write(self.accepted, self.nonce.to_bytes(8, "big"),
+                   self.now + REPLAY_WINDOW_SECONDS)
         self.knocks.append((wire, self.now))
         assert min(self.nic.filter.entries.values()) >= self.now
         assert min(self.nic.replay_cache.seen.values()) >= self.now
@@ -138,14 +168,15 @@ class NicMachine(RuleBasedStateMachine):
         assert self.receive(wire) == Actions(
             drops=[DropRecord(DropReason.BAD_KNOCK, 2, "IpMismatch")])
         # the knock was authentic, so its nonce is spent
-        self.write(self.accepted, self.nonce.to_bytes(8, "big"), self.now + 60)
+        self.write(self.accepted, self.nonce.to_bytes(8, "big"),
+                   self.now + REPLAY_WINDOW_SECONDS)
         assert min(self.nic.replay_cache.seen.values()) >= self.now
 
     @precondition(lambda self: self.knocks)
     @rule(data=st.data())
     def replay(self, data):
         wire, stamp = data.draw(st.sampled_from(self.knocks))
-        detail = "Stale" if self.now - stamp > 30 else "Replayed"
+        detail = "Stale" if self.now - stamp > FRESHNESS_SECONDS else "Replayed"
         assert self.receive(wire) == Actions(drops=[DropRecord(DropReason.BAD_KNOCK, 2, detail)])
 
     @rule(sender=st.sampled_from(SENDERS), port=st.sampled_from(CLIENT_PORTS))
@@ -165,7 +196,7 @@ class NicMachine(RuleBasedStateMachine):
         actions = self.receive(wire)
         if self.now <= self.admitted.get((ip, port), -1):
             assert [type(e) for e in actions.host_events] == [Delivered]
-            self.admitted[(ip, port)] = self.now + TTL
+            self.admitted[(ip, port)] = self.now + FILTER_TTL_SECONDS
         else:
             assert actions.drops == [DropRecord(DropReason.NO_FILTER_MATCH, 1)]
 

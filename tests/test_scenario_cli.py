@@ -32,10 +32,14 @@ DEFECTS = {step: (WITH_STEPS + step + "\n", STEP_LINE) for step in (
     "5 attack m arppoison server 10.0.0.1 de:ad:be:ef:00:01 period=x",
     "5 send client server tcp 70000 22",     # ports are 16-bit
     "5 send client server udp 1 -1",
+    "5 send client server tcp 0 22",         # a knock seals a source port >= 1
     "5 attack m macspoof server cnt=3",      # misspelt option
     "5 attack m macspoof server count=100000000 period=0",  # every firing at one tick
 )}
 DEFECTS["services=70000,-1"] = (GOOD.replace("services=22", "services=70000,-1"), 3)
+# a knock sealed at tick 2**64 has no 64-bit timestamp
+DEFECTS["horizon=2**64"] = (WITH_STEPS + f"{2**64 - 2} send client server tcp 40000 22\n"
+                            f"[horizon]\n{2**64}\n", STEP_LINE + 2)
 
 
 class TestParse:
