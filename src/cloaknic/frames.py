@@ -1,12 +1,13 @@
 """Byte-exact Ethernet II / ARP / IPv4 / ICMP / TCP-UDP-view codec.
 
 Everything here is a pure function over immutable values: parse, build,
-serialize. The one exception, `Wire`, only memoises a frame's parse and
-hex form. Big-endian throughout. FCS is not modeled; neither is the
-46-byte minimum-payload padding rule (no physical medium exists here).
+serialize. The one exception, `Wire`, memoises only a frame's parse and
+hex. Big-endian; no FCS or minimum-size padding (there is no medium).
 Unknown ethertypes and IP protocols decode to opaque bytes on purpose --
-rejecting them is the packet filter's job, not the parser's. An ARP or IPv4
-body that cannot be read as one raises a typed `FrameError`.
+rejecting them is the packet filter's job, not the parser's. A typed
+`FrameError` is raised for an ARP or IPv4 body that cannot be read as one,
+and for a header the model does not represent: an IPv4 fragment, or ARP
+for other than Ethernet and IPv4. The IPv4 DF flag is accepted, not kept.
 """
 
 from __future__ import annotations
@@ -59,6 +60,14 @@ class UnsupportedIpHeader(FrameError):
 
 class BadTotalLength(FrameError):
     """IPv4 total length below the 20-byte header or beyond the frame."""
+
+
+class Fragment(FrameError):
+    """IPv4 fragment (MF set or a non-zero offset): its ports may be another packet's data."""
+
+
+class UnsupportedArp(FrameError):
+    """ARP for other than Ethernet (htype 1, hlen 6) and IPv4 (ptype 0x0800, plen 4)."""
 
 
 @dataclass(frozen=True)
@@ -128,7 +137,10 @@ class ArpPacket:
     def from_bytes(cls, data: bytes) -> "ArpPacket":
         if len(data) < cls.BODY_LEN:
             raise TooShort(f"ARP body is {len(data)} bytes, need 28")
-        _htype, _ptype, _hlen, _plen, op = struct.unpack(">HHBBH", data[:8])
+        htype, ptype, hlen, plen, op = struct.unpack(">HHBBH", data[:8])
+        if (htype, ptype, hlen, plen) != (1, ETHERTYPE_IPV4, 6, 4):
+            raise UnsupportedArp(f"ARP htype {htype}, ptype 0x{ptype:04x}, hlen {hlen}, "
+                                 f"plen {plen}; need 1, 0x0800, 6, 4")
         return cls(
             operation=op,
             sender_mac=MacAddress(data[8:14]),
@@ -189,7 +201,6 @@ class TransportView:
     dst_port: int
     kind: str  # "tcp" or "udp"
     is_syn: bool
-    raw: bytes
 
 
 def _ipv4_header(src: Ipv4Address, dst: Ipv4Address, protocol: int, ttl: int,
@@ -201,7 +212,7 @@ def _ipv4_header(src: Ipv4Address, dst: Ipv4Address, protocol: int, ttl: int,
 
 @dataclass(frozen=True)
 class Ipv4Packet:
-    """IPv4 with IHL fixed at 5; no options or fragments are modeled."""
+    """IPv4 with IHL fixed at 5; options and fragments are refused, DF is not kept."""
 
     src: Ipv4Address
     dst: Ipv4Address
@@ -223,7 +234,7 @@ class Ipv4Packet:
     def from_bytes(cls, data: bytes) -> "Ipv4Packet":
         if len(data) < cls.HEADER_LEN:
             raise TooShort(f"IPv4 packet is {len(data)} bytes, need 20")
-        (vihl, _tos, total, ident, _frag, ttl, proto, cks, src, dst) = struct.unpack(
+        (vihl, _tos, total, ident, frag, ttl, proto, cks, src, dst) = struct.unpack(
             ">BBHHHBBH4s4s", data[: cls.HEADER_LEN]
         )
         if vihl != 0x45:
@@ -232,6 +243,8 @@ class Ipv4Packet:
             raise BadChecksum("IPv4 header checksum mismatch")
         if not cls.HEADER_LEN <= total <= len(data):
             raise BadTotalLength(f"IPv4 total length {total} in {len(data)} bytes")
+        if frag & 0x3FFF:
+            raise Fragment(f"IPv4 flags/offset 0x{frag:04x}: MF set or offset non-zero")
         # bytes past the total length are Ethernet padding
         body = data[cls.HEADER_LEN:total]
         payload: Union[IcmpMessage, bytes] = body
@@ -254,10 +267,10 @@ class Ipv4Packet:
         if self.protocol == PROTO_TCP and len(raw) >= 20:
             src_port, dst_port = struct.unpack(">HH", raw[:4])
             flags = raw[13]
-            return TransportView(src_port, dst_port, "tcp", bool(flags & TCP_FLAG_SYN), raw)
+            return TransportView(src_port, dst_port, "tcp", bool(flags & TCP_FLAG_SYN))
         if self.protocol == PROTO_UDP and len(raw) >= 8:
             src_port, dst_port = struct.unpack(">HH", raw[:4])
-            return TransportView(src_port, dst_port, "udp", False, raw)
+            return TransportView(src_port, dst_port, "udp", False)
         return None
 
 
@@ -304,17 +317,15 @@ class Wire:
     """One frame on the wire: its bytes, parsed at most once, hex-encoded at most once.
 
     `from_frame` keeps the frame it serializes as the parse: the `make_*`
-    builders return frames equal to their own round trip. `summary` is the
-    one-line trace description, filled by the segment when first needed.
+    builders return frames equal to their own round trip.
     """
 
-    __slots__ = ("data", "_parsed", "_hex", "summary")
+    __slots__ = ("data", "_parsed", "_hex")
 
     def __init__(self, data: bytes, parsed: Optional[EthernetFrame] = None):
         self.data = data
         self._parsed: Union[EthernetFrame, FrameError, None] = parsed
         self._hex: Optional[str] = None
-        self.summary: Optional[str] = None
 
     @classmethod
     def from_frame(cls, frame: EthernetFrame) -> "Wire":

@@ -9,10 +9,13 @@ software-stack baseline host (answers ARP and pings, RSTs closed ports,
 and accepts unsolicited ARP replies into its cache -- the poisonable
 reference point), and attackers running the layer-2 attack programs.
 
-Stage counts model code-execution-path length. The cloaking NIC rejects at
-stage 1 (the filter is the only stage touched); the plain host carries
-every probe through link (1), IP (2) and transport/ICMP (3) before its
-verdict.
+Stage counts model code-execution-path length: the cloaking NIC rejects at
+stage 1, its filter; the plain host carries every probe through link (1),
+IP (2) and transport/ICMP (3) before its verdict.
+
+The trace is the run's one account: each `TraceRecord` holds a typed event
+(a `FrameEvent`, or the NIC's `DropRecord` or `ArpCacheUpdate`), its stage
+and its frame's text, never the frame. `Segment.metrics` folds the trace.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from __future__ import annotations
 import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from enum import Enum
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from . import frames
 from .frames import (
@@ -70,18 +74,55 @@ class NothingCaptured(SimError):
     """Knock replay requested before any knock was observed on the wire."""
 
 
-@dataclass(frozen=True)
+class FrameEvent(Enum):
+    """What a node did with a frame where no NIC value says it: (direction, summary prefix)."""
+
+    TX = ("tx", "")
+    IGNORED = ("rx", "ignored (other dst) | ")  # addressed to another node
+    PROCESSED = ("rx", "processed | ")            # consumed with no verdict, e.g. answered
+    DELIVERED = ("host_event", "delivered | ")    # reached the host stack
+
+    def __init__(self, direction: str, prefix: str):
+        self.direction, self.prefix = direction, prefix
+
+
+Event = Union[FrameEvent, DropRecord, ArpCacheUpdate]
+
+
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
+    """One node's account of one frame, the run's only record. `frame` is the
+    frame's description: one string, shared by every record of that frame."""
+
     time: int
     node: str
-    direction: str  # rx | tx | drop | host_event
-    summary: str
-    stage_count: int = 0
+    event: Event
+    stage_count: int
+    frame: str
     raw_hex: Optional[str] = None
 
+    def _text(self) -> Tuple[str, str]:
+        """The record's direction (rx, tx, drop or host_event) and summary."""
+        event = self.event
+        if type(event) is FrameEvent:
+            return event.direction, event.prefix + self.frame
+        if type(event) is ArpCacheUpdate:
+            return "host_event", f"arp-cache-update {event.ip} is-at {event.mac}"
+        detail = f" {event.detail}" if event.detail else ""
+        return "drop", f"{event.reason.value}{detail} | {self.frame}"
+
+    @property
+    def direction(self) -> str:
+        return self._text()[0]
+
+    @property
+    def summary(self) -> str:
+        return self._text()[1]
+
     def format_line(self, with_hex: bool = False) -> str:
-        line = (f"t={self.time} node={self.node} dir={self.direction} "
-                f"stage={self.stage_count} info={self.summary}")
+        direction, summary = self._text()
+        line = (f"t={self.time} node={self.node} dir={direction} "
+                f"stage={self.stage_count} info={summary}")
         if with_hex and self.raw_hex:
             line += f" hex={self.raw_hex}"
         return line
@@ -98,25 +139,36 @@ class NodeMetrics:
 
 
 class Metrics:
-    def __init__(self):
-        self.nodes: Dict[str, NodeMetrics] = defaultdict(NodeMetrics)
+    """Per-node counters, folded from a trace."""
+
+    def __init__(self, trace: Iterable[TraceRecord], names: Iterable[str]):
+        self.nodes = defaultdict(NodeMetrics, {name: NodeMetrics() for name in names})
+        tx, ignored, delivered = FrameEvent.TX, FrameEvent.IGNORED, FrameEvent.DELIVERED
+        for record in trace:
+            m, event = self.nodes[record.node], record.event
+            if event is tx:
+                m.tx += 1
+            elif event is ignored:
+                m.ignored += 1
+            else:
+                m.cep_histogram[record.stage_count] += 1
+                if event is delivered:
+                    m.delivered += 1
+                elif type(event) is ArpCacheUpdate:
+                    m.arp_cache_writes += 1
+                elif type(event) is DropRecord:
+                    m.dropped_by_reason[event.reason.value] += 1
 
     def node(self, name: str) -> NodeMetrics:
         return self.nodes[name]
 
     def to_text(self) -> str:
         out = []
-        for name in sorted(self.nodes):
-            m = self.nodes[name]
-            out.append(f"node {name}")
-            out.append(f"  delivered {m.delivered}")
-            out.append(f"  tx {m.tx}")
-            out.append(f"  arp_cache_writes {m.arp_cache_writes}")
-            out.append(f"  ignored {m.ignored}")
-            for reason in sorted(m.dropped_by_reason):
-                out.append(f"  drop {reason} {m.dropped_by_reason[reason]}")
-            for stage in sorted(m.cep_histogram):
-                out.append(f"  cep {stage} {m.cep_histogram[stage]}")
+        for name, m in sorted(self.nodes.items()):
+            out += [f"node {name}", f"  delivered {m.delivered}", f"  tx {m.tx}",
+                    f"  arp_cache_writes {m.arp_cache_writes}", f"  ignored {m.ignored}"]
+            out += [f"  drop {reason} {n}" for reason, n in sorted(m.dropped_by_reason.items())]
+            out += [f"  cep {stage} {n}" for stage, n in sorted(m.cep_histogram.items())]
         return "\n".join(out) + "\n"
 
 
@@ -143,13 +195,6 @@ def describe_frame(wire: Union[Wire, bytes]) -> str:
             return f"{view.kind} {p.src}:{view.src_port}->{p.dst}:{view.dst_port}{flag}"
         return f"ipv4 proto={p.protocol} {p.src}->{p.dst}"
     return f"ethertype=0x{frame.ethertype:04x} ({len(wire.data)} bytes)"
-
-
-def _summary(wire: Wire) -> str:
-    """The frame's description, made by its first trace record and then reused."""
-    if wire.summary is None:
-        wire.summary = describe_frame(wire)
-    return wire.summary
 
 
 # --------------------------------------------------------------------------
@@ -181,12 +226,6 @@ class PortScan:
     victim: str            # node whose ports are probed
     port_lo: int = 1
     port_hi: int = 1024
-    with_ping: bool = False
-
-    @classmethod
-    def ping(cls, victim: str) -> "PortScan":
-        """The echo probe alone: an attacker's `ping` step."""
-        return cls(victim, 1, 0, with_ping=True)
 
 
 AttackProgram = Union[ArpPoison, MacSpoof, KnockReplay, PortScan]
@@ -233,8 +272,8 @@ class Node:
     def observe(self, wire: Wire, now: int) -> None:
         """Promiscuous tap; called for every frame regardless of address."""
 
-    def perform(self, step: Step, now: int) -> Actions:
-        """Execute a scheduled scenario step."""
+    def perform(self, step: Step, now: int) -> List[Wire]:
+        """The frames a scheduled scenario step transmits."""
         raise NotImplementedError
 
 
@@ -247,18 +286,12 @@ class CloakedServerNode(Node):
         return self.nic.on_wire_receive(wire, now)
 
 
-class ClientNode(Node):
-    """A host with a cloaking NIC; scripted sends go through the NIC."""
+class ClientNode(CloakedServerNode):
+    """A cloaked host that also performs scripted steps; its sends go through the NIC."""
 
-    def __init__(self, name, mac, ip, nic: CloakingNic):
-        super().__init__(name, mac, ip)
-        self.nic = nic
-        self._ident = 0
+    _ident = 0  # the IPv4 identification of its last send
 
-    def receive(self, wire: Wire, now: int) -> Actions:
-        return self.nic.on_wire_receive(wire, now)
-
-    def perform(self, step: Union[Send, Ping], now: int) -> Actions:
+    def perform(self, step: Union[Send, Ping], now: int) -> List[Wire]:
         dst = self.lookup(step.dst)
         if isinstance(step, Ping):
             frame = frames.make_icmp_echo(self.mac, dst.mac, self.ip, dst.ip, b"ping")
@@ -273,7 +306,7 @@ class ClientNode(Node):
             # dst MAC left zero: the NIC resolves it via ARP and parks the frame
             frame = frames.make_ipv4_frame(self.mac, MAC_ZERO, self.ip, dst.ip, proto_num,
                                            payload, identification=self._ident)
-        return self.nic.on_host_transmit(frame, now)
+        return [Wire.from_frame(f) for f in self.nic.on_host_transmit(frame, now).tx_frames]
 
 
 class PlainHostNode(Node):
@@ -293,9 +326,7 @@ class PlainHostNode(Node):
         try:
             frame = wire.frame
         except FrameError as exc:
-            actions.drops.append(DropRecord(DropReason.MALFORMED, PLAIN_STAGE_LINK,
-                                            type(exc).__name__))
-            return actions
+            return actions.drop(DropReason.MALFORMED, PLAIN_STAGE_LINK, type(exc).__name__)
         p = frame.payload
         if isinstance(p, ArpPacket):
             if p.operation == ARP_REQUEST and p.target_ip == self.ip:
@@ -306,14 +337,11 @@ class PlainHostNode(Node):
                 self.arp_cache[p.sender_ip] = p.sender_mac
                 actions.host_events.append(ArpCacheUpdate(p.sender_ip, p.sender_mac))
             else:
-                actions.drops.append(DropRecord(DropReason.NO_FILTER_MATCH,
-                                                PLAIN_STAGE_LINK, "arp-other-ip"))
+                actions.drop(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_LINK, "arp-other-ip")
             return actions
         if isinstance(p, Ipv4Packet):
             return self._receive_ipv4(actions, wire, frame, p)
-        actions.drops.append(DropRecord(DropReason.NO_FILTER_MATCH,
-                                        PLAIN_STAGE_LINK, "unknown-ethertype"))
-        return actions
+        return actions.drop(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_LINK, "unknown-ethertype")
 
     def _receive_ipv4(self, actions: Actions, wire: Wire, frame: EthernetFrame,
                       p: Ipv4Packet) -> Actions:
@@ -324,14 +352,11 @@ class PlainHostNode(Node):
                     p.payload.identifier, p.payload.sequence, reply=True))
                 actions.host_events.append(Delivered(wire, PLAIN_STAGE_TRANSPORT))
             else:
-                actions.drops.append(DropRecord(DropReason.NO_FILTER_MATCH,
-                                                PLAIN_STAGE_TRANSPORT, "icmp-other"))
+                actions.drop(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_TRANSPORT, "icmp-other")
             return actions
         view = p.transport_view()
         if view is None:
-            actions.drops.append(DropRecord(DropReason.NO_FILTER_MATCH,
-                                            PLAIN_STAGE_IP, "unknown-proto"))
-            return actions
+            return actions.drop(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_IP, "unknown-proto")
         if view.kind == "tcp" and view.is_syn:
             flags = TCP_FLAG_SYN | TCP_FLAG_ACK if view.dst_port in self.services \
                 else TCP_FLAG_RST | TCP_FLAG_ACK
@@ -340,9 +365,8 @@ class PlainHostNode(Node):
                 self.mac, frame.src, self.ip, p.src, PROTO_TCP, seg))
             actions.host_events.append(Delivered(wire, PLAIN_STAGE_TRANSPORT))
             return actions
-        actions.drops.append(DropRecord(DropReason.NO_FILTER_MATCH,
-                                        PLAIN_STAGE_TRANSPORT, f"{view.kind}-closed"))
-        return actions
+        return actions.drop(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_TRANSPORT,
+                            f"{view.kind}-closed")
 
 
 class AttackerNode(Node):
@@ -366,6 +390,13 @@ class AttackerNode(Node):
 
     def receive(self, wire: Wire, now: int) -> Actions:
         return Actions()  # attackers never answer traffic aimed at them
+
+    def perform(self, step: Union[Ping, Attack], now: int) -> List[Wire]:
+        if isinstance(step, Attack):
+            return self.frames_for(step.program, self.lookup)
+        target = self.lookup(step.dst)
+        return [Wire.from_frame(frames.make_icmp_echo(
+            self.mac, target.mac, self.ip, target.ip, b"probe"))]
 
     def frames_for(self, program: AttackProgram, lookup) -> List[Wire]:
         """Wire frames for one firing of a program; `lookup(name) -> Node`."""
@@ -391,9 +422,6 @@ class AttackerNode(Node):
                 out.append(Wire.from_frame(frames.make_ipv4_frame(
                     self.mac, target.mac, self.ip, target.ip, PROTO_TCP, seg,
                     identification=i & 0xFFFF)))
-            if program.with_ping:
-                out.append(Wire.from_frame(frames.make_icmp_echo(
-                    self.mac, target.mac, self.ip, target.ip, b"probe")))
             return out
         raise SimError(f"unknown attack program {program!r}")
 
@@ -408,8 +436,12 @@ class Segment:
         self.clock = 0
         self._queue: List[tuple] = []  # (time, seq, kind, payload)
         self._seq = 0
-        self.metrics = Metrics()
         self.trace: List[TraceRecord] = []
+
+    @property
+    def metrics(self) -> Metrics:
+        """The attached nodes' counters, folded from the trace."""
+        return Metrics(self.trace, (node.name for node in self.nodes))
 
     def attach(self, node: Node) -> Node:
         if node.name in self._by_name:
@@ -417,7 +449,6 @@ class Segment:
         self.nodes.append(node)
         self._by_name[node.name] = node
         node.lookup = self.node
-        self.metrics.node(node.name)
         return node
 
     def node(self, name: str) -> Node:
@@ -427,8 +458,10 @@ class Segment:
         heapq.heappush(self._queue, (time, self._seq, kind, payload))
         self._seq += 1
 
-    def inject(self, time: int, wire: Union[Wire, bytes], origin: str) -> None:
-        self._push(time, "frame", Wire.wrap(wire), origin)
+    def inject(self, time: int, wire: Union[Wire, bytes], origin: str,
+               described: Optional[str] = None) -> None:
+        """Queue a frame; `described` is its description, if already made."""
+        self._push(time, "frame", Wire.wrap(wire), origin, described)
 
     def schedule(self, time: int, node: str, step: Step) -> None:
         """Queue a step; an attack queues its first firing, and each firing the next."""
@@ -438,50 +471,28 @@ class Segment:
         if getattr(program, "count", 1) > 0:
             self._push(time, "action", node, step)
 
-    # -- bookkeeping ---------------------------------------------------------
+    # -- the record of a run ---------------------------------------------------
 
-    def _emit_raw(self, origin: Node, wires: Iterable[Wire], now: int) -> None:
-        m = self.metrics.node(origin.name)
+    def _transmit(self, origin: Node, wires: Iterable[Wire], now: int) -> None:
         for wire in wires:
-            m.tx += 1
-            self.trace.append(TraceRecord(now, origin.name, "tx", _summary(wire), 0, wire.hex))
-            self.inject(now + 1, wire, origin.name)
+            described = describe_frame(wire)
+            self.trace.append(TraceRecord(now, origin.name, FrameEvent.TX, 0, described, wire.hex))
+            self.inject(now + 1, wire, origin.name, described)
 
-    def _apply_actions(self, node: Node, actions: Actions, now: int,
-                       wire: Optional[Wire] = None) -> None:
-        m = self.metrics.node(node.name)
-        terminal = False
-        for drop in actions.drops:
-            detail = f" {drop.detail}" if drop.detail else ""
-            summary = f"{drop.reason.value}{detail}"
-            if wire is not None:
-                summary += f" | {_summary(wire)}"
-            m.dropped_by_reason[drop.reason.value] += 1
-            m.cep_histogram[drop.stage_count] += 1
-            self.trace.append(TraceRecord(now, node.name, "drop", summary, drop.stage_count,
-                                          wire.hex if wire is not None else None))
-            terminal = True
-        for event in actions.host_events:
-            if isinstance(event, Delivered):
-                m.delivered += 1
-                m.cep_histogram[event.stage_count] += 1
-                self.trace.append(TraceRecord(now, node.name, "host_event",
-                                              f"delivered | {_summary(event.wire)}",
-                                              event.stage_count, event.wire.hex))
-                terminal = True
-            elif isinstance(event, ArpCacheUpdate):
-                m.arp_cache_writes += 1
-                m.cep_histogram[2] += 1
-                self.trace.append(TraceRecord(now, node.name, "host_event",
-                                              f"arp-cache-update {event.ip} is-at {event.mac}",
-                                              2))
-                terminal = True
-        if wire is not None and not terminal:
-            # frame consumed by answering it (e.g. an ARP reply went out)
-            m.cep_histogram[1] += 1
-            self.trace.append(TraceRecord(now, node.name, "rx",
-                                          f"processed | {_summary(wire)}", 1, wire.hex))
-        self._emit_raw(node, map(Wire.from_frame, actions.tx_frames), now)
+    def _apply_actions(self, node: Node, actions: Actions, now: int, wire: Wire,
+                       described: str) -> None:
+        """Record a node's verdicts on a received frame, then send its answers."""
+        for event in (*actions.drops, *actions.host_events):
+            if isinstance(event, ArpCacheUpdate):
+                self.trace.append(TraceRecord(now, node.name, event, 2, described))
+            else:  # a drop, or a delivery: recorded without the `Wire` it holds
+                kind = FrameEvent.DELIVERED if isinstance(event, Delivered) else event
+                self.trace.append(TraceRecord(now, node.name, kind, event.stage_count,
+                                              described, wire.hex))
+        if not actions.drops and not actions.host_events:
+            self.trace.append(TraceRecord(now, node.name, FrameEvent.PROCESSED, 1, described,
+                                          wire.hex))
+        self._transmit(node, map(Wire.from_frame, actions.tx_frames), now)
 
     # -- the event loop ------------------------------------------------------
 
@@ -492,7 +503,8 @@ class Segment:
         time, seq, kind, payload = heapq.heappop(self._queue)
         self.clock = time
         if kind == "frame":
-            wire, origin = payload
+            wire, origin, described = payload
+            described = described or describe_frame(wire)
             dst = wire.data[:6] if len(wire.data) >= 6 else None
             for node in self.nodes:
                 if node.name == origin:
@@ -500,14 +512,12 @@ class Segment:
                 if node.promiscuous:
                     node.observe(wire, time)
                 if dst is not None and dst != node.mac.octets and dst != MAC_BROADCAST.octets:
-                    self.metrics.node(node.name).ignored += 1
-                    self.trace.append(TraceRecord(time, node.name, "rx",
-                                                  f"ignored (other dst) | {_summary(wire)}", 0))
+                    self.trace.append(TraceRecord(time, node.name, FrameEvent.IGNORED, 0,
+                                                  described))
                     continue
-                self._apply_actions(node, node.receive(wire, time), time, wire)
+                self._apply_actions(node, node.receive(wire, time), time, wire, described)
         else:
             name, step = payload
-            node = self._by_name[name]
             if isinstance(step, Attack):
                 # the program's remaining firings keep its seq, so they order
                 # among equal times as if every firing had been queued up front
@@ -515,9 +525,8 @@ class Segment:
                 if rest > 0:
                     heapq.heappush(self._queue, (time + step.program.period, seq, kind,
                                                  (name, Attack(replace(step.program, count=rest)))))
-                self._emit_raw(node, node.frames_for(step.program, self.node), time)
-            else:
-                self._apply_actions(node, node.perform(step, time), time)
+            node = self._by_name[name]
+            self._transmit(node, node.perform(step, time), time)
         return self.trace[mark:]
 
     def run(self, horizon: Optional[int] = None) -> None:

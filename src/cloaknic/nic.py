@@ -81,14 +81,14 @@ class DropReason(Enum):
     MALFORMED = "Malformed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DropRecord:
     reason: DropReason
     stage_count: int
     detail: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArpCacheUpdate:
     """Emitted only from a validated knock, never from wire ARP traffic."""
 
@@ -112,6 +112,10 @@ class Actions:
     tx_frames: List[EthernetFrame] = field(default_factory=list)
     host_events: List[HostEvent] = field(default_factory=list)
     drops: List[DropRecord] = field(default_factory=list)
+
+    def drop(self, reason: DropReason, stage: int, detail: Optional[str] = None) -> "Actions":
+        self.drops.append(DropRecord(reason, stage, detail))
+        return self
 
 
 @dataclass
@@ -197,11 +201,6 @@ class CloakingNic:
 
     # -- internals ---------------------------------------------------------
 
-    def _drop(self, actions: Actions, reason: DropReason, stage: int,
-              detail: Optional[str] = None) -> Actions:
-        actions.drops.append(DropRecord(reason, stage, detail))
-        return actions
-
     def _next_nonce(self) -> bytes:
         nonce = struct.pack(">Q", (self.config.nonce_seed + self._nonce_counter) & (2**64 - 1))
         self._nonce_counter += 1
@@ -269,13 +268,13 @@ class CloakingNic:
         try:
             frame = wire.frame
         except frames.FrameError as exc:
-            return self._drop(actions, DropReason.MALFORMED, 1, type(exc).__name__)
+            return actions.drop(DropReason.MALFORMED, 1, type(exc).__name__)
 
         if isinstance(frame.payload, ArpPacket):
             return self._receive_arp(actions, frame.payload, now)
         if isinstance(frame.payload, Ipv4Packet):
             return self._receive_ipv4(actions, wire, frame, frame.payload, now)
-        return self._drop(actions, DropReason.NO_FILTER_MATCH, 1, "non-ip ethertype")
+        return actions.drop(DropReason.NO_FILTER_MATCH, 1, "non-ip ethertype")
 
     def _receive_arp(self, actions: Actions, arp: ArpPacket, now: int) -> Actions:
         reply = self.arp_process(arp)
@@ -289,15 +288,15 @@ class CloakingNic:
         # the resolver on the client side), but it is still not delivered.
         parked = self._unpark(now, arp.sender_ip) if arp.operation == ARP_REPLY else []
         if parked:
-            self._drop(actions, DropReason.UNSOLICITED_ARP_REPLY, 1, "consumed by resolver")
+            actions.drop(DropReason.UNSOLICITED_ARP_REPLY, 1, "consumed by resolver")
             for frame in parked:
                 resolved = EthernetFrame(arp.sender_mac, frame.src, frame.ethertype, frame.payload)
                 assert isinstance(resolved.payload, Ipv4Packet)
                 self._emit_with_knock(actions, resolved, resolved.payload, now)
             return actions
         if arp.operation == ARP_REQUEST:
-            return self._drop(actions, DropReason.NO_FILTER_MATCH, 1, "arp-other-ip")
-        return self._drop(actions, DropReason.UNSOLICITED_ARP_REPLY, 1)
+            return actions.drop(DropReason.NO_FILTER_MATCH, 1, "arp-other-ip")
+        return actions.drop(DropReason.UNSOLICITED_ARP_REPLY, 1)
 
     def _receive_ipv4(self, actions: Actions, wire: Wire, frame: EthernetFrame,
                       pkt: Ipv4Packet, now: int) -> Actions:
@@ -308,24 +307,24 @@ class CloakingNic:
         if view is not None and self.filter.lookup(pkt.src, view.src_port, now):
             actions.host_events.append(Delivered(wire, stage_count=2))
             return actions
-        return self._drop(actions, DropReason.NO_FILTER_MATCH, 1)
+        return actions.drop(DropReason.NO_FILTER_MATCH, 1)
 
     def _receive_knock(self, actions: Actions, frame: EthernetFrame,
                        pkt: Ipv4Packet, now: int) -> Actions:
         key = self.config.role_keys.get(pkt.src)
         if key is None:
             # unauthenticatable sender: indistinguishable from a forged tag
-            return self._drop(actions, DropReason.BAD_KNOCK, 2, RejectReason.BAD_TAG.value)
+            return actions.drop(DropReason.BAD_KNOCK, 2, RejectReason.BAD_TAG.value)
         assert isinstance(pkt.payload, IcmpMessage)
         result = open_knock(key, pkt.payload.payload, now, self.replay_cache)
         if isinstance(result, RejectReason):
-            return self._drop(actions, DropReason.BAD_KNOCK, 2, result.value)
+            return actions.drop(DropReason.BAD_KNOCK, 2, result.value)
         if result.client_ip != pkt.src:
             # a key holder may only open the filter for the address it sends from
-            return self._drop(actions, DropReason.BAD_KNOCK, 2, "IpMismatch")
+            return actions.drop(DropReason.BAD_KNOCK, 2, "IpMismatch")
         try:
             self.filter.insert(result.client_ip, result.client_port, now)
         except TableFull:
-            return self._drop(actions, DropReason.BAD_KNOCK, 2, "TableFull")
+            return actions.drop(DropReason.BAD_KNOCK, 2, "TableFull")
         actions.host_events.append(ArpCacheUpdate(result.client_ip, frame.src))
         return actions

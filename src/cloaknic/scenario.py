@@ -8,12 +8,12 @@
     NODE NODE                          # the first knocks before talking to the second
     [steps]
     T send CLIENT DST tcp|udp SRC_PORT DST_PORT
-    T ping CLIENT|ATTACKER DST         # an attacker's is `attack ... ping`
+    T ping CLIENT|ATTACKER DST         # one echo request; a client's goes through its NIC
     T attack ATTACKER portscan VICTIM LO-HI
     T attack ATTACKER arppoison VICTIM IP MAC [period=N] [count=N]
     T attack ATTACKER macspoof VICTIM [count=N] [period=N]
     T attack ATTACKER knockreplay
-    T attack ATTACKER ping VICTIM      # one echo request
+    T attack ATTACKER ping VICTIM      # the same step as `ping ATTACKER VICTIM`
     [horizon]
     TICKS
 
@@ -85,8 +85,8 @@ class InvalidScenario(ScenarioError):
 NODE_KINDS = ("cloaked", "plainhost", "client", "attacker")
 SECTIONS = ("nodes", "keys", "protected", "steps", "horizon")
 REPEAT_LO = {"count": 0, "period": 1}  # least value of each repeated-program option
-# the node kinds that may perform each step
-ACTOR_KINDS = {Send: ("client",), Ping: ("client", "attacker"), Attack: ("attacker",)}
+# the node kinds that may perform each step verb
+ACTOR_KINDS = {"send": ("client",), "ping": ("client", "attacker"), "attack": ("attacker",)}
 
 
 @dataclass
@@ -102,6 +102,7 @@ class NodeSpec:
 class StepSpec:
     time: int
     actor: str
+    verb: str
     action: Step
     line_no: int
 
@@ -168,7 +169,7 @@ def _parse_line(sc: Scenario, section: str, tokens: List[str], line_no: int) -> 
     if section == "steps":
         if len(tokens) < 3:
             raise ValueError("expected 'T VERB ACTOR ...'")
-        sc.steps.append(StepSpec(_int(tokens[0], "step time"), tokens[2],
+        sc.steps.append(StepSpec(_int(tokens[0], "step time"), tokens[2], tokens[1],
                                  _parse_step(tokens), line_no))
     elif section == "nodes":
         (name, kind, ip, mac), opts = _fields(tokens, "NAME KIND IP MAC", ("services",))
@@ -226,7 +227,7 @@ def _parse_step(tokens: List[str]) -> Step:
         return Attack(KnockReplay())
     if program == "ping":
         (_, _, _, _, victim), _ = _fields(tokens, "T attack ATTACKER ping VICTIM")
-        return Attack(PortScan.ping(victim))
+        return Ping(victim)
     raise ValueError(f"unknown attack program {program!r}; "
                      "expected portscan, arppoison, macspoof, knockreplay or ping")
 
@@ -250,11 +251,10 @@ def validate_scenario(sc: Scenario) -> None:
             raise MissingKey(f"protected pair {a}/{b} has no configured key", line_no)
     for step in sc.steps:
         action, line_no = step.action, step.line_no
-        kind, kinds = _require_node(sc, step.actor, line_no).kind, ACTOR_KINDS[type(action)]
+        kind, kinds = _require_node(sc, step.actor, line_no).kind, ACTOR_KINDS[step.verb]
         if kind not in kinds:
-            raise InvalidScenario(f"only {' or '.join(kinds)} nodes can "
-                                  f"{type(action).__name__.lower()}, {step.actor} is {kind}",
-                                  line_no)
+            raise InvalidScenario(f"only {' or '.join(kinds)} nodes can {step.verb}, "
+                                  f"{step.actor} is {kind}", line_no)
         # a knock replay names no node besides its actor
         aimed_at = getattr(action.program, "victim", None) if isinstance(action, Attack) \
             else action.dst
@@ -280,21 +280,15 @@ def build_segment(sc: Scenario, seed: int = 0) -> Segment:
         if a in configs:
             configs[a].protected_peers.add(sc.nodes[b].ip)
     for spec in sc.nodes.values():
-        if spec.kind == "cloaked":
-            seg.attach(CloakedServerNode(spec.name, spec.mac, spec.ip,
-                                         CloakingNic(configs[spec.name])))
-        elif spec.kind == "client":
-            seg.attach(ClientNode(spec.name, spec.mac, spec.ip,
-                                  CloakingNic(configs[spec.name])))
+        if spec.name in configs:
+            node_type = ClientNode if spec.kind == "client" else CloakedServerNode
+            seg.attach(node_type(spec.name, spec.mac, spec.ip, CloakingNic(configs[spec.name])))
         elif spec.kind == "plainhost":
             seg.attach(PlainHostNode(spec.name, spec.mac, spec.ip, spec.services))
         else:
             seg.attach(AttackerNode(spec.name, spec.mac, spec.ip))
     for step in sc.steps:
-        action = step.action
-        if isinstance(action, Ping) and sc.nodes[step.actor].kind == "attacker":
-            action = Attack(PortScan.ping(action.dst))
-        seg.schedule(step.time, step.actor, action)
+        seg.schedule(step.time, step.actor, step.action)
     return seg
 
 

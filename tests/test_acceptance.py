@@ -27,7 +27,7 @@ from cloaknic.frames import (
     udp_datagram,
 )
 from cloaknic.knock import KnockFields, RejectReason, ReplayCache, SharedKey, open_knock, seal_knock
-from cloaknic.nic import ByteFifo, CloakingNic, NicConfig
+from cloaknic.nic import ByteFifo, CloakingNic, DropReason, DropRecord, NicConfig
 from cloaknic.scenario import build_segment, parse_scenario, run_scenario
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -103,7 +103,7 @@ def test_criterion_4_replay_immunity():
         if snapshot is None and len(server.nic.filter) == 1:
             snapshot = dict(server.nic.filter.entries)
     replays = [r for r in seg.trace
-               if r.node == "server" and r.direction == "drop" and "Replayed" in r.summary]
+               if r.node == "server" and r.event == DropRecord(DropReason.BAD_KNOCK, 2, "Replayed")]
     assert len(replays) == 1
     assert dict(server.nic.filter.entries) == snapshot
     assert len(server.nic.filter) == 1

@@ -1,0 +1,23 @@
+"""The benchmark's workloads render the same output as the recorded digests.
+
+A tiny untraced run of each workload at a fixed seed must pass its checks
+and render output whose sha256 is the one recorded below. A change that
+alters any trace line or metric of a workload fails here; a change that
+means to alter them must say which lines changed and why, and record the
+new digest.
+"""
+
+import pytest
+
+TINY_SEED_1_DIGESTS = {
+    "scan": "9e04749ac138d5f9931a450e0d618649b4dc4e70e8ed6fdb93d17003b1bfada9",
+    "knock-storm": "0ddc43d574146efa5b083f25ca5f6d03162b860d9662c0e6f53c576eb962882c",
+    "forged-flood": "3572755e81b99f0a19f415ba8be44b6219b24cb0cded73bf58f370baf433ecdd",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(TINY_SEED_1_DIGESTS))
+def test_workload_output_matches_recorded_digest(bench, workload):
+    status, report, result = bench(workload, "--seed", "1", "--seconds", "0", "--trace", "0")
+    assert status == 0 and result["correct"], report["problems"]
+    assert report["digest"] == TINY_SEED_1_DIGESTS[workload]

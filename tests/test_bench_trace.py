@@ -7,40 +7,12 @@ most one parse and at least one description per wire frame, and no knock
 crypto.
 """
 
-import contextlib
-import io
-import json
-import pathlib
-import sys
-
 import pytest
-
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
-
-
-@pytest.fixture
-def bench(monkeypatch, tmp_path):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import run
-
-    monkeypatch.setattr(run, "OUT_DIR", tmp_path)
-
-    def traced_run(workload):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            status = run.main(["--workload", workload, "--seed", "3", "--seconds", "0.5",
-                               "--trace", "1"], size="tiny")
-        report, result = (json.loads(line) for line in out.getvalue().splitlines()[-2:])
-        return status, report["report"], result
-
-    yield traced_run
-    for name in ("run", "tracer", "workloads"):
-        sys.modules.pop(name, None)
 
 
 @pytest.mark.parametrize("workload", ["scan", "knock-storm", "forged-flood"])
 def test_traced_run_instruments_every_layer(bench, workload):
-    status, report, result = bench(workload)
+    status, report, result = bench(workload, "--seed", "3", "--seconds", "0.5", "--trace", "1")
     assert status == 0 and result["correct"], report["problems"]
     layers = {name: m["value"] for name, m in result["metrics"].items()}
     assert layers["trace.spans"] > 0

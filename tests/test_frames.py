@@ -13,12 +13,14 @@ from cloaknic.frames import (
     ArpPacket,
     BadTotalLength,
     EthernetFrame,
+    Fragment,
     IcmpMessage,
     Ipv4Address,
     Ipv4Packet,
     MacAddress,
     Oversize,
     TooShort,
+    UnsupportedArp,
     UnsupportedIpHeader,
     internet_checksum,
     make_arp,
@@ -273,6 +275,26 @@ class TestTypedCodecFailures:
     def test_padding_past_total_length_is_dropped(self):
         frame = parse_frame(bytes(self.ipv4()) + b"\x00" * 6)
         assert frame == parse_frame(bytes(self.ipv4()))
+
+    @pytest.mark.parametrize("flags", [0x2000, 0x00B9, 0x20B9, 0x1FFF])
+    def test_ipv4_fragment(self, flags):
+        wire = self.ipv4()
+        wire[20:22] = flags.to_bytes(2, "big")
+        with pytest.raises(Fragment):
+            parse_frame(with_ip_checksum(wire))
+
+    def test_ipv4_dont_fragment_is_accepted_and_not_kept(self):
+        wire = self.ipv4()
+        wire[20:22] = b"\x40\x00"
+        assert serialize_frame(parse_frame(with_ip_checksum(wire))) == bytes(self.ipv4())
+
+    @pytest.mark.parametrize("header", ["000686dd0810", "00060800", "000186dd", "0001080008",
+                                        "000108000610"])
+    def test_arp_other_than_ethernet_ipv4(self, header):
+        wire = bytearray(serialize_frame(make_arp(ARP_REQUEST, MAC_A, IP_A, MAC_B, IP_B)))
+        wire[14:14 + len(header) // 2] = bytes.fromhex(header)
+        with pytest.raises(UnsupportedArp):
+            parse_frame(bytes(wire))
 
     def test_short_arp_body(self):
         wire = serialize_frame(make_arp(ARP_REQUEST, MAC_A, IP_A, MAC_B, IP_B))

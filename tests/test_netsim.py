@@ -1,10 +1,14 @@
+from dataclasses import fields, is_dataclass
+
 import pytest
 
 from cloaknic.frames import (
     ARP_REQUEST,
     MAC_ZERO,
+    EthernetFrame,
     Ipv4Address,
     MacAddress,
+    Wire,
     make_arp,
     serialize_frame,
 )
@@ -15,15 +19,17 @@ from cloaknic.netsim import (
     ClientNode,
     CloakedServerNode,
     DuplicateHandle,
+    FrameEvent,
     KnockReplay,
     MacSpoof,
     NothingCaptured,
+    Ping,
     PlainHostNode,
     PortScan,
     Segment,
     describe_frame,
 )
-from cloaknic.nic import CloakingNic, NicConfig
+from cloaknic.nic import CloakingNic, Delivered, NicConfig
 from cloaknic.demos import DEMOS
 from cloaknic.scenario import parse_scenario, run_scenario, build_segment
 
@@ -105,7 +111,8 @@ class TestPlainHost:
         seg = Segment()
         seg.attach(plain("victim", "10.0.0.3", "aa:00:00:00:00:03", services={22}))
         mal = seg.attach(attacker())
-        seg.schedule(0, mal.name, Attack(PortScan("victim", 1, 32, with_ping=True)))
+        seg.schedule(0, mal.name, Attack(PortScan("victim", 1, 32)))
+        seg.schedule(0, mal.name, Ping("victim"))
         seg.run()
         m = seg.metrics.node("victim")
         assert m.tx == 33  # 32 RST/SYN-ACK + echo reply
@@ -230,6 +237,17 @@ class TestEndToEnd:
             for rec in trace:
                 if rec.node == "server" and rec.direction == "tx":
                     assert rec.summary.startswith("arp-reply")
+
+    @pytest.mark.parametrize("name", sorted(DEMOS))
+    def test_records_hold_text_not_frames(self, name):
+        trace, _ = run_scenario(parse_scenario(DEMOS[name]))
+        values = [getattr(r, f.name) for r in trace for f in fields(r)]
+        values += [getattr(r.event, f.name) for r in trace if is_dataclass(r.event)
+                   for f in fields(r.event)]
+        assert not [v for v in values if isinstance(v, (Wire, EthernetFrame, Delivered))]
+        # one description per frame sent, shared by every record of that frame
+        sent = sum(1 for r in trace if r.event is FrameEvent.TX)
+        assert len({id(r.frame) for r in trace}) == sent
 
     def test_conservation_per_receiving_node(self):
         sc = parse_scenario(DEMOS["replay"])

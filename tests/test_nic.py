@@ -12,6 +12,7 @@ from cloaknic.frames import (
     Ipv4Address,
     Ipv4Packet,
     MacAddress,
+    internet_checksum,
     make_arp,
     make_icmp_echo,
     make_ipv4_frame,
@@ -205,6 +206,15 @@ class TestArpProcessing:
         assert actions.host_events == []
         assert actions.drops[0].reason is DropReason.UNSOLICITED_ARP_REPLY
 
+    def test_non_ethernet_ipv4_arp_request_is_not_answered(self):
+        # htype 6, ptype 0x86dd, hlen 8, plen 16: the addresses are not where
+        # an Ethernet/IPv4 body keeps them, so the request names no IP of ours
+        wire = bytearray(serialize_frame(
+            make_arp(ARP_REQUEST, CLIENT_MAC, CLIENT_IP, MAC_ZERO, SERVER_IP)))
+        wire[14:20] = bytes.fromhex("000686dd0810")
+        actions = server_nic().on_wire_receive(bytes(wire), now=0)
+        assert actions == Actions(drops=[DropRecord(DropReason.MALFORMED, 1, "UnsupportedArp")])
+
     def test_arp_process_is_stateless(self):
         nic = server_nic()
         req = ArpPacket(ARP_REQUEST, CLIENT_MAC, CLIENT_IP, MAC_ZERO, SERVER_IP)
@@ -222,6 +232,18 @@ class TestKnockAdmission:
         second = nic.on_wire_receive(syn_wire(), now=101)
         assert len(second.host_events) == 1
         assert isinstance(second.host_events[0], Delivered)
+
+    def test_fragment_of_an_admitted_pair_is_not_delivered(self):
+        # MF set, offset 185: the "ports" of a non-first fragment are data
+        nic = server_nic()
+        nic.on_wire_receive(knock_wire(now=100), now=100)
+        wire = bytearray(syn_wire())
+        wire[20:22] = (0x2000 | 185).to_bytes(2, "big")
+        wire[24:26] = b"\x00\x00"
+        wire[24:26] = internet_checksum(bytes(wire[14:34])).to_bytes(2, "big")
+        actions = nic.on_wire_receive(bytes(wire), now=101)
+        assert actions == Actions(drops=[DropRecord(DropReason.MALFORMED, 1, "Fragment")])
+        assert nic.on_wire_receive(syn_wire(), now=102).host_events[0].stage_count == 2
 
     def test_arp_cache_update_uses_outer_source_mac(self):
         nic = server_nic()

@@ -1,7 +1,8 @@
 """Each wire frame is parsed at most once, and the frame it carries is its parse.
 
-A frame enters the segment as one `Wire` value (bytes, parse, summary) that
-the segment hands to every receiver, so no layer parses it again.
+A frame enters the segment as one `Wire` value (bytes, parse, hex), with its
+description beside it, that the segment hands to every receiver, so no
+layer parses it again.
 """
 
 import sys
@@ -85,19 +86,19 @@ def test_carried_frame_equals_its_parse(name, monkeypatch):
     carried = []
     inject = Segment.inject
 
-    def recording(self, time, wire, origin):
+    def recording(self, time, wire, origin, described=None):
         wire = Wire.wrap(wire)
-        carried.append(wire)
-        inject(self, time, wire, origin)
+        carried.append((wire, described))
+        inject(self, time, wire, origin, described)
 
     monkeypatch.setattr(Segment, "inject", recording)
     run_demo(name)
     assert carried
-    for wire in carried:
+    for wire, described in carried:
         assert isinstance(wire, Wire)
         assert wire.frame == parse_frame(wire.data)
         assert wire.hex == wire.data.hex()
-        assert wire.summary in (None, describe_frame(wire.data))
+        assert described in (None, describe_frame(wire.data))
 
 
 def test_malformed_wire_parses_once_and_raises_on_every_access(parse_count):
