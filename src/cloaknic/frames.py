@@ -4,10 +4,15 @@ Everything here is a pure function over immutable values: parse, build,
 serialize. The one exception, `Wire`, memoises only a frame's parse and
 hex. Big-endian; no FCS or minimum-size padding (there is no medium).
 Unknown ethertypes and IP protocols decode to opaque bytes on purpose --
-rejecting them is the packet filter's job, not the parser's. A typed
-`FrameError` is raised for an ARP or IPv4 body that cannot be read as one,
-and for a header the model does not represent: an IPv4 fragment, or ARP
-for other than Ethernet and IPv4. The IPv4 DF flag is accepted, not kept.
+rejecting them is the packet filter's job, not the parser's.
+
+A frame value is its bytes: values hold only the fields the model keeps,
+and checksums are computed by serialize and checked by parse, never stored.
+A typed `FrameError` is raised for an ARP or IPv4 body that cannot be read
+as one, for a checksum other than the one serialize writes, and for a
+header the model does not represent: an IPv4 fragment, TOS, DF or reserved
+flag, or ARP for other than Ethernet and IPv4. So for every accepted `b`,
+`serialize_frame(parse_frame(b))` is `b` up to Ethernet padding.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ class TooShort(FrameError):
 
 
 class BadChecksum(FrameError):
-    """IPv4 or ICMP checksum mismatch; the NIC drops such frames silently."""
+    """IPv4 or ICMP checksum mismatch, or 0xFFFF where serializing writes 0x0000."""
 
 
 class Oversize(FrameError):
@@ -55,7 +60,7 @@ class Oversize(FrameError):
 
 
 class UnsupportedIpHeader(FrameError):
-    """IPv4 version other than 4, or a header with options (IHL other than 5)."""
+    """IPv4 version other than 4, options (IHL other than 5), TOS, DF or the reserved flag."""
 
 
 class BadTotalLength(FrameError):
@@ -164,6 +169,21 @@ def internet_checksum(data: bytes) -> int:
     return (~total) & 0xFFFF
 
 
+def _with_checksum(data: bytes, at: int) -> bytes:
+    """`data` with the checksum of its zero field at ``at`` written there."""
+    return data[:at] + internet_checksum(data).to_bytes(2, "big") + data[at + 2:]
+
+
+def _check_checksum(data: bytes, at: int, what: str) -> None:
+    """Refuse a checksum field other than the one `_with_checksum` writes.
+
+    0xFFFF verifies wherever 0x0000 is due, but is written only over all-zero data.
+    """
+    if internet_checksum(data) != 0 or (data[at:at + 2] == b"\xff\xff"
+                                        and any(data[:at] + data[at + 2:])):
+        raise BadChecksum(f"{what} checksum mismatch")
+
+
 @dataclass(frozen=True)
 class IcmpMessage:
     icmp_type: int
@@ -171,26 +191,18 @@ class IcmpMessage:
     identifier: int
     sequence: int
     payload: bytes = b""
-    checksum: int = 0  # filled on serialization
-
-    def header_and_payload(self, checksum: int) -> bytes:
-        return (
-            struct.pack(">BBHHH", self.icmp_type, self.code, checksum, self.identifier, self.sequence)
-            + self.payload
-        )
 
     def to_bytes(self) -> bytes:
-        cks = internet_checksum(self.header_and_payload(0))
-        return self.header_and_payload(cks)
+        return _with_checksum(struct.pack(">BBHHH", self.icmp_type, self.code, 0, self.identifier,
+                                          self.sequence) + self.payload, 2)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "IcmpMessage":
         if len(data) < 8:
             raise TooShort(f"ICMP message is {len(data)} bytes, need 8")
-        icmp_type, code, cks, ident, seq = struct.unpack(">BBHHH", data[:8])
-        if internet_checksum(data) != 0:
-            raise BadChecksum("ICMP checksum mismatch")
-        return cls(icmp_type, code, ident, seq, data[8:], cks)
+        icmp_type, code, _, ident, seq = struct.unpack(">BBHHH", data[:8])
+        _check_checksum(data, 2, "ICMP")
+        return cls(icmp_type, code, ident, seq, data[8:])
 
 
 @dataclass(frozen=True)
@@ -203,16 +215,14 @@ class TransportView:
     is_syn: bool
 
 
-def _ipv4_header(src: Ipv4Address, dst: Ipv4Address, protocol: int, ttl: int,
-                 identification: int, body_len: int) -> bytes:
-    """The 20-byte IPv4 header with a zero checksum field."""
-    return struct.pack(">BBHHHBBH4s4s", 0x45, 0, 20 + body_len, identification, 0, ttl,
-                       protocol, 0, src.octets, dst.octets)
+def _ip_body(protocol: int, body: bytes) -> Union[IcmpMessage, bytes]:
+    """An IPv4 body as parse reads it: 8 or more bytes under protocol 1 are an ICMP message."""
+    return IcmpMessage.from_bytes(body) if protocol == PROTO_ICMP and len(body) >= 8 else body
 
 
 @dataclass(frozen=True)
 class Ipv4Packet:
-    """IPv4 with IHL fixed at 5; options and fragments are refused, DF is not kept."""
+    """IPv4 with IHL fixed at 5 and TOS, flags and offset zero; any other header is refused."""
 
     src: Ipv4Address
     dst: Ipv4Address
@@ -220,45 +230,35 @@ class Ipv4Packet:
     payload: Union[IcmpMessage, bytes] = b""
     ttl: int = 64
     identification: int = 0
-    header_checksum: int = 0  # filled on serialization
 
     HEADER_LEN = 20
 
     def to_bytes(self) -> bytes:
         body = self.payload.to_bytes() if isinstance(self.payload, IcmpMessage) else self.payload
-        head = _ipv4_header(self.src, self.dst, self.protocol, self.ttl, self.identification,
-                            len(body))
-        return head[:10] + internet_checksum(head).to_bytes(2, "big") + head[12:] + body
+        head = struct.pack(">BBHHHBBH4s4s", 0x45, 0, 20 + len(body), self.identification, 0,
+                           self.ttl, self.protocol, 0, self.src.octets, self.dst.octets)
+        return _with_checksum(head, 10) + body
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Ipv4Packet":
         if len(data) < cls.HEADER_LEN:
             raise TooShort(f"IPv4 packet is {len(data)} bytes, need 20")
-        (vihl, _tos, total, ident, frag, ttl, proto, cks, src, dst) = struct.unpack(
-            ">BBHHHBBH4s4s", data[: cls.HEADER_LEN]
-        )
+        header = data[: cls.HEADER_LEN]
+        vihl, tos, total, ident, frag, ttl, proto, _, src, dst = struct.unpack(
+            ">BBHHHBBH4s4s", header)
         if vihl != 0x45:
             raise UnsupportedIpHeader(f"IPv4 version {vihl >> 4}, IHL {vihl & 0xF}; need 4, 5")
-        if internet_checksum(data[: cls.HEADER_LEN]) != 0:
-            raise BadChecksum("IPv4 header checksum mismatch")
+        _check_checksum(header, 10, "IPv4 header")
         if not cls.HEADER_LEN <= total <= len(data):
             raise BadTotalLength(f"IPv4 total length {total} in {len(data)} bytes")
         if frag & 0x3FFF:
             raise Fragment(f"IPv4 flags/offset 0x{frag:04x}: MF set or offset non-zero")
+        if tos or frag:
+            raise UnsupportedIpHeader(f"IPv4 TOS 0x{tos:02x}, flags/offset 0x{frag:04x}; "
+                                      "DF, the reserved flag and TOS are not kept")
         # bytes past the total length are Ethernet padding
-        body = data[cls.HEADER_LEN:total]
-        payload: Union[IcmpMessage, bytes] = body
-        if proto == PROTO_ICMP and len(body) >= 8:
-            payload = IcmpMessage.from_bytes(body)
-        return cls(
-            src=Ipv4Address(src),
-            dst=Ipv4Address(dst),
-            protocol=proto,
-            payload=payload,
-            ttl=ttl,
-            identification=ident,
-            header_checksum=cks,
-        )
+        body = _ip_body(proto, data[cls.HEADER_LEN:total])
+        return cls(Ipv4Address(src), Ipv4Address(dst), proto, body, ttl, ident)
 
     def transport_view(self) -> Optional[TransportView]:
         if isinstance(self.payload, IcmpMessage):
@@ -371,12 +371,12 @@ def make_arp(
 
 
 def tcp_segment(src_port: int, dst_port: int, flags: int = TCP_FLAG_SYN,
-                seq: int = 0, ack: int = 0, data: bytes = b"") -> bytes:
-    """Minimal 20-byte TCP header (data offset 5) plus optional data.
+                data: bytes = b"") -> bytes:
+    """Minimal 20-byte TCP header (data offset 5, zero sequence numbers) plus optional data.
 
     The TCP checksum is left zero: the filter reads only ports and flags.
     """
-    head = struct.pack(">HHIIBBHHH", src_port, dst_port, seq, ack, 5 << 4, flags, 0xFFFF, 0, 0)
+    head = struct.pack(">HHIIBBHHH", src_port, dst_port, 0, 0, 5 << 4, flags, 0xFFFF, 0, 0)
     return head + data
 
 
@@ -387,13 +387,13 @@ def udp_datagram(src_port: int, dst_port: int, data: bytes = b"") -> bytes:
 def make_ipv4_frame(src_mac: MacAddress, dst_mac: MacAddress,
                     src_ip: Ipv4Address, dst_ip: Ipv4Address,
                     protocol: int, payload: Union[IcmpMessage, bytes],
-                    identification: int = 0, ttl: int = 64) -> EthernetFrame:
-    """An IPv4 frame with its checksums filled in: equal to its own round trip."""
-    body = payload.to_bytes() if isinstance(payload, IcmpMessage) else payload
-    # an ICMP body is kept as the message a parse would make, checksum and all
-    payload = IcmpMessage.from_bytes(body) if protocol == PROTO_ICMP and len(body) >= 8 else body
-    cks = internet_checksum(_ipv4_header(src_ip, dst_ip, protocol, ttl, identification, len(body)))
-    pkt = Ipv4Packet(src_ip, dst_ip, protocol, payload, ttl, identification, cks)
+                    identification: int = 0) -> EthernetFrame:
+    """An IPv4 frame whose body is what a parse of its bytes makes: equal to its round trip."""
+    if isinstance(payload, IcmpMessage) and protocol != PROTO_ICMP:
+        payload = payload.to_bytes()
+    if isinstance(payload, bytes):
+        payload = _ip_body(protocol, payload)
+    pkt = Ipv4Packet(src_ip, dst_ip, protocol, payload, identification=identification)
     return EthernetFrame(dst_mac, src_mac, ETHERTYPE_IPV4, pkt)
 
 

@@ -340,17 +340,16 @@ class PlainHostNode(Node):
                 actions.drop(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_LINK, "arp-other-ip")
             return actions
         if isinstance(p, Ipv4Packet):
-            return self._receive_ipv4(actions, wire, frame, p)
+            return self._receive_ipv4(actions, frame, p)
         return actions.drop(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_LINK, "unknown-ethertype")
 
-    def _receive_ipv4(self, actions: Actions, wire: Wire, frame: EthernetFrame,
-                      p: Ipv4Packet) -> Actions:
+    def _receive_ipv4(self, actions: Actions, frame: EthernetFrame, p: Ipv4Packet) -> Actions:
         if isinstance(p.payload, IcmpMessage):
             if p.payload.icmp_type == ICMP_ECHO_REQUEST:
                 actions.tx_frames.append(frames.make_icmp_echo(
                     self.mac, frame.src, self.ip, p.src, p.payload.payload,
                     p.payload.identifier, p.payload.sequence, reply=True))
-                actions.host_events.append(Delivered(wire, PLAIN_STAGE_TRANSPORT))
+                actions.host_events.append(Delivered(PLAIN_STAGE_TRANSPORT))
             else:
                 actions.drop(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_TRANSPORT, "icmp-other")
             return actions
@@ -363,7 +362,7 @@ class PlainHostNode(Node):
             seg = frames.tcp_segment(view.dst_port, view.src_port, flags)
             actions.tx_frames.append(frames.make_ipv4_frame(
                 self.mac, frame.src, self.ip, p.src, PROTO_TCP, seg))
-            actions.host_events.append(Delivered(wire, PLAIN_STAGE_TRANSPORT))
+            actions.host_events.append(Delivered(PLAIN_STAGE_TRANSPORT))
             return actions
         return actions.drop(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_TRANSPORT,
                             f"{view.kind}-closed")

@@ -62,10 +62,6 @@ class NicError(Exception):
     pass
 
 
-class MissingIp(NicError):
-    """The host must set the NIC's IP before any frame is processed."""
-
-
 class UnknownPeerKey(NicError):
     """Transmit to a protected peer with no shared key configured."""
 
@@ -98,7 +94,8 @@ class ArpCacheUpdate:
 
 @dataclass(frozen=True)
 class Delivered:
-    wire: Wire  # the received frame, as it came off the wire
+    """The frame passed the filter to the host; `Segment` records which frame."""
+
     stage_count: int = 2
 
 
@@ -121,7 +118,7 @@ class Actions:
 @dataclass
 class NicConfig:
     mac: MacAddress
-    ip: Optional[Ipv4Address] = None
+    ip: Ipv4Address
     role_keys: Dict[Ipv4Address, SharedKey] = field(default_factory=dict)
     protected_peers: Set[Ipv4Address] = field(default_factory=set)
     nonce_seed: int = 0
@@ -186,8 +183,6 @@ class CloakingNic:
     """Per-host NIC state machine; see module docstring for the contract."""
 
     def __init__(self, config: NicConfig):
-        if config.ip is None:
-            raise MissingIp("NIC IP must be set by the host at initialization")
         self.config = config
         self.mac = config.mac
         self.ip = config.ip
@@ -273,7 +268,7 @@ class CloakingNic:
         if isinstance(frame.payload, ArpPacket):
             return self._receive_arp(actions, frame.payload, now)
         if isinstance(frame.payload, Ipv4Packet):
-            return self._receive_ipv4(actions, wire, frame, frame.payload, now)
+            return self._receive_ipv4(actions, frame, frame.payload, now)
         return actions.drop(DropReason.NO_FILTER_MATCH, 1, "non-ip ethertype")
 
     def _receive_arp(self, actions: Actions, arp: ArpPacket, now: int) -> Actions:
@@ -298,14 +293,14 @@ class CloakingNic:
             return actions.drop(DropReason.NO_FILTER_MATCH, 1, "arp-other-ip")
         return actions.drop(DropReason.UNSOLICITED_ARP_REPLY, 1)
 
-    def _receive_ipv4(self, actions: Actions, wire: Wire, frame: EthernetFrame,
-                      pkt: Ipv4Packet, now: int) -> Actions:
+    def _receive_ipv4(self, actions: Actions, frame: EthernetFrame, pkt: Ipv4Packet,
+                      now: int) -> Actions:
         if isinstance(pkt.payload, IcmpMessage) and is_knock_payload(pkt.payload.payload):
             return self._receive_knock(actions, frame, pkt, now)
         view = pkt.transport_view()
         # plain ICMP and unknown IP protocols have no view: the default drop
         if view is not None and self.filter.lookup(pkt.src, view.src_port, now):
-            actions.host_events.append(Delivered(wire, stage_count=2))
+            actions.host_events.append(Delivered(stage_count=2))
             return actions
         return actions.drop(DropReason.NO_FILTER_MATCH, 1)
 

@@ -1,3 +1,6 @@
+import gzip
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +39,7 @@ MAC_A = MacAddress.from_str("aa:00:00:00:00:01")
 MAC_B = MacAddress.from_str("bb:00:00:00:00:02")
 IP_A = Ipv4Address.from_str("192.168.0.1")
 IP_B = Ipv4Address.from_str("192.168.0.2")
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
 
 
 macs = st.binary(min_size=6, max_size=6).map(MacAddress)
@@ -235,20 +239,70 @@ def mutated_wires(draw):
     return bytes(wire)
 
 
-@given(mutated_wires())
-@settings(max_examples=500)
-def test_mutated_frame_parses_or_raises_frame_error(wire):
+def assert_accepted_frame_is_its_bytes(wire: bytes) -> bool:
+    """Whether `wire` parses; if it does, it serializes back to itself up to padding."""
     try:
         frame = parse_frame(wire)
     except frames.FrameError:
-        return
-    # an ARP or IPv4 frame that parses is exactly what its header says
+        return False
     if wire[12:14] == b"\x08\x06":
-        assert isinstance(frame.payload, ArpPacket)
-    if wire[12:14] == b"\x08\x00":
-        assert isinstance(frame.payload, Ipv4Packet)
-        assert wire[14] == 0x45
-        assert len(frame.payload.to_bytes()) == int.from_bytes(wire[16:18], "big")
+        wire = wire[:42]
+    elif wire[12:14] == b"\x08\x00":
+        wire = wire[:ETH_HEADER_LEN + int.from_bytes(wire[16:18], "big")]
+    assert serialize_frame(frame) == wire
+    return True
+
+
+@given(mutated_wires())
+@settings(max_examples=1000)
+def test_mutated_frame_is_refused_or_round_trips_byte_for_byte(wire):
+    assert_accepted_frame_is_its_bytes(wire)
+
+
+def golden_wires():
+    for path in sorted(GOLDEN.glob("*.trace*")):
+        text = path.read_bytes()
+        if path.suffix == ".gz":
+            text = gzip.decompress(text)
+        for line in text.decode().splitlines():
+            _, found, hex_ = line.rpartition(" hex=")
+            if found:
+                yield bytes.fromhex(hex_)
+
+
+def test_every_golden_frame_round_trips_byte_for_byte():
+    wires = list(golden_wires())
+    assert len(wires) == 8247
+    assert all([assert_accepted_frame_is_its_bytes(wire) for wire in wires])
+
+
+class TestCanonicalChecksums:
+    """0xFFFF verifies where 0x0000 is due, but serialize never writes it there."""
+
+    def test_ipv4_header_checksum_ffff_for_0000(self):
+        wire = bytearray(serialize_frame(make_ipv4_frame(
+            MacAddress.from_str("aa:00:00:00:00:05"), MacAddress.from_str("aa:00:00:00:00:02"),
+            Ipv4Address.from_str("10.0.0.5"), Ipv4Address.from_str("10.0.0.2"), PROTO_TCP,
+            tcp_segment(40000, 22), identification=26314)))
+        assert wire[24:26] == b"\x00\x00"
+        wire[24:26] = b"\xff\xff"
+        assert internet_checksum(bytes(wire[14:34])) == 0
+        with pytest.raises(frames.BadChecksum):
+            parse_frame(bytes(wire))
+
+    def test_icmp_checksum_ffff_for_0000(self):
+        wire = bytearray(serialize_frame(make_icmp_echo(MAC_A, MAC_B, IP_A, IP_B,
+                                                        identifier=0xF7FF)))
+        assert wire[36:38] == b"\x00\x00"
+        wire[36:38] = b"\xff\xff"
+        assert internet_checksum(bytes(wire[34:])) == 0
+        with pytest.raises(frames.BadChecksum):
+            parse_frame(bytes(wire))
+
+    def test_icmp_checksum_ffff_over_all_zero_data_is_due(self):
+        icmp = IcmpMessage(0, 0, 0, 0, bytes(8))
+        assert icmp.to_bytes()[2:4] == b"\xff\xff"
+        assert IcmpMessage.from_bytes(icmp.to_bytes()) == icmp
 
 
 class TestTypedCodecFailures:
@@ -283,10 +337,13 @@ class TestTypedCodecFailures:
         with pytest.raises(Fragment):
             parse_frame(with_ip_checksum(wire))
 
-    def test_ipv4_dont_fragment_is_accepted_and_not_kept(self):
+    @pytest.mark.parametrize("at, value", [(15, 0x10), (15, 0x01), (20, 0x40), (20, 0x80)],
+                             ids=["tos", "ecn", "df", "reserved"])
+    def test_ipv4_tos_df_and_reserved_flag_are_refused(self, at, value):
         wire = self.ipv4()
-        wire[20:22] = b"\x40\x00"
-        assert serialize_frame(parse_frame(with_ip_checksum(wire))) == bytes(self.ipv4())
+        wire[at] = value
+        with pytest.raises(UnsupportedIpHeader):
+            parse_frame(with_ip_checksum(wire))
 
     @pytest.mark.parametrize("header", ["000686dd0810", "00060800", "000186dd", "0001080008",
                                         "000108000610"])

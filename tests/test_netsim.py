@@ -5,12 +5,19 @@ import pytest
 from cloaknic.frames import (
     ARP_REQUEST,
     MAC_ZERO,
+    PROTO_TCP,
+    PROTO_UDP,
+    TCP_FLAG_ACK,
     EthernetFrame,
     Ipv4Address,
     MacAddress,
     Wire,
     make_arp,
+    make_icmp_echo,
+    make_ipv4_frame,
     serialize_frame,
+    tcp_segment,
+    udp_datagram,
 )
 from cloaknic.netsim import (
     ArpPoison,
@@ -29,7 +36,7 @@ from cloaknic.netsim import (
     Segment,
     describe_frame,
 )
-from cloaknic.nic import CloakingNic, Delivered, NicConfig
+from cloaknic.nic import Actions, CloakingNic, Delivered, DropReason, DropRecord, NicConfig
 from cloaknic.demos import DEMOS
 from cloaknic.scenario import parse_scenario, run_scenario, build_segment
 
@@ -117,6 +124,29 @@ class TestPlainHost:
         m = seg.metrics.node("victim")
         assert m.tx == 33  # 32 RST/SYN-ACK + echo reply
         assert set(m.cep_histogram) == {3}
+
+    @pytest.mark.parametrize("frame, reason, stage, detail", [
+        (None, DropReason.MALFORMED, 1, "TooShort"),
+        (EthernetFrame(MAC("aa:00:00:00:00:03"), MAC("de:ad:be:ef:00:66"), 0x88B5, b"x"),
+         DropReason.NO_FILTER_MATCH, 1, "unknown-ethertype"),
+        (make_icmp_echo(MAC("de:ad:be:ef:00:66"), MAC("aa:00:00:00:00:03"), IP("10.0.0.66"),
+                        IP("10.0.0.3"), reply=True),
+         DropReason.NO_FILTER_MATCH, 3, "icmp-other"),
+        (make_ipv4_frame(MAC("de:ad:be:ef:00:66"), MAC("aa:00:00:00:00:03"), IP("10.0.0.66"),
+                         IP("10.0.0.3"), 99, b"xyz"),
+         DropReason.NO_FILTER_MATCH, 2, "unknown-proto"),
+        (make_ipv4_frame(MAC("de:ad:be:ef:00:66"), MAC("aa:00:00:00:00:03"), IP("10.0.0.66"),
+                         IP("10.0.0.3"), PROTO_UDP, udp_datagram(5000, 22)),
+         DropReason.NO_FILTER_MATCH, 3, "udp-closed"),
+        (make_ipv4_frame(MAC("de:ad:be:ef:00:66"), MAC("aa:00:00:00:00:03"), IP("10.0.0.66"),
+                         IP("10.0.0.3"), PROTO_TCP, tcp_segment(5000, 22, TCP_FLAG_ACK)),
+         DropReason.NO_FILTER_MATCH, 3, "tcp-closed"),
+    ], ids=["malformed", "unknown-ethertype", "icmp-other", "unknown-proto", "udp-closed",
+            "tcp-closed"])
+    def test_each_drop_has_its_stage(self, frame, reason, stage, detail):
+        host = plain("victim", "10.0.0.3", "aa:00:00:00:00:03", services={22})
+        wire = Wire(b"\x00" * 13) if frame is None else Wire.from_frame(frame)
+        assert host.receive(wire, now=0) == Actions(drops=[DropRecord(reason, stage, detail)])
 
 
 class TestAttackPrograms:

@@ -30,6 +30,7 @@ from cloaknic.knock import (
     seal_knock,
 )
 from cloaknic.nic import (
+    FILTER_TABLE_CAP,
     Actions,
     ArpCacheUpdate,
     ByteFifo,
@@ -38,7 +39,6 @@ from cloaknic.nic import (
     DropReason,
     DropRecord,
     FilterTable,
-    MissingIp,
     NicConfig,
     NicError,
     TableFull,
@@ -81,7 +81,7 @@ def syn_wire(src_ip=CLIENT_IP, src_mac=CLIENT_MAC, src_port=40000, dst_port=22) 
 
 class TestInit:
     def test_missing_ip(self):
-        with pytest.raises(MissingIp):
+        with pytest.raises(TypeError):
             CloakingNic(NicConfig(mac=SERVER_MAC))
 
     def test_default_drop_on_fresh_nic(self):
@@ -325,6 +325,19 @@ class TestKnockAdmission:
         assert actions == Actions(drops=[DropRecord(DropReason.BAD_KNOCK, 2, "IpMismatch")])
         assert len(nic.filter) == 0
         assert not nic.filter.lookup(ATTACKER_IP, 40000, now=1)
+
+    def test_knock_into_a_full_filter_is_refused_and_spent(self):
+        nic = server_nic()
+        for port in range(FILTER_TABLE_CAP):
+            nic.filter.insert(CLIENT_IP, port, now=0)
+        wire = knock_wire(now=1, port=50000)
+        assert nic.on_wire_receive(wire, now=1) == Actions(
+            drops=[DropRecord(DropReason.BAD_KNOCK, 2, "TableFull")])
+        assert len(nic.filter) == FILTER_TABLE_CAP
+        assert not nic.filter.lookup(CLIENT_IP, 50000, now=1)
+        # the knock was authentic, so its nonce is spent
+        assert nic.on_wire_receive(wire, now=2) == Actions(
+            drops=[DropRecord(DropReason.BAD_KNOCK, 2, RejectReason.REPLAYED.value)])
 
 
 class TestCloakingSweep:

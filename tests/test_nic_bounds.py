@@ -18,6 +18,7 @@ from cloaknic.frames import (
     ArpPacket,
     Ipv4Address,
     MacAddress,
+    internet_checksum,
     make_arp,
     make_icmp_echo,
     make_ipv4_frame,
@@ -106,8 +107,14 @@ SENDERS = [(ip, mac) for ip, mac, _ in CLIENTS] + [(STRANGER_IP, STRANGER_MAC)]
 CLIENT_PORTS = [40000, 40001, 40002]
 
 
+def syn_wire(ip: Ipv4Address, port: int) -> bytes:
+    mac = next(m for i, m in SENDERS if i == ip)
+    return serialize_frame(make_ipv4_frame(mac, SERVER_MAC, ip, SERVER_IP, PROTO_TCP,
+                                           tcp_segment(port, 22)))
+
+
 class NicMachine(RuleBasedStateMachine):
-    """A cloaked server NIC fed knocks, replays, SYNs, ARP and noise.
+    """A cloaked server NIC fed knocks, replays, SYNs, mutated SYNs, ARP and noise.
 
     `admitted` models the filter, <ip, port> -> last live tick, and
     `accepted` the replay cache, nonce -> last tick in the window. Both are
@@ -182,21 +189,39 @@ class NicMachine(RuleBasedStateMachine):
         detail = "Stale" if self.now - stamp > FRESHNESS_SECONDS else "Replayed"
         assert self.receive(wire) == Actions(drops=[DropRecord(DropReason.BAD_KNOCK, 2, detail)])
 
-    @rule(sender=st.sampled_from(SENDERS), port=st.sampled_from(CLIENT_PORTS))
-    def syn(self, sender, port):
-        ip, mac = sender
-        self.syn_from(ip, mac, port)
+    @rule(ip=st.sampled_from([ip for ip, _ in SENDERS]), port=st.sampled_from(CLIENT_PORTS))
+    def syn(self, ip, port):
+        self.syn_from(ip, port)
 
     @precondition(lambda self: self.admitted)
     @rule(data=st.data())
     def syn_from_admitted_pair(self, data):
         ip, port = data.draw(st.sampled_from(sorted(self.admitted, key=str)))
-        self.syn_from(ip, next(mac for i, mac in SENDERS if i == ip), port)
+        self.syn_from(ip, port)
 
-    def syn_from(self, ip, mac, port):
-        wire = serialize_frame(make_ipv4_frame(mac, SERVER_MAC, ip, SERVER_IP, PROTO_TCP,
-                                               tcp_segment(port, 22)))
-        actions = self.receive(wire)
+    @precondition(lambda self: self.admitted)
+    @rule(data=st.data())
+    def mutated_syn_from_admitted_pair(self, data):
+        ip, port = data.draw(st.sampled_from(sorted(self.admitted, key=str)))
+        wire = bytearray(syn_wire(ip, port))
+        for _ in range(data.draw(st.integers(1, 3))):
+            # the Ethernet and IPv4 headers and the TCP ports
+            wire[data.draw(st.integers(0, 37))] = data.draw(st.integers(0, 0xFF))
+        if data.draw(st.booleans()):
+            wire[24:26] = bytes(2)
+            wire[24:26] = internet_checksum(bytes(wire[14:34])).to_bytes(2, "big")
+        wire = bytes(wire)
+        if self.receive(wire).host_events != [Delivered()]:
+            return
+        # delivered: a canonical frame from a live admission, whose TTL it refreshed
+        frame = parse_frame(wire)
+        assert serialize_frame(frame) == wire
+        key = (frame.payload.src, frame.payload.transport_view().src_port)
+        assert self.now <= self.admitted.get(key, -1)
+        self.admitted[key] = self.now + FILTER_TTL_SECONDS
+
+    def syn_from(self, ip, port):
+        actions = self.receive(syn_wire(ip, port))
         if self.now <= self.admitted.get((ip, port), -1):
             assert [type(e) for e in actions.host_events] == [Delivered]
             self.admitted[(ip, port)] = self.now + FILTER_TTL_SECONDS
