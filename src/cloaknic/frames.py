@@ -13,13 +13,17 @@ as one, for a checksum other than the one serialize writes, and for a
 header the model does not represent: an IPv4 fragment, TOS, DF or reserved
 flag, or ARP for other than Ethernet and IPv4. So for every accepted `b`,
 `serialize_frame(parse_frame(b))` is `b` up to Ethernet padding.
+
+Values are named tuples: immutable, equal and hashable by value, and built
+at the cost of a tuple, since the codec builds several for every frame. The
+address constructors check the octet count; parse builds its addresses with
+`_tuple_new` from fixed-width fields, whose length it already knows.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_ARP = 0x0806
@@ -41,6 +45,8 @@ TCP_FLAG_RST = 0x04
 ETH_HEADER_LEN = 14
 MAX_PAYLOAD = 1500
 MAX_FRAME = ETH_HEADER_LEN + MAX_PAYLOAD  # 1514, FCS excluded
+
+_tuple_new = tuple.__new__  # builds a value without its constructor's checks
 
 
 class FrameError(Exception):
@@ -75,13 +81,13 @@ class UnsupportedArp(FrameError):
     """ARP for other than Ethernet (htype 1, hlen 6) and IPv4 (ptype 0x0800, plen 4)."""
 
 
-@dataclass(frozen=True)
-class MacAddress:
-    octets: bytes
+class MacAddress(NamedTuple("MacAddress", [("octets", bytes)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.octets) != 6:
+    def __new__(cls, octets: bytes) -> "MacAddress":
+        if len(octets) != 6:
             raise ValueError("MAC address must be exactly 6 octets")
+        return _tuple_new(cls, (octets,))
 
     @classmethod
     def from_str(cls, text: str) -> "MacAddress":
@@ -91,20 +97,20 @@ class MacAddress:
         return cls(bytes(int(p, 16) for p in parts))
 
     def __str__(self) -> str:
-        return ":".join(f"{b:02x}" for b in self.octets)
+        return self.octets.hex(":")
 
 
 MAC_BROADCAST = MacAddress(b"\xff" * 6)
 MAC_ZERO = MacAddress(b"\x00" * 6)
 
 
-@dataclass(frozen=True)
-class Ipv4Address:
-    octets: bytes
+class Ipv4Address(NamedTuple("Ipv4Address", [("octets", bytes)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.octets) != 4:
+    def __new__(cls, octets: bytes) -> "Ipv4Address":
+        if len(octets) != 4:
             raise ValueError("IPv4 address must be exactly 4 octets")
+        return _tuple_new(cls, (octets,))
 
     @classmethod
     def from_str(cls, text: str) -> "Ipv4Address":
@@ -114,11 +120,10 @@ class Ipv4Address:
         return cls(bytes(int(p) for p in parts))
 
     def __str__(self) -> str:
-        return ".".join(str(b) for b in self.octets)
+        return "%d.%d.%d.%d" % tuple(self.octets)
 
 
-@dataclass(frozen=True)
-class ArpPacket:
+class ArpPacket(NamedTuple):
     """Fixed-size ARP body: htype 1, ptype 0x0800, hlen 6, plen 4 (28 bytes)."""
 
     operation: int  # ARP_REQUEST or ARP_REPLY
@@ -142,17 +147,13 @@ class ArpPacket:
     def from_bytes(cls, data: bytes) -> "ArpPacket":
         if len(data) < cls.BODY_LEN:
             raise TooShort(f"ARP body is {len(data)} bytes, need 28")
-        htype, ptype, hlen, plen, op = struct.unpack(">HHBBH", data[:8])
+        htype, ptype, hlen, plen, op, sha, spa, tha, tpa = struct.unpack_from(
+            ">HHBBH6s4s6s4s", data)
         if (htype, ptype, hlen, plen) != (1, ETHERTYPE_IPV4, 6, 4):
             raise UnsupportedArp(f"ARP htype {htype}, ptype 0x{ptype:04x}, hlen {hlen}, "
                                  f"plen {plen}; need 1, 0x0800, 6, 4")
-        return cls(
-            operation=op,
-            sender_mac=MacAddress(data[8:14]),
-            sender_ip=Ipv4Address(data[14:18]),
-            target_mac=MacAddress(data[18:24]),
-            target_ip=Ipv4Address(data[24:28]),
-        )
+        return cls(op, _tuple_new(MacAddress, (sha,)), _tuple_new(Ipv4Address, (spa,)),
+                   _tuple_new(MacAddress, (tha,)), _tuple_new(Ipv4Address, (tpa,)))
 
 
 def internet_checksum(data: bytes) -> int:
@@ -160,13 +161,14 @@ def internet_checksum(data: bytes) -> int:
 
     Returns the one's-complement of the one's-complement 16-bit word sum,
     so a buffer that already carries a correct checksum sums to 0xFFFF.
+    Since 2**16 is 1 modulo 0xFFFF, the buffer read as one integer equals
+    its word sum modulo 0xFFFF (RFC 1071 §2). The end-around-carry sum is
+    that remainder, except that a non-zero multiple of 0xFFFF sums to
+    0xFFFF, and only all-zero data sums to 0.
     """
-    if len(data) % 2:
-        data = data + b"\x00"
-    total = sum(struct.unpack(f">{len(data) // 2}H", data))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+    total = int.from_bytes(data, "big") << 8 * (len(data) & 1)
+    rest = total % 0xFFFF
+    return 0xFFFF - rest if rest or not total else 0
 
 
 def _with_checksum(data: bytes, at: int) -> bytes:
@@ -184,8 +186,7 @@ def _check_checksum(data: bytes, at: int, what: str) -> None:
         raise BadChecksum(f"{what} checksum mismatch")
 
 
-@dataclass(frozen=True)
-class IcmpMessage:
+class IcmpMessage(NamedTuple):
     icmp_type: int
     code: int
     identifier: int
@@ -200,13 +201,12 @@ class IcmpMessage:
     def from_bytes(cls, data: bytes) -> "IcmpMessage":
         if len(data) < 8:
             raise TooShort(f"ICMP message is {len(data)} bytes, need 8")
-        icmp_type, code, _, ident, seq = struct.unpack(">BBHHH", data[:8])
+        icmp_type, code, _, ident, seq = struct.unpack_from(">BBHHH", data)
         _check_checksum(data, 2, "ICMP")
         return cls(icmp_type, code, ident, seq, data[8:])
 
 
-@dataclass(frozen=True)
-class TransportView:
+class TransportView(NamedTuple):
     """Port-level view of a TCP or UDP payload; no deeper state is tracked."""
 
     src_port: int
@@ -220,8 +220,7 @@ def _ip_body(protocol: int, body: bytes) -> Union[IcmpMessage, bytes]:
     return IcmpMessage.from_bytes(body) if protocol == PROTO_ICMP and len(body) >= 8 else body
 
 
-@dataclass(frozen=True)
-class Ipv4Packet:
+class Ipv4Packet(NamedTuple):
     """IPv4 with IHL fixed at 5 and TOS, flags and offset zero; any other header is refused."""
 
     src: Ipv4Address
@@ -258,24 +257,23 @@ class Ipv4Packet:
                                       "DF, the reserved flag and TOS are not kept")
         # bytes past the total length are Ethernet padding
         body = _ip_body(proto, data[cls.HEADER_LEN:total])
-        return cls(Ipv4Address(src), Ipv4Address(dst), proto, body, ttl, ident)
+        return cls(_tuple_new(Ipv4Address, (src,)), _tuple_new(Ipv4Address, (dst,)), proto,
+                   body, ttl, ident)
 
     def transport_view(self) -> Optional[TransportView]:
         if isinstance(self.payload, IcmpMessage):
             return None
         raw = self.payload
         if self.protocol == PROTO_TCP and len(raw) >= 20:
-            src_port, dst_port = struct.unpack(">HH", raw[:4])
-            flags = raw[13]
-            return TransportView(src_port, dst_port, "tcp", bool(flags & TCP_FLAG_SYN))
+            src_port, dst_port = struct.unpack_from(">HH", raw)
+            return TransportView(src_port, dst_port, "tcp", bool(raw[13] & TCP_FLAG_SYN))
         if self.protocol == PROTO_UDP and len(raw) >= 8:
-            src_port, dst_port = struct.unpack(">HH", raw[:4])
+            src_port, dst_port = struct.unpack_from(">HH", raw)
             return TransportView(src_port, dst_port, "udp", False)
         return None
 
 
-@dataclass(frozen=True)
-class EthernetFrame:
+class EthernetFrame(NamedTuple):
     dst: MacAddress
     src: MacAddress
     ethertype: int
@@ -301,16 +299,15 @@ def parse_frame(wire: bytes) -> EthernetFrame:
         raise TooShort(f"frame is {len(wire)} bytes, need 14")
     if len(wire) > MAX_FRAME:
         raise Oversize(f"frame is {len(wire)} bytes, max {MAX_FRAME}")
-    dst = MacAddress(wire[:6])
-    src = MacAddress(wire[6:12])
-    (ethertype,) = struct.unpack(">H", wire[12:14])
+    dst, src, ethertype = struct.unpack_from(">6s6sH", wire)
     body = wire[14:]
     payload: Union[ArpPacket, Ipv4Packet, bytes] = body
     if ethertype == ETHERTYPE_ARP:
         payload = ArpPacket.from_bytes(body)
     elif ethertype == ETHERTYPE_IPV4:
         payload = Ipv4Packet.from_bytes(body)
-    return EthernetFrame(dst, src, ethertype, payload)
+    return EthernetFrame(_tuple_new(MacAddress, (dst,)), _tuple_new(MacAddress, (src,)),
+                         ethertype, payload)
 
 
 class Wire:

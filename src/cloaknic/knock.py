@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
@@ -56,11 +56,19 @@ class RejectReason(Enum):
 
 @dataclass(frozen=True)
 class SharedKey:
+    """A 32-byte key, with SHA-256 keyed by it once for HMAC's inner and outer
+    hash (RFC 2104 §4): `prf` resumes copies of the two states."""
+
     key_bytes: bytes
+    _inner: object = field(init=False, repr=False, compare=False)
+    _outer: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.key_bytes) != KEY_LEN:
             raise ValueError(f"shared key must be {KEY_LEN} bytes, got {len(self.key_bytes)}")
+        block = self.key_bytes.ljust(64, b"\x00")  # SHA-256's block size
+        object.__setattr__(self, "_inner", hashlib.sha256(bytes(b ^ 0x36 for b in block)))
+        object.__setattr__(self, "_outer", hashlib.sha256(bytes(b ^ 0x5C for b in block)))
 
     @classmethod
     def from_hex(cls, text: str) -> "SharedKey":
@@ -146,7 +154,17 @@ class ReplayCache:
 
 def prf(key: SharedKey, message: bytes) -> bytes:
     """HMAC-SHA-256; the cross-implementation interop anchor."""
-    return hmac.new(key.key_bytes, message, hashlib.sha256).digest()
+    inner = key._inner.copy()
+    inner.update(message)
+    outer = key._outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
+
+
+def _xor(data: bytes, keystream: bytes) -> bytes:
+    """`data` XOR `keystream`, both of `len(data)` bytes."""
+    return (int.from_bytes(data, "big") ^ int.from_bytes(keystream, "big")).to_bytes(
+        len(data), "big")
 
 
 def seal_knock(key: SharedKey, nonce: bytes, fields: KnockFields) -> KnockPayload:
@@ -154,7 +172,7 @@ def seal_knock(key: SharedKey, nonce: bytes, fields: KnockFields) -> KnockPayloa
         raise ValueError(f"nonce must be {NONCE_LEN} bytes")
     plaintext = fields.to_plaintext()
     keystream = prf(key, nonce + b"\x01")[:CIPHERTEXT_LEN]
-    ciphertext = bytes(p ^ k for p, k in zip(plaintext, keystream))
+    ciphertext = _xor(plaintext, keystream)
     header = KNOCK_MAGIC + bytes([KNOCK_VERSION, KNOCK_FLAGS])
     tag = prf(key, header + nonce + ciphertext)[:TAG_LEN]
     return KnockPayload(nonce, ciphertext, tag)
@@ -180,7 +198,7 @@ def open_knock(key: SharedKey, payload: bytes, now: int,
     if not hmac.compare_digest(tag, expected):
         return RejectReason.BAD_TAG
     keystream = prf(key, nonce + b"\x01")[:CIPHERTEXT_LEN]
-    fields = KnockFields.from_plaintext(bytes(c ^ k for c, k in zip(ciphertext, keystream)))
+    fields = KnockFields.from_plaintext(_xor(ciphertext, keystream))
     if abs(now - fields.timestamp) > FRESHNESS_SECONDS:
         return RejectReason.STALE
     if cache.contains(nonce):

@@ -24,7 +24,7 @@ import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from . import frames
 from .frames import (
@@ -89,8 +89,7 @@ class FrameEvent(Enum):
 Event = Union[FrameEvent, DropRecord, ArpCacheUpdate]
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One node's account of one frame, the run's only record. `frame` is the
     frame's description: one string, shared by every record of that frame."""
 
@@ -289,7 +288,7 @@ class CloakedServerNode(Node):
 class ClientNode(CloakedServerNode):
     """A cloaked host that also performs scripted steps; its sends go through the NIC."""
 
-    _ident = 0  # the IPv4 identification of its last send
+    _ident = 0  # the IPv4 identification of its last send, a 16-bit field
 
     def perform(self, step: Union[Send, Ping], now: int) -> List[Wire]:
         dst = self.lookup(step.dst)
@@ -302,7 +301,7 @@ class ClientNode(CloakedServerNode):
             else:
                 payload = frames.udp_datagram(step.src_port, step.dst_port)
                 proto_num = PROTO_UDP
-            self._ident += 1
+            self._ident = (self._ident + 1) & 0xFFFF
             # dst MAC left zero: the NIC resolves it via ARP and parks the frame
             frame = frames.make_ipv4_frame(self.mac, MAC_ZERO, self.ip, dst.ip, proto_num,
                                            payload, identification=self._ident)

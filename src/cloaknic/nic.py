@@ -24,7 +24,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple, Union
 
 from . import frames
 from .frames import (
@@ -77,15 +77,13 @@ class DropReason(Enum):
     MALFORMED = "Malformed"
 
 
-@dataclass(frozen=True, slots=True)
-class DropRecord:
+class DropRecord(NamedTuple):
     reason: DropReason
     stage_count: int
     detail: Optional[str] = None
 
 
-@dataclass(frozen=True, slots=True)
-class ArpCacheUpdate:
+class ArpCacheUpdate(NamedTuple):
     """Emitted only from a validated knock, never from wire ARP traffic."""
 
     ip: Ipv4Address

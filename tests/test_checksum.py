@@ -2,10 +2,11 @@
 
 import struct
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cloaknic.frames import internet_checksum
+from cloaknic.frames import MAX_PAYLOAD, internet_checksum
 
 
 def oracle_checksum(data: bytes) -> int:
@@ -42,9 +43,24 @@ def test_insertion_verifies():
     assert total == 0xFFFF
 
 
-@given(st.binary(max_size=256))
+@given(st.binary(max_size=MAX_PAYLOAD))
 def test_matches_oracle(data):
     assert internet_checksum(data) == oracle_checksum(data)
+
+
+@pytest.mark.parametrize("fill", [0x00, 0xFF])
+def test_uniform_buffers_match_oracle(fill):
+    # all-zero data sums to 0; all-0xFF data sums to 0xFFFF, a multiple of 0xFFFF
+    for n in range(MAX_PAYLOAD + 1):
+        data = bytes([fill]) * n
+        assert internet_checksum(data) == oracle_checksum(data), n
+
+
+@pytest.mark.parametrize("words", [[0xFFFF], [0x0001, 0xFFFE], [0xFFFF, 0xFFFF, 0x0000],
+                                   [0x8000, 0x8000, 0xFFFE]])
+def test_nonzero_multiples_of_ffff_sum_to_ffff(words):
+    data = struct.pack(f">{len(words)}H", *words)
+    assert internet_checksum(data) == oracle_checksum(data) == 0
 
 
 @given(st.binary(min_size=2, max_size=256).filter(lambda d: len(d) % 2 == 0))

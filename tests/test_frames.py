@@ -2,7 +2,7 @@ import gzip
 import pathlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cloaknic import frames
@@ -82,19 +82,29 @@ any_frame = st.one_of(arp_frames(), icmp_frames(), transport_frames())
 
 
 class TestAddresses:
-    def test_mac_str_round_trip(self):
-        assert str(MacAddress.from_str("de:ad:be:ef:00:01")) == "de:ad:be:ef:00:01"
+    @example(bytes.fromhex("deadbeef0001"))
+    @given(st.binary(min_size=6, max_size=6))
+    def test_mac_str_round_trip(self, octets):
+        text = ":".join(f"{b:02x}" for b in octets)
+        assert str(MacAddress.from_str(text)) == text
+        assert MacAddress.from_str(text) == MacAddress(octets)
 
-    def test_mac_wrong_length(self):
+    @pytest.mark.parametrize("n", [0, 5, 7, 16])
+    def test_mac_wrong_length(self, n):
         with pytest.raises(ValueError):
-            MacAddress(b"\x00" * 5)
+            MacAddress(b"\x00" * n)
 
-    def test_ip_str_round_trip(self):
-        assert str(Ipv4Address.from_str("10.0.0.5")) == "10.0.0.5"
+    @example(bytes([10, 0, 0, 5]))
+    @given(st.binary(min_size=4, max_size=4))
+    def test_ip_str_round_trip(self, octets):
+        text = ".".join(str(b) for b in octets)
+        assert str(Ipv4Address.from_str(text)) == text
+        assert Ipv4Address.from_str(text) == Ipv4Address(octets)
 
-    def test_ip_wrong_length(self):
+    @pytest.mark.parametrize("n", [0, 3, 5, 16])
+    def test_ip_wrong_length(self, n):
         with pytest.raises(ValueError):
-            Ipv4Address(b"\x00" * 3)
+            Ipv4Address(b"\x00" * n)
 
 
 class TestArp:

@@ -1,3 +1,5 @@
+import hashlib
+import hmac
 import os
 import pathlib
 
@@ -75,6 +77,14 @@ class TestPrf:
     def test_deterministic(self):
         assert prf(KEY, b"msg") == prf(KEY, b"msg")
 
+    @given(st.binary(min_size=32, max_size=32), st.binary(max_size=200),
+           st.binary(max_size=200))
+    def test_prf_is_hmac_sha256(self, key_bytes, earlier, msg):
+        # the key's kept hash states are copied, never advanced, by each call
+        key = SharedKey(key_bytes)
+        prf(key, earlier)
+        assert prf(key, msg) == hmac.new(key_bytes, msg, hashlib.sha256).digest()
+
     @given(st.binary(min_size=32, max_size=32), st.integers(0, 255), st.binary(max_size=64))
     def test_key_bit_flip_changes_output(self, key_bytes, bit, msg):
         flipped = bytearray(key_bytes)
@@ -83,9 +93,10 @@ class TestPrf:
 
 
 class TestSharedKey:
-    def test_wrong_length_rejected(self):
+    @pytest.mark.parametrize("n", [0, 31, 33, 64])
+    def test_wrong_length_rejected(self, n):
         with pytest.raises(ValueError):
-            SharedKey(b"\x00" * 31)
+            SharedKey(b"\x00" * n)
 
     def test_from_hex(self):
         assert SharedKey.from_hex("00" * 32).key_bytes == bytes(32)

@@ -5,7 +5,7 @@ entries: a regression run past the filter's capacity, and a hypothesis
 state machine that checks the NIC's invariants after every input.
 """
 
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
@@ -16,7 +16,9 @@ from cloaknic.frames import (
     MAC_ZERO,
     PROTO_TCP,
     ArpPacket,
+    FrameError,
     Ipv4Address,
+    Ipv4Packet,
     MacAddress,
     internet_checksum,
     make_arp,
@@ -253,3 +255,41 @@ NicMachine.TestCase.settings = settings(
     max_examples=60, stateful_step_count=30, deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
 TestNicMachine = NicMachine.TestCase
+
+
+LIVE_PAIR = (CLIENTS[0][0], CLIENT_PORTS[0])
+
+
+def nic_admitting_live_pair() -> CloakingNic:
+    """A server NIC that admitted LIVE_PAIR at tick 0."""
+    ip, mac, key = CLIENTS[0]
+    nic = CloakingNic(NicConfig(mac=SERVER_MAC, ip=SERVER_IP, role_keys={ip: key}))
+    knock = seal_knock(key, bytes(8), KnockFields(ip, LIVE_PAIR[1], 0)).to_bytes()
+    actions = nic.on_wire_receive(
+        serialize_frame(make_icmp_echo(mac, SERVER_MAC, ip, SERVER_IP, knock)), 0)
+    assert actions.host_events == [ArpCacheUpdate(ip, mac)]
+    return nic
+
+
+@settings(max_examples=400, deadline=None)
+@given(bits=st.lists(st.sampled_from(range(8 * 38)), min_size=1, max_size=3, unique=True),
+       fix_checksum=st.booleans())
+def test_bit_flipped_syn_of_a_live_pair_is_delivered_only_if_canonical(bits, fix_checksum):
+    # flip bits of the Ethernet and IPv4 headers and the TCP ports of the pair's SYN
+    wire = bytearray(syn_wire(*LIVE_PAIR))
+    for bit in bits:
+        wire[bit // 8] ^= 0x80 >> bit % 8
+    if fix_checksum:
+        wire[24:26] = bytes(2)
+        wire[24:26] = internet_checksum(bytes(wire[14:34])).to_bytes(2, "big")
+    wire = bytes(wire)
+    events = nic_admitting_live_pair().on_wire_receive(wire, 1).host_events
+    delivered = [type(e) for e in events] == [Delivered]
+    try:
+        frame = parse_frame(wire)
+    except FrameError:
+        assert not delivered
+        return
+    view = frame.payload.transport_view() if isinstance(frame.payload, Ipv4Packet) else None
+    from_pair = view is not None and (frame.payload.src, view.src_port) == LIVE_PAIR
+    assert delivered == (from_pair and serialize_frame(frame) == wire)
