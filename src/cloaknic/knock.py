@@ -67,8 +67,8 @@ class SharedKey:
         if len(self.key_bytes) != KEY_LEN:
             raise ValueError(f"shared key must be {KEY_LEN} bytes, got {len(self.key_bytes)}")
         block = self.key_bytes.ljust(64, b"\x00")  # SHA-256's block size
-        object.__setattr__(self, "_inner", hashlib.sha256(bytes(b ^ 0x36 for b in block)))
-        object.__setattr__(self, "_outer", hashlib.sha256(bytes(b ^ 0x5C for b in block)))
+        object.__setattr__(self, "_inner", hashlib.sha256(_xor(block, b"\x36" * 64)))
+        object.__setattr__(self, "_outer", hashlib.sha256(_xor(block, b"\x5c" * 64)))
 
     @classmethod
     def from_hex(cls, text: str) -> "SharedKey":
@@ -161,9 +161,9 @@ def prf(key: SharedKey, message: bytes) -> bytes:
     return outer.digest()
 
 
-def _xor(data: bytes, keystream: bytes) -> bytes:
-    """`data` XOR `keystream`, both of `len(data)` bytes."""
-    return (int.from_bytes(data, "big") ^ int.from_bytes(keystream, "big")).to_bytes(
+def _xor(data: bytes, pad: bytes) -> bytes:
+    """`data` XOR `pad`, both of `len(data)` bytes."""
+    return (int.from_bytes(data, "big") ^ int.from_bytes(pad, "big")).to_bytes(
         len(data), "big")
 
 

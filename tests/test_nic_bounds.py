@@ -2,7 +2,9 @@
 
 Each NIC table expires where it is written, so a long run keeps only live
 entries: a regression run past the filter's capacity, and a hypothesis
-state machine that checks the NIC's invariants after every input.
+state machine that checks the NIC's invariants after every input. A
+property test drives the filter's admission check on its own: a bit-flipped
+SYN of a live pair is delivered only if it is that pair's canonical frame.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -275,7 +277,8 @@ def nic_admitting_live_pair() -> CloakingNic:
 @given(bits=st.lists(st.sampled_from(range(8 * 38)), min_size=1, max_size=3, unique=True),
        fix_checksum=st.booleans())
 def test_bit_flipped_syn_of_a_live_pair_is_delivered_only_if_canonical(bits, fix_checksum):
-    # flip bits of the Ethernet and IPv4 headers and the TCP ports of the pair's SYN
+    # flip bits of the Ethernet and IPv4 headers and the TCP ports of the pair's SYN;
+    # it is delivered exactly when its bytes are a canonical TCP frame from the pair
     wire = bytearray(syn_wire(*LIVE_PAIR))
     for bit in bits:
         wire[bit // 8] ^= 0x80 >> bit % 8
