@@ -24,6 +24,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple, Union
 
 from . import frames
@@ -83,6 +84,13 @@ class DropRecord(NamedTuple):
     detail: Optional[str] = None
 
 
+@lru_cache(maxsize=None)
+def _drop_record(reason: DropReason, stage: int, detail: Optional[str]) -> DropRecord:
+    """The one shared record of a verdict. A record is immutable, and its reason,
+    stage and detail come from the code's few literals, so the cache stays small."""
+    return DropRecord(reason, stage, detail)
+
+
 class ArpCacheUpdate(NamedTuple):
     """Emitted only from a validated knock, never from wire ARP traffic."""
 
@@ -109,7 +117,7 @@ class Actions:
     drops: List[DropRecord] = field(default_factory=list)
 
     def drop(self, reason: DropReason, stage: int, detail: Optional[str] = None) -> "Actions":
-        self.drops.append(DropRecord(reason, stage, detail))
+        self.drops.append(_drop_record(reason, stage, detail))
         return self
 
 
