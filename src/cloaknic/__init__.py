@@ -24,7 +24,6 @@ from .frames import (
 )
 from .knock import (
     KnockFields,
-    KnockPayload,
     RejectReason,
     ReplayCache,
     SharedKey,

@@ -52,6 +52,7 @@ class RejectReason(Enum):
     BAD_TAG = "BadTag"
     STALE = "Stale"
     REPLAYED = "Replayed"
+    NON_CANONICAL = "NonCanonical"  # flags, reserved bytes or port not as sealed
 
 
 @dataclass(frozen=True)
@@ -104,22 +105,6 @@ class KnockFields:
         )
 
 
-@dataclass(frozen=True)
-class KnockPayload:
-    nonce: bytes
-    ciphertext: bytes
-    tag: bytes
-
-    def to_bytes(self) -> bytes:
-        return (
-            KNOCK_MAGIC
-            + bytes([KNOCK_VERSION, KNOCK_FLAGS])
-            + self.nonce
-            + self.ciphertext
-            + self.tag
-        )
-
-
 class ExpiryMap(OrderedDict):
     """Key -> last tick it is live. Each owner gives its entries one lifetime
     and writes at non-decreasing times, so `put` keeps the map in expiry order
@@ -167,15 +152,15 @@ def _xor(data: bytes, pad: bytes) -> bytes:
         len(data), "big")
 
 
-def seal_knock(key: SharedKey, nonce: bytes, fields: KnockFields) -> KnockPayload:
+def seal_knock(key: SharedKey, nonce: bytes, fields: KnockFields) -> bytes:
+    """The 46-byte knock payload."""
     if len(nonce) != NONCE_LEN:
         raise ValueError(f"nonce must be {NONCE_LEN} bytes")
     plaintext = fields.to_plaintext()
     keystream = prf(key, nonce + b"\x01")[:CIPHERTEXT_LEN]
-    ciphertext = _xor(plaintext, keystream)
     header = KNOCK_MAGIC + bytes([KNOCK_VERSION, KNOCK_FLAGS])
-    tag = prf(key, header + nonce + ciphertext)[:TAG_LEN]
-    return KnockPayload(nonce, ciphertext, tag)
+    sealed = header + nonce + _xor(plaintext, keystream)
+    return sealed + prf(key, sealed)[:TAG_LEN]
 
 
 def open_knock(key: SharedKey, payload: bytes, now: int,
@@ -183,7 +168,10 @@ def open_knock(key: SharedKey, payload: bytes, now: int,
     """Validate a candidate knock; every failure is a silent typed rejection.
 
     The tag covers header, nonce and ciphertext and is verified before
-    any plaintext field is read. A successful open records the nonce.
+    any plaintext field is read. A tag-valid knock that `seal_knock` could
+    not have made (flags or reserved bytes not zero, port 0) is
+    NON_CANONICAL, so every accepted payload equals its own reseal. A
+    successful open records the nonce.
     """
     if len(payload) != PAYLOAD_LEN:
         return RejectReason.BAD_LENGTH
@@ -198,7 +186,11 @@ def open_knock(key: SharedKey, payload: bytes, now: int,
     if not hmac.compare_digest(tag, expected):
         return RejectReason.BAD_TAG
     keystream = prf(key, nonce + b"\x01")[:CIPHERTEXT_LEN]
-    fields = KnockFields.from_plaintext(_xor(ciphertext, keystream))
+    plaintext = _xor(ciphertext, keystream)
+    if payload[5] != KNOCK_FLAGS or plaintext[4:6] == b"\x00\x00" \
+            or plaintext[6:8] != b"\x00\x00":
+        return RejectReason.NON_CANONICAL
+    fields = KnockFields.from_plaintext(plaintext)
     if abs(now - fields.timestamp) > FRESHNESS_SECONDS:
         return RejectReason.STALE
     if cache.contains(nonce):
@@ -214,7 +206,7 @@ def is_knock_payload(data: bytes) -> bool:
 
 def format_vector_line(key: SharedKey, nonce: bytes, fields: KnockFields) -> str:
     """`<key-hex> <nonce-hex> <ip> <port> <timestamp> <payload-hex>`"""
-    payload = seal_knock(key, nonce, fields).to_bytes()
+    payload = seal_knock(key, nonce, fields)
     return (
         f"{key.key_bytes.hex()} {nonce.hex()} {fields.client_ip} "
         f"{fields.client_port} {fields.timestamp} {payload.hex()}"

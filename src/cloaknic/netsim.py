@@ -14,8 +14,10 @@ stage 1, its filter; the plain host carries every probe through link (1),
 IP (2) and transport/ICMP (3) before its verdict.
 
 The trace is the run's one account: each `TraceRecord` holds a typed event
-(a `FrameEvent`, or the NIC's `DropRecord` or `ArpCacheUpdate`), its stage
-and its frame's text, never the frame. `Segment.metrics` folds the trace.
+and its frame's text, never the frame. The event is a verdict exactly as a
+node returned it (a `DropRecord`, `Delivered` or `ArpCacheUpdate`), or a
+`FrameEvent` where no node gives one; every event carries its own stage.
+`Segment.metrics` folds the trace.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from .nic import (
 PLAIN_STAGE_LINK = 1
 PLAIN_STAGE_IP = 2
 PLAIN_STAGE_TRANSPORT = 3
+_PLAIN_DELIVERED = Delivered(PLAIN_STAGE_TRANSPORT)  # one value shared by the trace
 
 
 class SimError(Exception):
@@ -75,18 +78,17 @@ class NothingCaptured(SimError):
 
 
 class FrameEvent(Enum):
-    """What a node did with a frame where no NIC value says it: (direction, summary prefix)."""
+    """A frame's fate where no node gives a verdict: (direction, summary prefix, stage)."""
 
-    TX = ("tx", "")
-    IGNORED = ("rx", "ignored (other dst) | ")  # addressed to another node
-    PROCESSED = ("rx", "processed | ")            # consumed with no verdict, e.g. answered
-    DELIVERED = ("host_event", "delivered | ")    # reached the host stack
+    TX = ("tx", "", 0)
+    IGNORED = ("rx", "ignored (other dst) | ", 0)  # addressed to another node
+    PROCESSED = ("rx", "processed | ", 1)          # consumed with no verdict, e.g. answered
 
-    def __init__(self, direction: str, prefix: str):
-        self.direction, self.prefix = direction, prefix
+    def __init__(self, direction: str, prefix: str, stage_count: int):
+        self.direction, self.prefix, self.stage_count = direction, prefix, stage_count
 
 
-Event = Union[FrameEvent, DropRecord, ArpCacheUpdate]
+Event = Union[FrameEvent, DropRecord, Delivered, ArpCacheUpdate]
 
 
 class TraceRecord(NamedTuple):
@@ -96,19 +98,26 @@ class TraceRecord(NamedTuple):
     time: int
     node: str
     event: Event
-    stage_count: int
     frame: str
     raw_hex: Optional[str] = None
 
-    def _text(self) -> Tuple[str, str]:
-        """The record's direction (rx, tx, drop or host_event) and summary."""
+    @property
+    def stage_count(self) -> int:
+        return self.event.stage_count
+
+    def _text(self) -> Tuple[str, str, Optional[str]]:
+        """The record's direction (rx, tx, drop or host_event), summary and the
+        hex its line shows: a cache write's line shows neither frame nor hex."""
         event = self.event
-        if type(event) is FrameEvent:
-            return event.direction, event.prefix + self.frame
-        if type(event) is ArpCacheUpdate:
-            return "host_event", f"arp-cache-update {event.ip} is-at {event.mac}"
-        detail = f" {event.detail}" if event.detail else ""
-        return "drop", f"{event.reason.value}{detail} | {self.frame}"
+        kind = type(event)
+        if kind is FrameEvent:
+            return event.direction, event.prefix + self.frame, self.raw_hex
+        if kind is DropRecord:
+            detail = f" {event.detail}" if event.detail else ""
+            return "drop", f"{event.reason.value}{detail} | {self.frame}", self.raw_hex
+        if kind is Delivered:
+            return "host_event", "delivered | " + self.frame, self.raw_hex
+        return "host_event", f"arp-cache-update {event.ip} is-at {event.mac}", None
 
     @property
     def direction(self) -> str:
@@ -119,13 +128,12 @@ class TraceRecord(NamedTuple):
         return self._text()[1]
 
     def format_line(self, with_hex: bool = False) -> str:
-        direction, summary = self._text()
+        direction, summary, raw_hex = self._text()
         line = (f"t={self.time} node={self.node} dir={direction} "
-                f"stage={self.stage_count} info={summary}")
-        if with_hex and self.raw_hex:
-            line += f" hex={self.raw_hex}"
+                f"stage={self.event.stage_count} info={summary}")
+        if with_hex and raw_hex:
+            line += f" hex={raw_hex}"
         return line
-
 
 @dataclass
 class NodeMetrics:
@@ -142,7 +150,7 @@ class Metrics:
 
     def __init__(self, trace: Iterable[TraceRecord], names: Iterable[str]):
         self.nodes = defaultdict(NodeMetrics, {name: NodeMetrics() for name in names})
-        tx, ignored, delivered = FrameEvent.TX, FrameEvent.IGNORED, FrameEvent.DELIVERED
+        tx, ignored = FrameEvent.TX, FrameEvent.IGNORED
         for record in trace:
             m, event = self.nodes[record.node], record.event
             if event is tx:
@@ -150,12 +158,13 @@ class Metrics:
             elif event is ignored:
                 m.ignored += 1
             else:
-                m.cep_histogram[record.stage_count] += 1
-                if event is delivered:
+                m.cep_histogram[event.stage_count] += 1
+                kind = type(event)
+                if kind is Delivered:
                     m.delivered += 1
-                elif type(event) is ArpCacheUpdate:
+                elif kind is ArpCacheUpdate:
                     m.arp_cache_writes += 1
-                elif type(event) is DropRecord:
+                elif kind is DropRecord:
                     m.dropped_by_reason[event.reason.value] += 1
 
     def node(self, name: str) -> NodeMetrics:
@@ -348,7 +357,7 @@ class PlainHostNode(Node):
                 actions.tx_frames.append(frames.make_icmp_echo(
                     self.mac, frame.src, self.ip, p.src, p.payload.payload,
                     p.payload.identifier, p.payload.sequence, reply=True))
-                actions.host_events.append(Delivered(PLAIN_STAGE_TRANSPORT))
+                actions.host_events.append(_PLAIN_DELIVERED)
             else:
                 actions.drop(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_TRANSPORT, "icmp-other")
             return actions
@@ -361,7 +370,7 @@ class PlainHostNode(Node):
             seg = frames.tcp_segment(view.dst_port, view.src_port, flags)
             actions.tx_frames.append(frames.make_ipv4_frame(
                 self.mac, frame.src, self.ip, p.src, PROTO_TCP, seg))
-            actions.host_events.append(Delivered(PLAIN_STAGE_TRANSPORT))
+            actions.host_events.append(_PLAIN_DELIVERED)
             return actions
         return actions.drop(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_TRANSPORT,
                             f"{view.kind}-closed")
@@ -374,7 +383,7 @@ class AttackerNode(Node):
 
     def __init__(self, name, mac, ip):
         super().__init__(name, mac, ip)
-        self.captured_knocks: List[Wire] = []
+        self.last_knock: Optional[Wire] = None  # the one a replay resends
 
     def observe(self, wire: Wire, now: int) -> None:
         try:
@@ -384,7 +393,7 @@ class AttackerNode(Node):
         p = frame.payload
         if (isinstance(p, Ipv4Packet) and isinstance(p.payload, IcmpMessage)
                 and is_knock_payload(p.payload.payload)):
-            self.captured_knocks.append(wire)
+            self.last_knock = wire
 
     def receive(self, wire: Wire, now: int) -> Actions:
         return Actions()  # attackers never answer traffic aimed at them
@@ -409,9 +418,9 @@ class AttackerNode(Node):
             spoofed = EthernetFrame(MAC_BROADCAST, victim.mac, 0x88B5, b"spoof")
             return [Wire.from_frame(spoofed)]
         if isinstance(program, KnockReplay):
-            if not self.captured_knocks:
+            if self.last_knock is None:
                 raise NothingCaptured(f"{self.name} has observed no knock to replay")
-            return [self.captured_knocks[-1]]
+            return [self.last_knock]
         if isinstance(program, PortScan):
             target = lookup(program.victim)
             out = []
@@ -469,30 +478,13 @@ class Segment:
         if getattr(program, "count", 1) > 0:
             self._push(time, "action", node, step)
 
-    # -- the record of a run ---------------------------------------------------
+    # -- the event loop ------------------------------------------------------
 
     def _transmit(self, origin: Node, wires: Iterable[Wire], now: int) -> None:
         for wire in wires:
             described = describe_frame(wire)
-            self.trace.append(TraceRecord(now, origin.name, FrameEvent.TX, 0, described, wire.hex))
+            self.trace.append(TraceRecord(now, origin.name, FrameEvent.TX, described, wire.hex))
             self.inject(now + 1, wire, origin.name, described)
-
-    def _apply_actions(self, node: Node, actions: Actions, now: int, wire: Wire,
-                       described: str) -> None:
-        """Record a node's verdicts on a received frame, then send its answers."""
-        for event in (*actions.drops, *actions.host_events):
-            if isinstance(event, ArpCacheUpdate):
-                self.trace.append(TraceRecord(now, node.name, event, 2, described))
-            else:  # a drop, or a delivery: recorded without the `Wire` it holds
-                kind = FrameEvent.DELIVERED if isinstance(event, Delivered) else event
-                self.trace.append(TraceRecord(now, node.name, kind, event.stage_count,
-                                              described, wire.hex))
-        if not actions.drops and not actions.host_events:
-            self.trace.append(TraceRecord(now, node.name, FrameEvent.PROCESSED, 1, described,
-                                          wire.hex))
-        self._transmit(node, map(Wire.from_frame, actions.tx_frames), now)
-
-    # -- the event loop ------------------------------------------------------
 
     def step(self) -> List[TraceRecord]:
         if not self._queue:
@@ -510,10 +502,13 @@ class Segment:
                 if node.promiscuous:
                     node.observe(wire, time)
                 if dst is not None and dst != node.mac.octets and dst != MAC_BROADCAST.octets:
-                    self.trace.append(TraceRecord(time, node.name, FrameEvent.IGNORED, 0,
-                                                  described))
+                    self.trace.append(TraceRecord(time, node.name, FrameEvent.IGNORED, described))
                     continue
-                self._apply_actions(node, node.receive(wire, time), time, wire, described)
+                # the node's verdicts as it gave them, then its answers
+                actions = node.receive(wire, time)
+                for event in actions.drops + actions.host_events or [FrameEvent.PROCESSED]:
+                    self.trace.append(TraceRecord(time, node.name, event, described, wire.hex))
+                self._transmit(node, map(Wire.from_frame, actions.tx_frames), time)
         else:
             name, step = payload
             if isinstance(step, Attack):

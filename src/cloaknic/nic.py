@@ -15,6 +15,9 @@ State is bounded however long a run lasts: a filter insert, a replay-cache
 record, a client knock and a parked frame each first drop their table's
 expired entries, so every table holds only live entries.
 
+Each verdict is one immutable value that owns its stage count (a `DropRecord`,
+`Delivered` or `ArpCacheUpdate`), and `netsim` records it as it is returned.
+
 One instance is a single-threaded state machine; all cross-NIC traffic
 goes through the simulator.
 """
@@ -22,10 +25,11 @@ goes through the simulator.
 from __future__ import annotations
 
 import struct
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple, Union
+from typing import Deque, Dict, List, NamedTuple, Optional, Set, Tuple, Union
 
 from . import frames
 from .frames import (
@@ -96,13 +100,16 @@ class ArpCacheUpdate(NamedTuple):
 
     ip: Ipv4Address
     mac: MacAddress
+    stage_count = 2  # the knock stage; a class constant, not a field
 
 
-@dataclass(frozen=True)
-class Delivered:
+class Delivered(NamedTuple):
     """The frame passed the filter to the host; `Segment` records which frame."""
 
     stage_count: int = 2
+
+
+_DELIVERED = Delivered()  # the trace keeps every verdict, so one value is shared
 
 
 HostEvent = Union[ArpCacheUpdate, Delivered]
@@ -196,8 +203,9 @@ class CloakingNic:
         self.replay_cache = ReplayCache()
         # client side: <local port, peer ip> -> last tick its knock is live
         self._knocked = ExpiryMap()
-        # client side: (last live tick, target ip, frame) awaiting an ARP reply
-        self._pending_arp: List[Tuple[int, Ipv4Address, EthernetFrame]] = []
+        # client side: (last live tick, target ip, frame) awaiting an ARP reply,
+        # oldest first: frames park at non-decreasing ticks for one lifetime
+        self._pending_arp: Deque[Tuple[int, Ipv4Address, EthernetFrame]] = deque()
         self._nonce_counter = 0
 
     # -- internals ---------------------------------------------------------
@@ -207,10 +215,10 @@ class CloakingNic:
         self._nonce_counter += 1
         return nonce
 
-    def _unpark(self, now: int, ip: Optional[Ipv4Address] = None) -> List[EthernetFrame]:
+    def _unpark(self, now: int, ip: Ipv4Address) -> List[EthernetFrame]:
         """Forget the frames parked over ARP_TIMEOUT_TICKS ago; take those for `ip`."""
         live = [entry for entry in self._pending_arp if now <= entry[0]]
-        self._pending_arp = [entry for entry in live if entry[1] != ip]
+        self._pending_arp = deque(entry for entry in live if entry[1] != ip)
         return [frame for _, dst, frame in live if dst == ip]
 
     def _knock_frame(self, peer_ip: Ipv4Address, dst_mac: MacAddress,
@@ -219,7 +227,7 @@ class CloakingNic:
         if key is None:
             raise UnknownPeerKey(f"no shared key configured for {peer_ip}")
         fields = KnockFields(self.ip, local_port, now)
-        payload = seal_knock(key, self._next_nonce(), fields).to_bytes()
+        payload = seal_knock(key, self._next_nonce(), fields)
         return frames.make_icmp_echo(self.mac, dst_mac, self.ip, peer_ip, payload)
 
     def _emit_with_knock(self, actions: Actions, frame: EthernetFrame,
@@ -245,9 +253,11 @@ class CloakingNic:
         if not isinstance(pkt, Ipv4Packet):
             actions.tx_frames.append(frame)
         elif frame.dst == MAC_ZERO:
-            # MAC unresolved: forget expired parked frames, park this one, resolve it
-            self._unpark(now)
-            self._pending_arp.append((now + ARP_TIMEOUT_TICKS, pkt.dst, frame))
+            # MAC unresolved: forget the expired parked frames (the oldest), park, resolve
+            pending = self._pending_arp
+            while pending and now > pending[0][0]:
+                pending.popleft()
+            pending.append((now + ARP_TIMEOUT_TICKS, pkt.dst, frame))
             actions.tx_frames.append(frames.make_arp(
                 ARP_REQUEST, self.mac, self.ip, MAC_ZERO, pkt.dst))
         else:
@@ -306,7 +316,7 @@ class CloakingNic:
         view = pkt.transport_view()
         # plain ICMP and unknown IP protocols have no view: the default drop
         if view is not None and self.filter.lookup(pkt.src, view.src_port, now):
-            actions.host_events.append(Delivered(stage_count=2))
+            actions.host_events.append(_DELIVERED)
             return actions
         return actions.drop(DropReason.NO_FILTER_MATCH, 1)
 

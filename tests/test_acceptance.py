@@ -196,7 +196,7 @@ def test_criterion_9_crypto_interop():
         payload = seal_knock(KEY, struct.pack(">Q", i), fields)
         regenerated.append(
             f"{KEY.key_bytes.hex()} {struct.pack('>Q', i).hex()} 10.0.0.5 40000 "
-            f"{1000 + i} {payload.to_bytes().hex()}")
+            f"{1000 + i} {payload.hex()}")
     assert "".join(line + "\n" for line in regenerated) == frozen
     assert frozen.splitlines()[0].endswith(GOLDEN.hex())
 

@@ -104,12 +104,12 @@ class TestSharedKey:
 
 class TestSeal:
     def test_golden_vector(self):
-        payload = seal_knock(KEY, NONCE0, FIELDS).to_bytes()
+        payload = seal_knock(KEY, NONCE0, FIELDS)
         assert len(payload) == PAYLOAD_LEN == 46
         assert payload.hex() == GOLDEN_PAYLOAD_HEX
 
     def test_round_trip(self):
-        payload = seal_knock(KEY, NONCE0, FIELDS).to_bytes()
+        payload = seal_knock(KEY, NONCE0, FIELDS)
         got = open_knock(KEY, payload, now=1000, cache=ReplayCache())
         assert got == FIELDS
 
@@ -121,8 +121,8 @@ class TestSeal:
     def test_nonce_separation(self, n1, n2):
         if n1 == n2:
             return
-        c1 = seal_knock(KEY, n1, FIELDS).ciphertext
-        c2 = seal_knock(KEY, n2, FIELDS).ciphertext
+        c1 = seal_knock(KEY, n1, FIELDS)[14:30]
+        c2 = seal_knock(KEY, n2, FIELDS)[14:30]
         assert c1 != c2
 
     def test_port_zero_rejected(self):
@@ -142,7 +142,7 @@ def valid_fields(draw):
 @given(st.binary(min_size=32, max_size=32), st.binary(min_size=8, max_size=8), valid_fields())
 def test_seal_open_round_trip_property(key_bytes, nonce, fields):
     key = SharedKey(key_bytes)
-    payload = seal_knock(key, nonce, fields).to_bytes()
+    payload = seal_knock(key, nonce, fields)
     assert open_knock(key, payload, now=fields.timestamp, cache=ReplayCache()) == fields
 
 
@@ -204,6 +204,54 @@ class TestOpenRejections:
         assert acceptances == 0
 
 
+def hand_sealed(key: SharedKey, nonce: bytes, plaintext: bytes, flags: int = 0) -> bytes:
+    """A tag-valid knock over any plaintext block and flags byte: `seal_knock`'s
+    construction without the checks `KnockFields` makes."""
+    keystream = prf(key, nonce + b"\x01")[:16]
+    sealed = b"KNCK" + bytes([1, flags]) + nonce + bytes(
+        p ^ k for p, k in zip(plaintext, keystream))
+    return sealed + prf(key, sealed)[:16]
+
+
+def plaintext(ip=b"\x0a\x00\x00\x05", port=40000, reserved=b"\x00\x00", ts=1000) -> bytes:
+    return ip + port.to_bytes(2, "big") + reserved + ts.to_bytes(8, "big")
+
+
+class TestNonCanonical:
+    """A tag-valid knock that `seal_knock` could not have made is refused."""
+
+    def test_hand_seal_of_canonical_fields_is_the_seal(self):
+        assert hand_sealed(KEY, NONCE0, plaintext()).hex() == GOLDEN_PAYLOAD_HEX
+
+    @pytest.mark.parametrize("block, flags", [
+        (plaintext(port=0), 0),
+        (plaintext(reserved=b"\xab\xcd"), 0),
+        (plaintext(), 1),
+        (plaintext(), 0x80),
+    ])
+    def test_refused_and_not_recorded(self, block, flags):
+        cache = ReplayCache()
+        payload = hand_sealed(KEY, NONCE0, block, flags)
+        assert open_knock(KEY, payload, 1000, cache) is RejectReason.NON_CANONICAL
+        assert len(cache) == 0
+
+
+@given(st.binary(min_size=32, max_size=32), st.binary(min_size=8, max_size=8),
+       st.binary(min_size=4, max_size=4), st.one_of(st.just(0), st.integers(0, 0xFFFF)),
+       st.one_of(st.just(b"\x00\x00"), st.binary(min_size=2, max_size=2)),
+       st.integers(0, 2**64 - 1), st.one_of(st.just(0), st.integers(0, 0xFF)))
+def test_open_is_total_and_accepts_only_its_own_seals(key_bytes, nonce, ip, port, reserved,
+                                                     ts, flags):
+    key = SharedKey(key_bytes)
+    payload = hand_sealed(key, nonce, plaintext(ip, port, reserved, ts), flags)
+    result = open_knock(key, payload, now=ts, cache=ReplayCache())
+    if flags == 0 and port != 0 and reserved == b"\x00\x00":
+        assert result == KnockFields(Ipv4Address(ip), port, ts)
+        assert seal_knock(key, nonce, result) == payload
+    else:
+        assert result is RejectReason.NON_CANONICAL
+
+
 class TestReplayCacheExpiry:
     """A record first forgets the nonces recorded more than the window ago."""
 
@@ -245,7 +293,7 @@ class TestVectorFile:
         assert len(lines) == 8
         for line in lines:
             key, nonce, fields, payload = parse_vector_line(line)
-            assert seal_knock(key, nonce, fields).to_bytes() == payload
+            assert seal_knock(key, nonce, fields) == payload
             assert open_knock(key, payload, fields.timestamp, ReplayCache()) == fields
 
     def test_format_line_round_trip(self):

@@ -35,7 +35,7 @@ from cloaknic.netsim import (
     Segment,
     describe_frame,
 )
-from cloaknic.nic import Actions, CloakingNic, Delivered, DropReason, DropRecord, NicConfig
+from cloaknic.nic import Actions, CloakingNic, DropReason, DropRecord, NicConfig
 from cloaknic.demos import DEMOS
 from cloaknic.scenario import parse_scenario, run_scenario, build_segment
 
@@ -161,8 +161,10 @@ class TestAttackPrograms:
         seg = build_segment(sc)
         seg.run(sc.horizon)
         mal = seg.node("mallory")
-        # exactly the client's knock: origin exclusion hides its own replay
-        assert len(mal.captured_knocks) == 1
+        # the client's knock: origin exclusion hides the attacker's own replay
+        knocks = [r.raw_hex for r in seg.trace if r.node == "client" and r.direction == "tx"
+                  and r.summary.startswith("icmp-knock")]
+        assert knocks and mal.last_knock.hex == knocks[-1]
 
     def test_macspoof_emits_victim_source_mac(self):
         seg = Segment()
@@ -283,7 +285,7 @@ class TestEndToEnd:
         trace, _ = run_scenario(parse_scenario(DEMOS[name]))
         values = [v for r in trace for v in r]
         values += [v for r in trace if isinstance(r.event, tuple) for v in r.event]
-        assert not [v for v in values if isinstance(v, (Wire, EthernetFrame, Delivered))]
+        assert not [v for v in values if isinstance(v, (Wire, EthernetFrame))]
         # one description per frame sent, shared by every record of that frame
         sent = sum(1 for r in trace if r.event is FrameEvent.TX)
         assert len({id(r.frame) for r in trace}) == sent

@@ -27,6 +27,7 @@ from cloaknic.knock import (
     KnockFields,
     RejectReason,
     SharedKey,
+    prf,
     seal_knock,
 )
 from cloaknic.nic import (
@@ -69,7 +70,7 @@ def client_nic(**overrides) -> CloakingNic:
 
 def knock_wire(now: int, nonce: bytes = bytes(8), src_ip=CLIENT_IP,
                src_mac=CLIENT_MAC, port: int = 40000, key: SharedKey = KEY) -> bytes:
-    payload = seal_knock(key, nonce, KnockFields(src_ip, port, now)).to_bytes()
+    payload = seal_knock(key, nonce, KnockFields(src_ip, port, now))
     return serialize_frame(make_icmp_echo(src_mac, SERVER_MAC, src_ip, SERVER_IP, payload))
 
 
@@ -318,13 +319,26 @@ class TestKnockAdmission:
 
     def test_knock_sealing_another_ip_is_refused(self):
         nic = server_nic()
-        payload = seal_knock(KEY, bytes(8), KnockFields(ATTACKER_IP, 40000, 0)).to_bytes()
+        payload = seal_knock(KEY, bytes(8), KnockFields(ATTACKER_IP, 40000, 0))
         wire = serialize_frame(make_icmp_echo(CLIENT_MAC, SERVER_MAC, CLIENT_IP,
                                               SERVER_IP, payload))
         actions = nic.on_wire_receive(wire, now=0)
         assert actions == Actions(drops=[DropRecord(DropReason.BAD_KNOCK, 2, "IpMismatch")])
         assert len(nic.filter) == 0
         assert not nic.filter.lookup(ATTACKER_IP, 40000, now=1)
+
+    def test_non_canonical_knock_is_refused_not_raised(self):
+        # a key holder's hand-sealed knock for port 0 once raised out of the NIC
+        keystream = prf(KEY, bytes(8) + b"\x01")[:16]
+        block = CLIENT_IP.octets + bytes(4) + (0).to_bytes(8, "big")
+        sealed = b"KNCK\x01\x00" + bytes(8) + bytes(p ^ k for p, k in zip(block, keystream))
+        payload = sealed + prf(KEY, sealed)[:16]
+        wire = serialize_frame(make_icmp_echo(CLIENT_MAC, SERVER_MAC, CLIENT_IP,
+                                              SERVER_IP, payload))
+        nic = server_nic()
+        assert nic.on_wire_receive(wire, now=0) == Actions(
+            drops=[DropRecord(DropReason.BAD_KNOCK, 2, RejectReason.NON_CANONICAL.value)])
+        assert len(nic.filter) == 0 and len(nic.replay_cache) == 0
 
     def test_knock_into_a_full_filter_is_refused_and_spent(self):
         nic = server_nic()

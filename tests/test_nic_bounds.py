@@ -7,6 +7,8 @@ property test drives the filter's admission check on its own: a bit-flipped
 SYN of a live pair is delivered only if it is that pair's canonical frame.
 """
 
+import time
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
@@ -17,6 +19,7 @@ from cloaknic.frames import (
     ARP_REQUEST,
     MAC_ZERO,
     PROTO_TCP,
+    PROTO_UDP,
     ArpPacket,
     FrameError,
     Ipv4Address,
@@ -29,6 +32,7 @@ from cloaknic.frames import (
     parse_frame,
     serialize_frame,
     tcp_segment,
+    udp_datagram,
 )
 from cloaknic.knock import (
     FRESHNESS_SECONDS,
@@ -101,6 +105,34 @@ def test_frames_for_an_ip_that_never_answers_arp_are_forgotten():
     assert len(seg.node("client").nic._pending_arp) <= ARP_TIMEOUT_TICKS + 1
 
 
+def test_a_burst_of_sends_in_one_tick_parks_in_linear_time():
+    # a send forgets only the expired oldest parked frames, so a burst of
+    # 10,000 sends at one tick takes well under a second; a later reply still
+    # releases exactly the live frames parked for the answering IP
+    client_ip, client_mac = CLIENTS[0][:2]
+    nic = CloakingNic(NicConfig(mac=client_mac, ip=client_ip))
+
+    def send(dst_ip, now):
+        nic.on_host_transmit(make_ipv4_frame(client_mac, MAC_ZERO, client_ip, dst_ip,
+                                             PROTO_UDP, udp_datagram(5000, 53)), now)
+
+    send(STRANGER_IP, now=0)
+    start = time.perf_counter()
+    for _ in range(10_000):
+        send(SERVER_IP, now=1)
+    assert time.perf_counter() - start < 1.0
+
+    def reply(ip, mac, now):
+        return nic.on_wire_receive(serialize_frame(make_arp(
+            ARP_REPLY, mac, ip, client_mac, client_ip)), now)
+
+    # at tick 3 the burst is live until its last tick, the stranger's frame is not
+    assert reply(STRANGER_IP, STRANGER_MAC, now=3).tx_frames == []
+    released = reply(SERVER_IP, SERVER_MAC, now=3).tx_frames
+    assert len(released) == 10_000 and {f.dst for f in released} == {SERVER_MAC}
+    assert len(nic._pending_arp) == 0
+
+
 SERVER_MAC = MacAddress.from_str("aa:00:00:00:00:02")
 SERVER_IP = Ipv4Address.from_str("10.0.0.2")
 CLIENTS = [(Ipv4Address.from_str(f"10.0.0.{i}"), MacAddress.from_str(f"aa:00:00:00:00:0{i}"),
@@ -152,7 +184,7 @@ class NicMachine(RuleBasedStateMachine):
     def seal(self, sealed_ip, key) -> bytes:
         self.nonce += 1
         return seal_knock(key, self.nonce.to_bytes(8, "big"),
-                          KnockFields(sealed_ip, self.port, self.now)).to_bytes()
+                          KnockFields(sealed_ip, self.port, self.now))
 
     @rule(dt=st.integers(0, 80))
     def advance(self, dt):
@@ -266,7 +298,7 @@ def nic_admitting_live_pair() -> CloakingNic:
     """A server NIC that admitted LIVE_PAIR at tick 0."""
     ip, mac, key = CLIENTS[0]
     nic = CloakingNic(NicConfig(mac=SERVER_MAC, ip=SERVER_IP, role_keys={ip: key}))
-    knock = seal_knock(key, bytes(8), KnockFields(ip, LIVE_PAIR[1], 0)).to_bytes()
+    knock = seal_knock(key, bytes(8), KnockFields(ip, LIVE_PAIR[1], 0))
     actions = nic.on_wire_receive(
         serialize_frame(make_icmp_echo(mac, SERVER_MAC, ip, SERVER_IP, knock)), 0)
     assert actions.host_events == [ArpCacheUpdate(ip, mac)]

@@ -112,10 +112,11 @@ def test_events_equal_and_hash_by_value():
     update = ArpCacheUpdate(IP_A, MAC_A)
     assert update == ArpCacheUpdate(Ipv4Address(bytes([10, 0, 0, 5])), MAC_A)
     assert hash(update) == hash(ArpCacheUpdate(IP_A, MAC_A))
-    record = TraceRecord(4, "server", drop, 2, "icmp-knock 10.0.0.66->10.0.0.2")
+    record = TraceRecord(4, "server", drop, "icmp-knock 10.0.0.66->10.0.0.2")
     assert record.summary == "BadKnock BadTag | icmp-knock 10.0.0.66->10.0.0.2"
-    assert record == TraceRecord(4, "server", drop, 2, "icmp-knock 10.0.0.66->10.0.0.2", None)
-    assert record != TraceRecord(4, "server", FrameEvent.IGNORED, 2, record.frame)
+    assert record.stage_count == 2
+    assert record == TraceRecord(4, "server", drop, "icmp-knock 10.0.0.66->10.0.0.2", None)
+    assert record != TraceRecord(4, "server", FrameEvent.IGNORED, record.frame)
     for value in (drop, update, record):
         assert_immutable(value)
 
