@@ -3,6 +3,12 @@
 The medium is a hub: every frame is offered to every attached node except
 its origin, in attach order, one time unit of latency per hop, no loss and
 no jitter. Identical scenarios therefore produce byte-identical traces.
+The segment keeps these semantics through an index: it offers a frame only
+to the nodes its destination MAC addresses, from a plan cached per origin
+and destination, and the promiscuous taps observe every frame. The nodes
+a frame passes by are logged in attach order, a run of them as one
+`IgnoredSpan`, and their `ignored (other dst)` lines are rendered from that
+order when the trace is read.
 
 Node kinds: cloaked servers and clients (backed by `CloakingNic`), a plain
 software-stack baseline host (answers ARP and pings, RSTs closed ports,
@@ -17,16 +23,20 @@ The trace is the run's one account: each `TraceRecord` holds a typed event
 and its frame's text, never the frame. The event is a verdict exactly as a
 node returned it (a `DropRecord`, `Delivered` or `ArpCacheUpdate`), or a
 `FrameEvent` where no node gives one; every event carries its own stage.
-`Segment.metrics` folds the trace.
+`Segment.trace` is a read-only view of the log with one record per line,
+and `Segment.metrics` folds the log, counting a span's nodes in bulk.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
+from functools import partial
+from itertools import chain, islice, repeat
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from . import frames
 from .frames import (
@@ -135,6 +145,79 @@ class TraceRecord(NamedTuple):
             line += f" hex={raw_hex}"
         return line
 
+
+class IgnoredRecord(TraceRecord):
+    """The line of a node that a frame passed by: its event is `FrameEvent.IGNORED`
+    and it shows no hex."""
+
+    __slots__ = ()
+
+    def format_line(self, with_hex: bool = False) -> str:
+        return (f"t={self.time} node={self.node} dir=rx stage=0 "
+                f"info=ignored (other dst) | {self.frame}")
+
+
+# (time, node, FrameEvent.IGNORED, frame, None) -> IgnoredRecord, with no Python frame
+_ignored_record = partial(tuple.__new__, IgnoredRecord)
+_IGNORED = FrameEvent.IGNORED
+
+
+class IgnoredSpan(NamedTuple):
+    """Two or more nodes in a row, in attach order, that one frame passed by."""
+
+    time: int
+    names: Tuple[str, ...]
+    frame: str
+
+    def records(self) -> Iterator[IgnoredRecord]:
+        """The span's lines, one record per node."""
+        return map(_ignored_record, zip(repeat(self.time), self.names, repeat(_IGNORED),
+                                        repeat(self.frame), repeat(None)))
+
+
+LogEntry = Union[TraceRecord, IgnoredSpan]
+
+
+class TraceView:
+    """Read-only lines of a segment's log from `start` to `stop` (its end, if
+    None): each `IgnoredSpan` reads as one record per node. `spans` holds the
+    log index of every span. An index or slice reads every line first."""
+
+    def __init__(self, log: List[LogEntry], spans: List[int], start: int = 0,
+                 stop: Optional[int] = None):
+        self._log, self._spans, self._start, self._stop = log, spans, start, stop
+
+    def _span_range(self) -> Tuple[int, List[int]]:
+        stop = len(self._log) if self._stop is None else self._stop
+        spans = self._spans
+        return stop, spans[bisect_left(spans, self._start):bisect_left(spans, stop)]
+
+    def _pieces(self) -> Iterator[Iterable[TraceRecord]]:
+        """The runs of records between spans, and each span's records. The runs
+        share one iterator over the log, with no copy: `chain` exhausts each
+        piece before it asks for the next, so a run starts where the last ended."""
+        log, at = self._log, self._start
+        stop, spans = self._span_range()
+        entries = islice(log, at, stop)
+        for i in spans:
+            yield islice(entries, i - at)
+            next(entries)  # the span, read as its records
+            yield log[i].records()
+            at = i + 1
+        yield entries
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return chain.from_iterable(self._pieces())
+
+    def __len__(self) -> int:
+        stop, spans = self._span_range()
+        log = self._log
+        return stop - self._start + sum(len(log[i].names) - 1 for i in spans)
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+
 @dataclass
 class NodeMetrics:
     delivered: int = 0
@@ -146,12 +229,16 @@ class NodeMetrics:
 
 
 class Metrics:
-    """Per-node counters, folded from a trace."""
+    """Per-node counters, folded from a trace or a segment's log."""
 
-    def __init__(self, trace: Iterable[TraceRecord], names: Iterable[str]):
+    def __init__(self, trace: Iterable[LogEntry], names: Iterable[str]):
         self.nodes = defaultdict(NodeMetrics, {name: NodeMetrics() for name in names})
         tx, ignored = FrameEvent.TX, FrameEvent.IGNORED
+        spans = []
         for record in trace:
+            if type(record) is IgnoredSpan:
+                spans.append(record.names)
+                continue
             m, event = self.nodes[record.node], record.event
             if event is tx:
                 m.tx += 1
@@ -166,6 +253,8 @@ class Metrics:
                     m.arp_cache_writes += 1
                 elif kind is DropRecord:
                     m.dropped_by_reason[event.reason.value] += 1
+        for name, n in Counter(chain.from_iterable(spans)).items():
+            self.nodes[name].ignored += n
 
     def node(self, name: str) -> NodeMetrics:
         return self.nodes[name]
@@ -436,30 +525,76 @@ class AttackerNode(Node):
 # --------------------------------------------------------------------------
 # the segment
 
+# A dispatch plan: the taps, then each node in attach order as a receiver
+# (a `Node`), a lone node the frame passes by (its name) or a run of them
+# (a tuple of names).
+Plan = Tuple[Tuple[Node, ...], Tuple[Union[Node, str, Tuple[str, ...]], ...]]
+
+
 class Segment:
     def __init__(self):
         self.nodes: List[Node] = []
         self._by_name: Dict[str, Node] = {}
+        self._by_mac: Dict[bytes, List[int]] = {}  # MAC octets -> attach indices
+        self._plans: Dict[Tuple[str, bytes], Plan] = {}  # (origin, dst MAC) -> plan
         self.clock = 0
         self._queue: List[tuple] = []  # (time, seq, kind, payload)
         self._seq = 0
-        self.trace: List[TraceRecord] = []
+        self._log: List[LogEntry] = []
+        self._spans: List[int] = []  # the log index of each IgnoredSpan
+
+    @property
+    def trace(self) -> TraceView:
+        """The run's records, one per trace line, in order."""
+        return TraceView(self._log, self._spans)
 
     @property
     def metrics(self) -> Metrics:
-        """The attached nodes' counters, folded from the trace."""
-        return Metrics(self.trace, (node.name for node in self.nodes))
+        """The attached nodes' counters, folded from the log."""
+        return Metrics(self._log, (node.name for node in self.nodes))
 
     def attach(self, node: Node) -> Node:
         if node.name in self._by_name:
             raise DuplicateHandle(f"node {node.name!r} already attached")
+        self._by_mac.setdefault(node.mac.octets, []).append(len(self.nodes))
         self.nodes.append(node)
         self._by_name[node.name] = node
+        self._plans.clear()
         node.lookup = self.node
         return node
 
     def node(self, name: str) -> Node:
         return self._by_name[name]
+
+    def _plan(self, origin: str, dst: Optional[bytes]) -> Plan:
+        """Who a frame from `origin` to `dst` reaches; `dst` None (a frame too
+        short to hold one) reaches every node. Only a plan for broadcast or an
+        attached MAC, from an attached origin, is cached, so frames to unknown
+        MACs cannot grow the cache. `attach` empties the cache."""
+        if dst is None or dst == MAC_BROADCAST.octets:
+            receivers = range(len(self.nodes))
+        else:
+            receivers = self._by_mac.get(dst, ())
+        steps: List[Union[Node, str, Tuple[str, ...]]] = []
+        passed: List[str] = []
+        for i, node in enumerate(self.nodes):
+            if node.name == origin:
+                continue
+            if i not in receivers:
+                passed.append(node.name)
+                continue
+            if passed:
+                steps.append(passed[0] if len(passed) == 1 else tuple(passed))
+                passed = []
+            steps.append(node)
+        if passed:
+            steps.append(passed[0] if len(passed) == 1 else tuple(passed))
+        taps = tuple(node for node in self.nodes if node.promiscuous and node.name != origin)
+        plan = (taps, tuple(steps))
+        if dst is not None and origin in self._by_name \
+                and (dst == MAC_BROADCAST.octets or dst in self._by_mac):
+            self._plans[origin, dst] = plan
+        return plan
 
     def _push(self, time: int, kind: str, *payload) -> None:
         heapq.heappush(self._queue, (time, self._seq, kind, payload))
@@ -483,32 +618,41 @@ class Segment:
     def _transmit(self, origin: Node, wires: Iterable[Wire], now: int) -> None:
         for wire in wires:
             described = describe_frame(wire)
-            self.trace.append(TraceRecord(now, origin.name, FrameEvent.TX, described, wire.hex))
+            self._log.append(TraceRecord(now, origin.name, FrameEvent.TX, described, wire.hex))
             self.inject(now + 1, wire, origin.name, described)
 
-    def step(self) -> List[TraceRecord]:
+    def step(self) -> TraceView:
+        """Process the next event; the view holds the records it appended."""
+        log = self._log
+        mark = len(log)
         if not self._queue:
-            return []
-        mark = len(self.trace)
+            return TraceView(log, self._spans, mark, mark)
         time, seq, kind, payload = heapq.heappop(self._queue)
         self.clock = time
         if kind == "frame":
             wire, origin, described = payload
             described = described or describe_frame(wire)
-            dst = wire.data[:6] if len(wire.data) >= 6 else None
-            for node in self.nodes:
-                if node.name == origin:
-                    continue
-                if node.promiscuous:
-                    node.observe(wire, time)
-                if dst is not None and dst != node.mac.octets and dst != MAC_BROADCAST.octets:
-                    self.trace.append(TraceRecord(time, node.name, FrameEvent.IGNORED, described))
-                    continue
-                # the node's verdicts as it gave them, then its answers
-                actions = node.receive(wire, time)
-                for event in actions.drops + actions.host_events or [FrameEvent.PROCESSED]:
-                    self.trace.append(TraceRecord(time, node.name, event, described, wire.hex))
-                self._transmit(node, map(Wire.from_frame, actions.tx_frames), time)
+            data = wire.data
+            dst = data[:6] if len(data) >= 6 else None
+            taps, steps = self._plans.get((origin, dst)) or self._plan(origin, dst)
+            # a tap only reads the frame, so observing first keeps the hub's effects
+            for tap in taps:
+                tap.observe(wire, time)
+            append = log.append
+            for item in steps:
+                shape = type(item)
+                if shape is str:
+                    append(_ignored_record((time, item, _IGNORED, described, None)))
+                elif shape is tuple:
+                    self._spans.append(len(log))
+                    append(IgnoredSpan(time, item, described))
+                else:
+                    # the node's verdicts as it gave them, then its answers
+                    actions = item.receive(wire, time)
+                    for event in actions.drops + actions.host_events or [FrameEvent.PROCESSED]:
+                        append(TraceRecord(time, item.name, event, described, wire.hex))
+                    if actions.tx_frames:
+                        self._transmit(item, map(Wire.from_frame, actions.tx_frames), time)
         else:
             name, step = payload
             if isinstance(step, Attack):
@@ -520,7 +664,7 @@ class Segment:
                                                  (name, Attack(replace(step.program, count=rest)))))
             node = self._by_name[name]
             self._transmit(node, node.perform(step, time), time)
-        return self.trace[mark:]
+        return TraceView(log, self._spans, mark, len(log))
 
     def run(self, horizon: Optional[int] = None) -> None:
         while self._queue:

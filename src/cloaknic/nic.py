@@ -12,8 +12,11 @@ FILTER_TABLE_CAP (1024) admissions, and a FIFO holds FIFO_CAPACITY (3036)
 bytes. The knock freshness bound and the replay window are `knock`'s.
 
 State is bounded however long a run lasts: a filter insert, a replay-cache
-record, a client knock and a parked frame each first drop their table's
-expired entries, so every table holds only live entries.
+record and a client knock each first drop their table's expired entries, so
+those tables hold only live entries. Parked frames are kept per target IP:
+parking drops that IP's expired frames and every IP whose frames have all
+expired, so they were all parked in the last 2 * ARP_TIMEOUT_TICKS + 1
+ticks, and an ARP reply takes only its sender's frames.
 
 Each verdict is one immutable value that owns its stage count (a `DropRecord`,
 `Delivered` or `ArpCacheUpdate`), and `netsim` records it as it is returned.
@@ -25,7 +28,7 @@ goes through the simulator.
 from __future__ import annotations
 
 import struct
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -203,9 +206,11 @@ class CloakingNic:
         self.replay_cache = ReplayCache()
         # client side: <local port, peer ip> -> last tick its knock is live
         self._knocked = ExpiryMap()
-        # client side: (last live tick, target ip, frame) awaiting an ARP reply,
-        # oldest first: frames park at non-decreasing ticks for one lifetime
-        self._pending_arp: Deque[Tuple[int, Ipv4Address, EthernetFrame]] = deque()
+        # client side: target ip -> its (last live tick, frame) awaiting an ARP
+        # reply, oldest first. Frames park at non-decreasing ticks for one
+        # lifetime, so the IPs are in the order of their newest frame's expiry.
+        self._pending_arp: OrderedDict[Ipv4Address, Deque[Tuple[int, EthernetFrame]]] = \
+            OrderedDict()
         self._nonce_counter = 0
 
     # -- internals ---------------------------------------------------------
@@ -215,11 +220,22 @@ class CloakingNic:
         self._nonce_counter += 1
         return nonce
 
+    def _park(self, now: int, ip: Ipv4Address, frame: EthernetFrame) -> None:
+        """Forget the IPs whose every frame has expired and the expired frames
+        of `ip`, then park `frame` until an ARP reply from `ip` releases it."""
+        pending = self._pending_arp
+        while pending and now > pending[next(iter(pending))][-1][0]:
+            pending.popitem(last=False)
+        parked = pending.pop(ip, None) or deque()
+        while parked and now > parked[0][0]:
+            parked.popleft()
+        parked.append((now + ARP_TIMEOUT_TICKS, frame))
+        pending[ip] = parked
+
     def _unpark(self, now: int, ip: Ipv4Address) -> List[EthernetFrame]:
-        """Forget the frames parked over ARP_TIMEOUT_TICKS ago; take those for `ip`."""
-        live = [entry for entry in self._pending_arp if now <= entry[0]]
-        self._pending_arp = deque(entry for entry in live if entry[1] != ip)
-        return [frame for _, dst, frame in live if dst == ip]
+        """Take the frames parked for `ip`, releasing those still live."""
+        parked = self._pending_arp.pop(ip, ())
+        return [frame for expires, frame in parked if now <= expires]
 
     def _knock_frame(self, peer_ip: Ipv4Address, dst_mac: MacAddress,
                      local_port: int, now: int) -> EthernetFrame:
@@ -253,11 +269,8 @@ class CloakingNic:
         if not isinstance(pkt, Ipv4Packet):
             actions.tx_frames.append(frame)
         elif frame.dst == MAC_ZERO:
-            # MAC unresolved: forget the expired parked frames (the oldest), park, resolve
-            pending = self._pending_arp
-            while pending and now > pending[0][0]:
-                pending.popleft()
-            pending.append((now + ARP_TIMEOUT_TICKS, pkt.dst, frame))
+            # MAC unresolved: park the frame and resolve
+            self._park(now, pkt.dst, frame)
             actions.tx_frames.append(frames.make_arp(
                 ARP_REQUEST, self.mac, self.ip, MAC_ZERO, pkt.dst))
         else:

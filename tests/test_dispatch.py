@@ -1,0 +1,164 @@
+"""The segment's indexed dispatch is the hub it models.
+
+`HubSegment` below is the literal hub: it offers every frame to every node
+but its origin, in attach order, and logs one ignored record per node the
+frame passes by. On generated segments with colliding MACs and a
+promiscuous attacker, `Segment` must render the same `--hex` lines and
+metrics, count the same trace lines, and show its taps the same frames.
+Frames to unknown MACs must not grow its plan cache.
+"""
+
+import heapq
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cloaknic.frames import (
+    ARP_REPLY,
+    ARP_REQUEST,
+    MAC_BROADCAST,
+    MAC_ZERO,
+    PROTO_TCP,
+    PROTO_UDP,
+    TCP_FLAG_SYN,
+    EthernetFrame,
+    Ipv4Address,
+    MacAddress,
+    Wire,
+    make_arp,
+    make_icmp_echo,
+    make_ipv4_frame,
+    serialize_frame,
+    tcp_segment,
+    udp_datagram,
+)
+from cloaknic.netsim import (
+    AttackerNode,
+    CloakedServerNode,
+    FrameEvent,
+    PlainHostNode,
+    Segment,
+    TraceRecord,
+    describe_frame,
+)
+from cloaknic.nic import CloakingNic, NicConfig
+
+MACS = [MacAddress(bytes([0xAA, 0, 0, 0, 0, i])) for i in range(1, 4)]  # few, so they collide
+UNKNOWN_MAC = MacAddress.from_str("02:00:00:00:00:99")
+
+
+class HubSegment(Segment):
+    """Offers each frame to every node but its origin, in attach order."""
+
+    def step(self):
+        time, _seq, _kind, (wire, origin, described) = heapq.heappop(self._queue)
+        self.clock = time
+        described = described or describe_frame(wire)
+        dst = wire.data[:6] if len(wire.data) >= 6 else None
+        for node in self.nodes:
+            if node.name == origin:
+                continue
+            if node.promiscuous:
+                node.observe(wire, time)
+            if dst is not None and dst != node.mac.octets and dst != MAC_BROADCAST.octets:
+                self._log.append(TraceRecord(time, node.name, FrameEvent.IGNORED, described))
+                continue
+            actions = node.receive(wire, time)
+            for event in actions.drops + actions.host_events or [FrameEvent.PROCESSED]:
+                self._log.append(TraceRecord(time, node.name, event, described, wire.hex))
+            self._transmit(node, map(Wire.from_frame, actions.tx_frames), time)
+
+
+class Tap(AttackerNode):
+    """An attacker that logs every frame it observes."""
+
+    def observe(self, wire, now):
+        self.observed.append((now, self.name, wire.hex))
+        super().observe(wire, now)
+
+
+def build(segment_type, specs):
+    seg = segment_type()
+    seg.observed = []
+    for i, (kind, mac) in enumerate(specs):
+        name, ip = f"n{i}", Ipv4Address(bytes([10, 0, 0, i + 1]))
+        if kind == "plain":
+            seg.attach(PlainHostNode(name, mac, ip, {22}))
+        elif kind == "cloaked":
+            seg.attach(CloakedServerNode(name, mac, ip, CloakingNic(NicConfig(mac=mac, ip=ip))))
+        else:
+            seg.attach(Tap(name, mac, ip)).observed = seg.observed
+    return seg
+
+
+node_specs = st.lists(
+    st.tuples(st.sampled_from(["plain", "cloaked", "attacker"]), st.sampled_from(MACS)),
+    min_size=1, max_size=7,
+).map(lambda specs: specs + [("attacker", MACS[0])])
+
+
+@st.composite
+def offered_frames(draw, n_nodes):
+    """(time, origin, bytes): to broadcast, to a known or an unknown MAC, or too short."""
+    time = draw(st.integers(0, 6))
+    origin = draw(st.sampled_from([f"n{i}" for i in range(n_nodes)] + ["outside"]))
+    src = draw(st.sampled_from(MACS))
+    src_ip = Ipv4Address(bytes([10, 0, 0, draw(st.integers(1, 9))]))
+    dst_ip = Ipv4Address(bytes([10, 0, 0, draw(st.integers(1, 9))]))
+    dst = draw(st.sampled_from(MACS + [MAC_BROADCAST, UNKNOWN_MAC]))
+    kind = draw(st.sampled_from(["arp-request", "arp-reply", "ping", "syn", "udp", "raw",
+                                 "short"]))
+    if kind == "short":
+        return time, origin, draw(st.binary(max_size=5))
+    if kind == "arp-request":
+        frame = make_arp(ARP_REQUEST, src, src_ip, MAC_ZERO, dst_ip)
+        frame = EthernetFrame(dst, frame.src, frame.ethertype, frame.payload)
+    elif kind == "arp-reply":
+        frame = make_arp(ARP_REPLY, src, src_ip, dst, dst_ip)
+    elif kind == "ping":
+        frame = make_icmp_echo(src, dst, src_ip, dst_ip, b"ping")
+    elif kind == "syn":
+        frame = make_ipv4_frame(src, dst, src_ip, dst_ip, PROTO_TCP,
+                                tcp_segment(40000, draw(st.sampled_from([22, 80])), TCP_FLAG_SYN))
+    elif kind == "udp":
+        frame = make_ipv4_frame(src, dst, src_ip, dst_ip, PROTO_UDP, udp_datagram(5000, 53))
+    else:
+        frame = EthernetFrame(dst, src, 0x88B5, b"raw")
+    return time, origin, serialize_frame(frame)
+
+
+def outputs(seg, offers):
+    for time, origin, data in offers:
+        seg.inject(time, data, origin)
+    seg.run()
+    lines = [record.format_line(with_hex=True) for record in seg.trace]
+    return lines, seg.metrics.to_text(), len(seg.trace), seg.observed
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_indexed_dispatch_renders_what_the_hub_renders(data):
+    specs = data.draw(node_specs)
+    offers = data.draw(st.lists(offered_frames(len(specs)), min_size=1, max_size=12))
+    indexed = outputs(build(Segment, specs), offers)
+    hub = outputs(build(HubSegment, specs), offers)
+    assert indexed == hub
+    assert indexed[2] == len(indexed[0])
+
+
+def test_frames_to_unknown_macs_do_not_grow_the_plan_cache():
+    specs = [("plain", MACS[0]), ("cloaked", MACS[1]), ("plain", MACS[1]), ("attacker", MACS[2])]
+    seg = build(Segment, specs)
+    for i in range(10_000):
+        dst = MacAddress(b"\x02" + i.to_bytes(5, "big"))
+        seg.inject(i, serialize_frame(EthernetFrame(dst, MACS[0], 0x88B5, b"x")),
+                   f"n{i % len(specs)}")
+    for i, dst in enumerate(MACS + [MAC_BROADCAST]):
+        for origin in range(len(specs)):
+            seg.inject(10_000 + i, serialize_frame(EthernetFrame(dst, MACS[0], 0x88B5, b"x")),
+                       f"n{origin}")
+    seg.run()
+    # n0 passes by the 7,500 unknown-MAC frames the others sent, and the 6 they
+    # sent to the two MACs that are not its own
+    assert seg.metrics.node("n0").ignored == 7_506
+    assert len(seg._plans) <= len(specs) * (len(seg._by_mac) + 2)

@@ -75,7 +75,7 @@ class TestAttach:
             seg.attach(plain("a", "10.0.0.9", "aa:00:00:00:00:09"))
 
     def test_empty_queue_step_is_noop(self):
-        assert Segment().step() == []
+        assert list(Segment().step()) == []
 
 
 class TestStep:
@@ -191,7 +191,7 @@ class TestAttackPrograms:
         seg.schedule(0, mal.name, Attack(MacSpoof("victim", count=0)))
         assert seg._queue == []
         seg.run()
-        assert seg.trace == []
+        assert list(seg.trace) == []
 
     def test_zero_period_is_refused(self):
         seg = Segment()

@@ -102,7 +102,11 @@ def test_frames_for_an_ip_that_never_answers_arp_are_forgotten():
     assert (last.node, last.event) == ("client", DropRecord(DropReason.UNSOLICITED_ARP_REPLY, 1))
     assert parse_frame(bytes.fromhex(last.raw_hex)).payload.sender_ip == STRANGER_IP
     # at most the frames parked in the last ARP_TIMEOUT_TICKS + 1 ticks are kept
-    assert len(seg.node("client").nic._pending_arp) <= ARP_TIMEOUT_TICKS + 1
+    assert parked_frames(seg.node("client").nic) <= ARP_TIMEOUT_TICKS + 1
+
+
+def parked_frames(nic):
+    return sum(map(len, nic._pending_arp.values()))
 
 
 def test_a_burst_of_sends_in_one_tick_parks_in_linear_time():
@@ -131,6 +135,32 @@ def test_a_burst_of_sends_in_one_tick_parks_in_linear_time():
     released = reply(SERVER_IP, SERVER_MAC, now=3).tx_frames
     assert len(released) == 10_000 and {f.dst for f in released} == {SERVER_MAC}
     assert len(nic._pending_arp) == 0
+
+
+def test_replies_with_frames_parked_cost_only_the_frames_they_release():
+    # frames park per target IP, so each of 5,000 replies from an IP with
+    # nothing parked takes constant time however many frames wait for
+    # another IP; the answering IP's reply then releases them all
+    client_ip, client_mac = CLIENTS[0][:2]
+    nic = CloakingNic(NicConfig(mac=client_mac, ip=client_ip))
+    n = 5_000
+    for _ in range(n):
+        nic.on_host_transmit(make_ipv4_frame(client_mac, MAC_ZERO, client_ip, SERVER_IP,
+                                             PROTO_UDP, udp_datagram(5000, 53)), 1)
+
+    def reply(ip, mac):
+        return serialize_frame(make_arp(ARP_REPLY, mac, ip, client_mac, client_ip))
+
+    stranger = reply(STRANGER_IP, STRANGER_MAC)
+    start = time.perf_counter()
+    for _ in range(n):
+        actions = nic.on_wire_receive(stranger, 2)
+        assert actions.drops == [DropRecord(DropReason.UNSOLICITED_ARP_REPLY, 1)]
+    assert time.perf_counter() - start < 1.0
+    assert parked_frames(nic) == n
+    released = nic.on_wire_receive(reply(SERVER_IP, SERVER_MAC), 3).tx_frames
+    assert len(released) == n and {f.dst for f in released} == {SERVER_MAC}
+    assert parked_frames(nic) == 0
 
 
 SERVER_MAC = MacAddress.from_str("aa:00:00:00:00:02")
