@@ -124,7 +124,7 @@ class TraceRecord(NamedTuple):
             return event.direction, event.prefix + self.frame, self.raw_hex
         if kind is DropRecord:
             detail = f" {event.detail}" if event.detail else ""
-            return "drop", f"{event.reason.value}{detail} | {self.frame}", self.raw_hex
+            return "drop", f"{event.reason._value_}{detail} | {self.frame}", self.raw_hex
         if kind is Delivered:
             return "host_event", "delivered | " + self.frame, self.raw_hex
         return "host_event", f"arp-cache-update {event.ip} is-at {event.mac}", None
@@ -252,7 +252,7 @@ class Metrics:
                 elif kind is ArpCacheUpdate:
                     m.arp_cache_writes += 1
                 elif kind is DropRecord:
-                    m.dropped_by_reason[event.reason.value] += 1
+                    m.dropped_by_reason[event.reason._value_] += 1
         for name, n in Counter(chain.from_iterable(spans)).items():
             self.nodes[name].ignored += n
 
@@ -400,7 +400,7 @@ class ClientNode(CloakedServerNode):
                 payload = frames.udp_datagram(step.src_port, step.dst_port)
                 proto_num = PROTO_UDP
             self._ident = (self._ident + 1) & 0xFFFF
-            # dst MAC left zero: the NIC resolves it via ARP and parks the frame
+            # dst MAC left zero: the NIC resolves it from its table, or parks the frame and asks ARP
             frame = frames.make_ipv4_frame(self.mac, MAC_ZERO, self.ip, dst.ip, proto_num,
                                            payload, identification=self._ident)
         return [Wire.from_frame(f) for f in self.nic.on_host_transmit(frame, now).tx_frames]

@@ -12,11 +12,15 @@ FILTER_TABLE_CAP (1024) admissions, and a FIFO holds FIFO_CAPACITY (3036)
 bytes. The knock freshness bound and the replay window are `knock`'s.
 
 State is bounded however long a run lasts: a filter insert, a replay-cache
-record and a client knock each first drop their table's expired entries, so
-those tables hold only live entries. Parked frames are kept per target IP:
-parking drops that IP's expired frames and every IP whose frames have all
-expired, so they were all parked in the last 2 * ARP_TIMEOUT_TICKS + 1
-ticks, and an ARP reply takes only its sender's frames.
+record, a client knock and a resolver write each first drop their table's
+expired entries, so those tables hold only live entries. Parked frames are
+kept per target IP: parking drops that IP's expired frames and every IP
+whose frames have all expired, so they were all parked in the last
+2 * ARP_TIMEOUT_TICKS + 1 ticks, and an ARP reply takes only its sender's
+frames. The client's resolver table keeps, for FILTER_TTL_SECONDS, the MAC
+of an ARP reply that released parked frames, that is, one that answered
+this NIC's own request; no other reply writes it. It holds at most
+RESOLVER_TABLE_CAP (64) peers, and a write at capacity evicts the oldest.
 
 Each verdict is one immutable value that owns its stage count (a `DropRecord`,
 `Delivered` or `ArpCacheUpdate`), and `netsim` records it as it is returned.
@@ -61,6 +65,7 @@ from .knock import (
 FIFO_CAPACITY = 3036  # two maximum-size (1518 byte) Ethernet packets
 FILTER_TABLE_CAP = 1024
 FILTER_TTL_SECONDS = 60
+RESOLVER_TABLE_CAP = 64
 # An ARP reply comes back two ticks after the request, one hop each way; a
 # frame parked longer than that awaits an IP that does not answer.
 ARP_TIMEOUT_TICKS = 2
@@ -169,6 +174,33 @@ class FilterTable:
         return len(self.entries)
 
 
+class ResolverTable:
+    """Client side: peer IP -> (last live tick, MAC) from replies to this NIC's
+    own ARP requests. An entry lives FILTER_TTL_SECONDS from its write, and a
+    lookup does not refresh it, so writes at non-decreasing ticks keep the
+    table in expiry order. A write first drops the expired oldest entries and,
+    at capacity, the oldest live one: its next send costs one more ARP exchange.
+    """
+
+    def __init__(self):
+        self.entries: OrderedDict[Ipv4Address, Tuple[int, MacAddress]] = OrderedDict()
+
+    def lookup(self, ip: Ipv4Address, now: int) -> Optional[MacAddress]:
+        expires, mac = self.entries.get(ip, (-1, None))
+        return mac if now <= expires else None
+
+    def learn(self, ip: Ipv4Address, mac: MacAddress, now: int) -> None:
+        entries = self.entries
+        entries.pop(ip, None)
+        while entries and (len(entries) >= RESOLVER_TABLE_CAP
+                           or now > entries[next(iter(entries))][0]):
+            entries.popitem(last=False)
+        entries[ip] = (now + FILTER_TTL_SECONDS, mac)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+
 class ByteFifo:
     """Bounded byte queue preserving frame boundaries; whole-frame drops only."""
 
@@ -211,6 +243,7 @@ class CloakingNic:
         # lifetime, so the IPs are in the order of their newest frame's expiry.
         self._pending_arp: OrderedDict[Ipv4Address, Deque[Tuple[int, EthernetFrame]]] = \
             OrderedDict()
+        self.resolver = ResolverTable()  # client side
         self._nonce_counter = 0
 
     # -- internals ---------------------------------------------------------
@@ -268,13 +301,17 @@ class CloakingNic:
         pkt = frame.payload
         if not isinstance(pkt, Ipv4Packet):
             actions.tx_frames.append(frame)
-        elif frame.dst == MAC_ZERO:
-            # MAC unresolved: park the frame and resolve
-            self._park(now, pkt.dst, frame)
-            actions.tx_frames.append(frames.make_arp(
-                ARP_REQUEST, self.mac, self.ip, MAC_ZERO, pkt.dst))
-        else:
-            self._emit_with_knock(actions, frame, pkt, now)
+            return actions
+        if frame.dst == MAC_ZERO:
+            mac = self.resolver.lookup(pkt.dst, now)
+            if mac is None:
+                # MAC unresolved: park the frame and resolve
+                self._park(now, pkt.dst, frame)
+                actions.tx_frames.append(frames.make_arp(
+                    ARP_REQUEST, self.mac, self.ip, MAC_ZERO, pkt.dst))
+                return actions
+            frame = EthernetFrame(mac, frame.src, frame.ethertype, pkt)
+        self._emit_with_knock(actions, frame, pkt, now)
         return actions
 
     # -- wire-facing operations --------------------------------------------
@@ -309,9 +346,11 @@ class CloakingNic:
             return actions
         # Replies never reach the host ARP cache. A reply answering our own
         # outstanding request does complete parked transmissions (the NIC is
-        # the resolver on the client side), but it is still not delivered.
+        # the resolver on the client side), and only such a reply writes the
+        # resolver table, but it is still not delivered.
         parked = self._unpark(now, arp.sender_ip) if arp.operation == ARP_REPLY else []
         if parked:
+            self.resolver.learn(arp.sender_ip, arp.sender_mac, now)
             actions.drop(DropReason.UNSOLICITED_ARP_REPLY, 1, "consumed by resolver")
             for frame in parked:
                 resolved = EthernetFrame(arp.sender_mac, frame.src, frame.ethertype, frame.payload)

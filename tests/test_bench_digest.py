@@ -11,8 +11,8 @@ import pytest
 
 TINY_SEED_1_DIGESTS = {
     "scan": "9e04749ac138d5f9931a450e0d618649b4dc4e70e8ed6fdb93d17003b1bfada9",
-    "knock-storm": "0ddc43d574146efa5b083f25ca5f6d03162b860d9662c0e6f53c576eb962882c",
-    "forged-flood": "3572755e81b99f0a19f415ba8be44b6219b24cb0cded73bf58f370baf433ecdd",
+    "knock-storm": "0b94b5ea40db5760bc00194dbd174c9fd85c0e6d545258a5ab5a38b991d17ac8",
+    "forged-flood": "712b2229a1a9829cdd542c18bcaaf1b14764c2d6371963a52d002c52170be9a0",
 }
 
 

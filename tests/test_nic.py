@@ -1,6 +1,7 @@
 import pytest
 
 from cloaknic import frames
+from cloaknic.demos import DEMOS
 from cloaknic.frames import (
     ARP_REPLY,
     ARP_REQUEST,
@@ -26,12 +27,15 @@ from cloaknic.knock import (
     REPLAY_WINDOW_SECONDS,
     KnockFields,
     RejectReason,
+    ReplayCache,
     SharedKey,
+    open_knock,
     prf,
     seal_knock,
 )
 from cloaknic.nic import (
     FILTER_TABLE_CAP,
+    FILTER_TTL_SECONDS,
     Actions,
     ArpCacheUpdate,
     ByteFifo,
@@ -45,6 +49,7 @@ from cloaknic.nic import (
     TableFull,
     UnknownPeerKey,
 )
+from cloaknic.scenario import build_segment, parse_scenario
 
 SERVER_MAC = MacAddress.from_str("aa:00:00:00:00:02")
 SERVER_IP = Ipv4Address.from_str("10.0.0.2")
@@ -438,6 +443,107 @@ class TestHostTransmit:
         kinds = [type(f.payload).__name__ for f in actions.tx_frames]
         assert len(actions.tx_frames) == 2  # knock then SYN, now resolved
         assert all(f.dst == SERVER_MAC for f in actions.tx_frames)
+
+
+def send_unresolved(nic: CloakingNic, now: int, port: int = 40000):
+    """The frames the client NIC sends for a SYN to the server whose MAC the host left zero."""
+    return nic.on_host_transmit(make_ipv4_frame(CLIENT_MAC, MAC_ZERO, CLIENT_IP, SERVER_IP,
+                                                PROTO_TCP, tcp_segment(port, 22)), now).tx_frames
+
+
+def arp_reply_to_client(sender_ip: Ipv4Address, sender_mac: MacAddress) -> bytes:
+    return serialize_frame(make_arp(ARP_REPLY, sender_mac, sender_ip, CLIENT_MAC, CLIENT_IP))
+
+
+def is_arp_request_for_server(tx) -> bool:
+    arp = tx[0].payload if len(tx) == 1 else None
+    return isinstance(arp, ArpPacket) and (arp.operation, arp.target_ip) == (ARP_REQUEST, SERVER_IP)
+
+
+UNSOLICITED = DropRecord(DropReason.UNSOLICITED_ARP_REPLY, 1)
+CONSUMED = DropRecord(DropReason.UNSOLICITED_ARP_REPLY, 1, "consumed by resolver")
+
+
+class TestResolverTable:
+    """The client NIC keeps a peer's MAC only from a reply to its own live request.
+
+    Wire ARP is unauthenticated, so no other reply writes the table: not an
+    unsolicited one, a forged one, or one after the parked frames expired.
+    An entry lives FILTER_TTL_SECONDS from its write, and a send to a live
+    entry asks the wire nothing.
+    """
+
+    def resolved_client(self) -> CloakingNic:
+        """A client NIC that asked for the server's MAC at 0 and was answered at 2."""
+        nic = client_nic()
+        assert is_arp_request_for_server(send_unresolved(nic, now=0))
+        actions = nic.on_wire_receive(arp_reply_to_client(SERVER_IP, SERVER_MAC), now=2)
+        assert actions.drops == [CONSUMED]
+        assert [f.dst for f in actions.tx_frames] == [SERVER_MAC, SERVER_MAC]  # knock, SYN
+        assert dict(nic.resolver.entries) == {SERVER_IP: (2 + FILTER_TTL_SECONDS, SERVER_MAC)}
+        return nic
+
+    def test_unsolicited_reply_never_writes(self):
+        nic = client_nic()
+        actions = nic.on_wire_receive(arp_reply_to_client(SERVER_IP, SERVER_MAC), now=0)
+        assert actions == Actions(drops=[UNSOLICITED])
+        assert len(nic.resolver) == 0
+        assert is_arp_request_for_server(send_unresolved(nic, now=1))
+
+    def test_forged_reply_never_writes(self):
+        nic = self.resolved_client()
+        entries = dict(nic.resolver.entries)
+        # the poison program's reply: the server's IP at the attacker's MAC
+        for forged_ip in (SERVER_IP, ATTACKER_IP):
+            actions = nic.on_wire_receive(arp_reply_to_client(forged_ip, ATTACKER_MAC), now=3)
+            assert actions == Actions(drops=[UNSOLICITED])
+        assert dict(nic.resolver.entries) == entries
+        assert [f.dst for f in send_unresolved(nic, now=4)] == [SERVER_MAC]
+
+    def test_reply_after_the_parked_frames_expired_never_writes(self):
+        nic = client_nic()
+        send_unresolved(nic, now=0)  # parked until tick 2
+        actions = nic.on_wire_receive(arp_reply_to_client(SERVER_IP, SERVER_MAC), now=3)
+        assert actions == Actions(drops=[UNSOLICITED])
+        assert len(nic.resolver) == 0
+        assert is_arp_request_for_server(send_unresolved(nic, now=4))
+
+    def test_expired_entry_is_never_used(self):
+        nic = self.resolved_client()
+        # a duplicate reply a tick later answers nothing, so it does not extend the entry
+        nic.on_wire_receive(arp_reply_to_client(SERVER_IP, SERVER_MAC), now=3)
+        last_live = 2 + FILTER_TTL_SECONDS
+        assert [f.dst for f in send_unresolved(nic, now=last_live)] == [SERVER_MAC]
+        assert is_arp_request_for_server(send_unresolved(nic, now=last_live + 1))
+        assert SERVER_IP in nic._pending_arp
+
+    def test_send_within_the_lifetime_uses_the_cached_mac(self):
+        nic = self.resolved_client()
+        # a later reply claiming the server's IP changes nothing
+        nic.on_wire_receive(arp_reply_to_client(SERVER_IP, ATTACKER_MAC), now=10)
+        syn, = send_unresolved(nic, now=30)  # the port's knock is still live
+        assert syn.dst == SERVER_MAC and syn.payload.transport_view().is_syn
+        knock, syn = send_unresolved(nic, now=31, port=40001)
+        assert (knock.dst, syn.dst) == (SERVER_MAC, SERVER_MAC)
+        # with no ARP round trip, the knock is sealed at the send tick
+        sealed = open_knock(KEY, knock.payload.payload.payload, 31, ReplayCache())
+        assert sealed == KnockFields(CLIENT_IP, 40001, 31)
+        assert not nic._pending_arp
+
+    def test_wire_arp_never_writes_a_server_cache(self):
+        # criterion 5: the poison barrage neither updates the server's host
+        # cache nor its resolver, which only its own requests could fill
+        sc = parse_scenario(DEMOS["arp-poison"])
+        seg = build_segment(sc)
+        seg.run(sc.horizon)
+        assert seg.metrics.node("server").arp_cache_writes == 0
+        assert len(seg.node("server").nic.resolver) == 0
+        nic = server_nic()
+        for wire in (arp_reply_to_client(Ipv4Address.from_str("10.0.0.1"), ATTACKER_MAC),
+                     serialize_frame(make_arp(ARP_REPLY, ATTACKER_MAC, CLIENT_IP,
+                                              SERVER_MAC, SERVER_IP))):
+            assert nic.on_wire_receive(wire, now=0) == Actions(drops=[UNSOLICITED])
+        assert len(nic.resolver) == 0
 
 
 class TestExpiryOnWrite:

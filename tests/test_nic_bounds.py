@@ -1,10 +1,11 @@
 """NIC state stays within its stated bounds however long a run lasts.
 
 Each NIC table expires where it is written, so a long run keeps only live
-entries: a regression run past the filter's capacity, and a hypothesis
-state machine that checks the NIC's invariants after every input. A
-property test drives the filter's admission check on its own: a bit-flipped
-SYN of a live pair is delivered only if it is that pair's canonical frame.
+entries: a regression run past the filter's capacity, and hypothesis state
+machines that check a server NIC's and a client NIC's invariants after every
+input. A property test drives the filter's admission check on its own: a
+bit-flipped SYN of a live pair is delivered only if it is that pair's
+canonical frame.
 """
 
 import time
@@ -21,6 +22,7 @@ from cloaknic.frames import (
     PROTO_TCP,
     PROTO_UDP,
     ArpPacket,
+    EthernetFrame,
     FrameError,
     Ipv4Address,
     Ipv4Packet,
@@ -45,6 +47,7 @@ from cloaknic.nic import (
     ARP_TIMEOUT_TICKS,
     FILTER_TABLE_CAP,
     FILTER_TTL_SECONDS,
+    RESOLVER_TABLE_CAP,
     Actions,
     ArpCacheUpdate,
     CloakingNic,
@@ -319,6 +322,110 @@ NicMachine.TestCase.settings = settings(
     max_examples=60, stateful_step_count=30, deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
 TestNicMachine = NicMachine.TestCase
+
+
+PEERS = [(SERVER_IP, SERVER_MAC)] + [
+    (Ipv4Address.from_str(f"10.0.0.{i}"), MacAddress.from_str(f"aa:00:00:00:00:0{i}"))
+    for i in (3, 4)]
+CONSUMED = DropRecord(DropReason.UNSOLICITED_ARP_REPLY, 1, "consumed by resolver")
+UNSOLICITED = DropRecord(DropReason.UNSOLICITED_ARP_REPLY, 1)
+
+
+def udp_to(ip: Ipv4Address) -> EthernetFrame:
+    """A client host's datagram to `ip`, whose MAC it leaves to the NIC."""
+    client_ip, client_mac = CLIENTS[0][:2]
+    return make_ipv4_frame(client_mac, MAC_ZERO, client_ip, ip, PROTO_UDP, udp_datagram(5000, 53))
+
+
+def reply_to_client(ip: Ipv4Address, mac: MacAddress) -> bytes:
+    client_ip, client_mac = CLIENTS[0][:2]
+    return serialize_frame(make_arp(ARP_REPLY, mac, ip, client_mac, client_ip))
+
+
+class ResolverMachine(RuleBasedStateMachine):
+    """A client NIC's resolver table fed sends, genuine and forged ARP replies and time.
+
+    `resolved` models the table, peer IP -> (last live tick, MAC), oldest
+    write first, pruned of expired entries exactly when the NIC writes it.
+    `asked` holds, per peer IP, the last tick a frame parked for it is live.
+    ARP carries no proof of origin, so the first reply to a live request is
+    the one kept, whoever sent it; a reply to no live request writes nothing.
+    """
+
+    def __init__(self):
+        super().__init__()
+        client_ip, client_mac = CLIENTS[0][:2]
+        self.nic = CloakingNic(NicConfig(mac=client_mac, ip=client_ip))
+        self.now = 0
+        self.resolved = {}
+        self.asked = {}
+
+    @rule(dt=st.integers(0, 80))
+    def advance(self, dt):
+        self.now += dt
+
+    @rule(peer=st.sampled_from(PEERS))
+    def send(self, peer):
+        frame = udp_to(peer[0])
+        tx = self.nic.on_host_transmit(frame, self.now).tx_frames
+        expires, mac = self.resolved.get(peer[0], (-1, None))
+        if self.now <= expires:
+            assert tx == [EthernetFrame(mac, frame.src, frame.ethertype, frame.payload)]
+            return
+        request, = tx
+        assert (request.payload.operation, request.payload.target_ip) == (ARP_REQUEST, peer[0])
+        self.asked[peer[0]] = self.now + ARP_TIMEOUT_TICKS
+
+    @rule(peer=st.sampled_from(PEERS), forged=st.booleans())
+    def reply(self, peer, forged):
+        ip, mac = peer
+        mac = STRANGER_MAC if forged else mac
+        actions = self.nic.on_wire_receive(reply_to_client(ip, mac), self.now)
+        if self.now > self.asked.pop(ip, -1):
+            assert actions == Actions(drops=[UNSOLICITED])
+            return
+        assert actions.drops == [CONSUMED] and {f.dst for f in actions.tx_frames} == {mac}
+        self.resolved.pop(ip, None)
+        for key in [k for k, (expires, _) in self.resolved.items() if self.now > expires]:
+            del self.resolved[key]
+        if len(self.resolved) >= RESOLVER_TABLE_CAP:
+            del self.resolved[next(iter(self.resolved))]
+        self.resolved[ip] = (self.now + FILTER_TTL_SECONDS, mac)
+        assert min(expires for expires, _ in self.nic.resolver.entries.values()) >= self.now
+
+    @rule()
+    def stranger_reply(self):
+        # a reply for an IP this NIC never asked about
+        actions = self.nic.on_wire_receive(reply_to_client(STRANGER_IP, STRANGER_MAC), self.now)
+        assert actions == Actions(drops=[UNSOLICITED])
+
+    @invariant()
+    def table_matches_the_model(self):
+        assert list(self.nic.resolver.entries.items()) == list(self.resolved.items())
+        assert len(self.nic.resolver) <= RESOLVER_TABLE_CAP
+
+
+ResolverMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow])
+TestResolverMachine = ResolverMachine.TestCase
+
+
+def test_a_resolver_write_at_capacity_evicts_the_oldest_peer():
+    client_ip, client_mac = CLIENTS[0][:2]
+    nic = CloakingNic(NicConfig(mac=client_mac, ip=client_ip))
+    peers = [(Ipv4Address.from_str(f"10.0.{1 + i // 200}.{1 + i % 200}"),
+              MacAddress(bytes([0xaa, 0, 0, 0, i >> 8, i & 0xFF])))
+             for i in range(RESOLVER_TABLE_CAP + 1)]
+    # every peer is answered in one tick, so none has expired
+    for ip, mac in peers:
+        nic.on_host_transmit(udp_to(ip), 0)
+        assert nic.on_wire_receive(reply_to_client(ip, mac), 0).drops == [CONSUMED]
+    assert list(nic.resolver.entries) == [ip for ip, _ in peers[1:]]
+    (oldest, _), (second, second_mac) = peers[:2]
+    request, = nic.on_host_transmit(udp_to(oldest), 1).tx_frames
+    assert (request.payload.operation, request.payload.target_ip) == (ARP_REQUEST, oldest)
+    assert [f.dst for f in nic.on_host_transmit(udp_to(second), 1).tx_frames] == [second_mac]
 
 
 LIVE_PAIR = (CLIENTS[0][0], CLIENT_PORTS[0])
