@@ -179,14 +179,13 @@ def open_knock(key: SharedKey, payload: bytes, now: int,
         return RejectReason.BAD_MAGIC
     if payload[4] != KNOCK_VERSION:
         return RejectReason.BAD_VERSION
-    nonce = payload[6:6 + NONCE_LEN]
-    ciphertext = payload[14:14 + CIPHERTEXT_LEN]
-    tag = payload[30:30 + TAG_LEN]
     expected = prf(key, payload[:30])[:TAG_LEN]
-    if not hmac.compare_digest(tag, expected):
+    if not hmac.compare_digest(payload[30:30 + TAG_LEN], expected):
         return RejectReason.BAD_TAG
+    # a forged tag, the common rejection, stops before the fields are sliced
+    nonce = payload[6:6 + NONCE_LEN]
     keystream = prf(key, nonce + b"\x01")[:CIPHERTEXT_LEN]
-    plaintext = _xor(ciphertext, keystream)
+    plaintext = _xor(payload[14:14 + CIPHERTEXT_LEN], keystream)
     if payload[5] != KNOCK_FLAGS or plaintext[4:6] == b"\x00\x00" \
             or plaintext[6:8] != b"\x00\x00":
         return RejectReason.NON_CANONICAL

@@ -25,16 +25,29 @@ node returned it (a `DropRecord`, `Delivered` or `ArpCacheUpdate`), or a
 `FrameEvent` where no node gives one; every event carries its own stage.
 `Segment.trace` is a read-only view of the log with one record per line,
 and `Segment.metrics` folds the log, counting a span's nodes in bulk.
+
+Describing, dispatching and recording run once per frame, so they keep to
+these rules:
+
+- records and spans are built with `tuple.__new__`, not through their
+  Python-level constructors, and verdicts are dispatched on `type(x) is`;
+- the benchmark's tracer wraps `describe_frame`, `Segment.step`,
+  `Segment.run` (which calls `self.step()`), the nodes' `receive`,
+  `observe`, `perform` and `frames_for`, `TraceRecord.format_line` and
+  `Metrics.to_text`, so each is reached through its module global or
+  class attribute and none is inlined into its caller;
+- nothing is cached by frame bytes; the one text cache, an address's
+  dotted quad (`frames.Ipv4Address`), is bounded.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
+from heapq import heappop, heappush
 from itertools import chain, islice, repeat
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
@@ -69,6 +82,10 @@ from .nic import (
     DropRecord,
 )
 
+# Distinct line heads `TraceRecord.format_line` keeps: those of the shared
+# verdicts are a few dozen; cache writes, one per knock, cycle through the rest.
+LINE_HEAD_CACHE = 256
+
 PLAIN_STAGE_LINK = 1
 PLAIN_STAGE_IP = 2
 PLAIN_STAGE_TRANSPORT = 3
@@ -96,6 +113,11 @@ class FrameEvent(Enum):
 
     def __init__(self, direction: str, prefix: str, stage_count: int):
         self.direction, self.prefix, self.stage_count = direction, prefix, stage_count
+
+    # Members are singletons that compare by identity, so identity hashing
+    # agrees with equality; `Enum.__hash__` is a Python-level call, made for
+    # every line's `_line_head` lookup.
+    __hash__ = object.__hash__
 
 
 Event = Union[FrameEvent, DropRecord, Delivered, ArpCacheUpdate]
@@ -138,12 +160,23 @@ class TraceRecord(NamedTuple):
         return self._text()[1]
 
     def format_line(self, with_hex: bool = False) -> str:
-        direction, summary, raw_hex = self._text()
-        line = (f"t={self.time} node={self.node} dir={direction} "
-                f"stage={self.event.stage_count} info={summary}")
+        time, node, event, frame, raw_hex = self
+        if type(event) is ArpCacheUpdate:
+            return f"t={time} node={node} {_line_head(event)}"
         if with_hex and raw_hex:
-            line += f" hex={raw_hex}"
-        return line
+            return f"t={time} node={node} {_line_head(event)}{frame} hex={raw_hex}"
+        return f"t={time} node={node} {_line_head(event)}{frame}"
+
+
+@lru_cache(maxsize=LINE_HEAD_CACHE)
+def _line_head(event: Event) -> str:
+    """A line's text from its direction up to the frame's description. Every
+    summary but a cache write's ends with the frame's text, so an event's
+    head is its summary with no frame. The events a node shares (drop
+    records, `Delivered`, `FrameEvent`) come from the code's few literals,
+    and a cache write's head holds only two addresses, so the cache is small."""
+    direction, summary, _ = TraceRecord(0, "", event, "")._text()
+    return f"dir={direction} stage={event.stage_count} info={summary}"
 
 
 class IgnoredRecord(TraceRecord):
@@ -157,9 +190,14 @@ class IgnoredRecord(TraceRecord):
                 f"info=ignored (other dst) | {self.frame}")
 
 
-# (time, node, FrameEvent.IGNORED, frame, None) -> IgnoredRecord, with no Python frame
+# (time, node, event, frame, raw_hex) -> TraceRecord, and (time, node,
+# FrameEvent.IGNORED, frame, None) -> IgnoredRecord, with no Python frame
+_record = partial(tuple.__new__, TraceRecord)
 _ignored_record = partial(tuple.__new__, IgnoredRecord)
 _IGNORED = FrameEvent.IGNORED
+_PROCESSED_ONLY = (FrameEvent.PROCESSED,)  # the events of a receiver that gave no verdict
+_TX = FrameEvent.TX
+_tuple_new = tuple.__new__
 
 
 class IgnoredSpan(NamedTuple):
@@ -182,6 +220,8 @@ class TraceView:
     """Read-only lines of a segment's log from `start` to `stop` (its end, if
     None): each `IgnoredSpan` reads as one record per node. `spans` holds the
     log index of every span. An index or slice reads every line first."""
+
+    __slots__ = ("_log", "_spans", "_start", "_stop")
 
     def __init__(self, log: List[LogEntry], spans: List[int], start: int = 0,
                  stop: Optional[int] = None):
@@ -229,10 +269,10 @@ class NodeMetrics:
 
 
 class Metrics:
-    """Per-node counters, folded from a trace or a segment's log."""
+    """Per-node counters of the named nodes, folded from a segment's log."""
 
     def __init__(self, trace: Iterable[LogEntry], names: Iterable[str]):
-        self.nodes = defaultdict(NodeMetrics, {name: NodeMetrics() for name in names})
+        self.nodes: Dict[str, NodeMetrics] = {name: NodeMetrics() for name in names}
         tx, ignored = FrameEvent.TX, FrameEvent.IGNORED
         spans = []
         for record in trace:
@@ -257,6 +297,7 @@ class Metrics:
             self.nodes[name].ignored += n
 
     def node(self, name: str) -> NodeMetrics:
+        """The counters of an attached node; a KeyError for any other name."""
         return self.nodes[name]
 
     def to_text(self) -> str:
@@ -271,26 +312,29 @@ class Metrics:
 
 def describe_frame(wire: Union[Wire, bytes]) -> str:
     """One-line human summary of a frame for trace records."""
-    wire = Wire.wrap(wire)
+    if not isinstance(wire, Wire):
+        wire = Wire(wire)
     try:
         frame = wire.frame
     except FrameError as exc:
         return f"malformed ({type(exc).__name__}, {len(wire.data)} bytes)"
     p = frame.payload
-    if isinstance(p, ArpPacket):
-        if p.operation == ARP_REQUEST:
-            return f"arp-request who-has {p.target_ip} tell {p.sender_ip}"
-        return f"arp-reply {p.sender_ip} is-at {p.sender_mac}"
-    if isinstance(p, Ipv4Packet):
-        if isinstance(p.payload, IcmpMessage):
-            if is_knock_payload(p.payload.payload):
+    kind = type(p)
+    if kind is Ipv4Packet:
+        body = p.payload
+        if type(body) is IcmpMessage:
+            if is_knock_payload(body.payload):
                 return f"icmp-knock {p.src}->{p.dst}"
-            return f"icmp type={p.payload.icmp_type} {p.src}->{p.dst}"
+            return f"icmp type={body.icmp_type} {p.src}->{p.dst}"
         view = p.transport_view()
         if view is not None:
             flag = " syn" if view.is_syn else ""
             return f"{view.kind} {p.src}:{view.src_port}->{p.dst}:{view.dst_port}{flag}"
         return f"ipv4 proto={p.protocol} {p.src}->{p.dst}"
+    if kind is ArpPacket:
+        if p.operation == ARP_REQUEST:
+            return f"arp-request who-has {p.target_ip} tell {p.sender_ip}"
+        return f"arp-reply {p.sender_ip} is-at {p.sender_mac}"
     return f"ethertype=0x{frame.ethertype:04x} ({len(wire.data)} bytes)"
 
 
@@ -425,7 +469,10 @@ class PlainHostNode(Node):
         except FrameError as exc:
             return actions.drop(DropReason.MALFORMED, PLAIN_STAGE_LINK, type(exc).__name__)
         p = frame.payload
-        if isinstance(p, ArpPacket):
+        kind = type(p)
+        if kind is Ipv4Packet:
+            return self._receive_ipv4(actions, frame, p)
+        if kind is ArpPacket:
             if p.operation == ARP_REQUEST and p.target_ip == self.ip:
                 actions.tx_frames.append(frames.make_arp(
                     ARP_REPLY, self.mac, self.ip, p.sender_mac, p.sender_ip))
@@ -436,16 +483,15 @@ class PlainHostNode(Node):
             else:
                 actions.drop(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_LINK, "arp-other-ip")
             return actions
-        if isinstance(p, Ipv4Packet):
-            return self._receive_ipv4(actions, frame, p)
         return actions.drop(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_LINK, "unknown-ethertype")
 
     def _receive_ipv4(self, actions: Actions, frame: EthernetFrame, p: Ipv4Packet) -> Actions:
-        if isinstance(p.payload, IcmpMessage):
-            if p.payload.icmp_type == ICMP_ECHO_REQUEST:
+        icmp = p.payload
+        if type(icmp) is IcmpMessage:
+            if icmp.icmp_type == ICMP_ECHO_REQUEST:
                 actions.tx_frames.append(frames.make_icmp_echo(
-                    self.mac, frame.src, self.ip, p.src, p.payload.payload,
-                    p.payload.identifier, p.payload.sequence, reply=True))
+                    self.mac, frame.src, self.ip, p.src, icmp.payload,
+                    icmp.identifier, icmp.sequence, reply=True))
                 actions.host_events.append(_PLAIN_DELIVERED)
             else:
                 actions.drop(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_TRANSPORT, "icmp-other")
@@ -597,7 +643,7 @@ class Segment:
         return plan
 
     def _push(self, time: int, kind: str, *payload) -> None:
-        heapq.heappush(self._queue, (time, self._seq, kind, payload))
+        heappush(self._queue, (time, self._seq, kind, payload))
         self._seq += 1
 
     def inject(self, time: int, wire: Union[Wire, bytes], origin: str,
@@ -618,7 +664,7 @@ class Segment:
     def _transmit(self, origin: Node, wires: Iterable[Wire], now: int) -> None:
         for wire in wires:
             described = describe_frame(wire)
-            self._log.append(TraceRecord(now, origin.name, FrameEvent.TX, described, wire.hex))
+            self._log.append(_record((now, origin.name, _TX, described, wire.hex)))
             self.inject(now + 1, wire, origin.name, described)
 
     def step(self) -> TraceView:
@@ -627,7 +673,7 @@ class Segment:
         mark = len(log)
         if not self._queue:
             return TraceView(log, self._spans, mark, mark)
-        time, seq, kind, payload = heapq.heappop(self._queue)
+        time, seq, kind, payload = heappop(self._queue)
         self.clock = time
         if kind == "frame":
             wire, origin, described = payload
@@ -645,12 +691,16 @@ class Segment:
                     append(_ignored_record((time, item, _IGNORED, described, None)))
                 elif shape is tuple:
                     self._spans.append(len(log))
-                    append(IgnoredSpan(time, item, described))
+                    append(_tuple_new(IgnoredSpan, (time, item, described)))
                 else:
                     # the node's verdicts as it gave them, then its answers
                     actions = item.receive(wire, time)
-                    for event in actions.drops + actions.host_events or [FrameEvent.PROCESSED]:
-                        append(TraceRecord(time, item.name, event, described, wire.hex))
+                    events = actions.drops
+                    if actions.host_events:
+                        events = events + actions.host_events
+                    name, raw_hex = item.name, wire.hex
+                    for event in events or _PROCESSED_ONLY:
+                        append(_record((time, name, event, described, raw_hex)))
                     if actions.tx_frames:
                         self._transmit(item, map(Wire.from_frame, actions.tx_frames), time)
         else:
@@ -660,14 +710,15 @@ class Segment:
                 # among equal times as if every firing had been queued up front
                 rest = getattr(step.program, "count", 1) - 1
                 if rest > 0:
-                    heapq.heappush(self._queue, (time + step.program.period, seq, kind,
-                                                 (name, Attack(replace(step.program, count=rest)))))
+                    heappush(self._queue, (time + step.program.period, seq, kind,
+                                           (name, Attack(replace(step.program, count=rest)))))
             node = self._by_name[name]
             self._transmit(node, node.perform(step, time), time)
         return TraceView(log, self._spans, mark, len(log))
 
     def run(self, horizon: Optional[int] = None) -> None:
-        while self._queue:
-            if horizon is not None and self._queue[0][0] > horizon:
+        queue = self._queue
+        while queue:
+            if horizon is not None and queue[0][0] > horizon:
                 break
             self.step()

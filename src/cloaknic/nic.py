@@ -24,6 +24,10 @@ RESOLVER_TABLE_CAP (64) peers, and a write at capacity evicts the oldest.
 
 Each verdict is one immutable value that owns its stage count (a `DropRecord`,
 `Delivered` or `ArpCacheUpdate`), and `netsim` records it as it is returned.
+A verdict is reached with the least work the model allows: payloads are
+dispatched on `type(x) is`, a drop is one shared record, and `Actions` is a
+slotted value. `open_knock` and `on_wire_receive` stay separate calls, as
+the benchmark's tracer wraps both.
 
 One instance is a single-threaded state machine; all cross-NIC traffic
 goes through the simulator.
@@ -89,6 +93,11 @@ class DropReason(Enum):
     UNSOLICITED_ARP_REPLY = "UnsolicitedArpReply"
     MALFORMED = "Malformed"
 
+    # Members are singletons that compare by identity, so identity hashing
+    # agrees with equality; `Enum.__hash__` is a Python-level call, made for
+    # every drop's `_drop_record` lookup.
+    __hash__ = object.__hash__
+
 
 class DropRecord(NamedTuple):
     reason: DropReason
@@ -123,13 +132,20 @@ _DELIVERED = Delivered()  # the trace keeps every verdict, so one value is share
 HostEvent = Union[ArpCacheUpdate, Delivered]
 
 
-@dataclass
+@dataclass(init=False, slots=True)
 class Actions:
     """Per-call outcome: every input frame lands in exactly one bucket."""
 
-    tx_frames: List[EthernetFrame] = field(default_factory=list)
-    host_events: List[HostEvent] = field(default_factory=list)
-    drops: List[DropRecord] = field(default_factory=list)
+    tx_frames: List[EthernetFrame]
+    host_events: List[HostEvent]
+    drops: List[DropRecord]
+
+    def __init__(self, tx_frames: Optional[List[EthernetFrame]] = None,
+                 host_events: Optional[List[HostEvent]] = None,
+                 drops: Optional[List[DropRecord]] = None):
+        self.tx_frames = [] if tx_frames is None else tx_frames
+        self.host_events = [] if host_events is None else host_events
+        self.drops = [] if drops is None else drops
 
     def drop(self, reason: DropReason, stage: int, detail: Optional[str] = None) -> "Actions":
         self.drops.append(_drop_record(reason, stage, detail))
@@ -299,7 +315,7 @@ class CloakingNic:
             raise NicError("host frame source MAC must match the NIC MAC")
         actions = Actions()
         pkt = frame.payload
-        if not isinstance(pkt, Ipv4Packet):
+        if type(pkt) is not Ipv4Packet:
             actions.tx_frames.append(frame)
             return actions
         if frame.dst == MAC_ZERO:
@@ -324,17 +340,19 @@ class CloakingNic:
 
     def on_wire_receive(self, wire: Union[Wire, bytes], now: int) -> Actions:
         """Verdict on one received frame; plain bytes are wrapped and parsed here."""
-        wire = Wire.wrap(wire)
+        if not isinstance(wire, Wire):
+            wire = Wire(wire)
         actions = Actions()
         try:
             frame = wire.frame
         except frames.FrameError as exc:
             return actions.drop(DropReason.MALFORMED, 1, type(exc).__name__)
-
-        if isinstance(frame.payload, ArpPacket):
-            return self._receive_arp(actions, frame.payload, now)
-        if isinstance(frame.payload, Ipv4Packet):
-            return self._receive_ipv4(actions, frame, frame.payload, now)
+        payload = frame.payload
+        kind = type(payload)
+        if kind is Ipv4Packet:
+            return self._receive_ipv4(actions, frame, payload, now)
+        if kind is ArpPacket:
+            return self._receive_arp(actions, payload, now)
         return actions.drop(DropReason.NO_FILTER_MATCH, 1, "non-ip ethertype")
 
     def _receive_arp(self, actions: Actions, arp: ArpPacket, now: int) -> Actions:
@@ -363,8 +381,9 @@ class CloakingNic:
 
     def _receive_ipv4(self, actions: Actions, frame: EthernetFrame, pkt: Ipv4Packet,
                       now: int) -> Actions:
-        if isinstance(pkt.payload, IcmpMessage) and is_knock_payload(pkt.payload.payload):
-            return self._receive_knock(actions, frame, pkt, now)
+        body = pkt.payload
+        if type(body) is IcmpMessage and is_knock_payload(body.payload):
+            return self._receive_knock(actions, frame, pkt, body.payload, now)
         view = pkt.transport_view()
         # plain ICMP and unknown IP protocols have no view: the default drop
         if view is not None and self.filter.lookup(pkt.src, view.src_port, now):
@@ -373,15 +392,14 @@ class CloakingNic:
         return actions.drop(DropReason.NO_FILTER_MATCH, 1)
 
     def _receive_knock(self, actions: Actions, frame: EthernetFrame,
-                       pkt: Ipv4Packet, now: int) -> Actions:
+                       pkt: Ipv4Packet, knock: bytes, now: int) -> Actions:
         key = self.config.role_keys.get(pkt.src)
         if key is None:
             # unauthenticatable sender: indistinguishable from a forged tag
-            return actions.drop(DropReason.BAD_KNOCK, 2, RejectReason.BAD_TAG.value)
-        assert isinstance(pkt.payload, IcmpMessage)
-        result = open_knock(key, pkt.payload.payload, now, self.replay_cache)
-        if isinstance(result, RejectReason):
-            return actions.drop(DropReason.BAD_KNOCK, 2, result.value)
+            return actions.drop(DropReason.BAD_KNOCK, 2, RejectReason.BAD_TAG._value_)
+        result = open_knock(key, knock, now, self.replay_cache)
+        if type(result) is RejectReason:
+            return actions.drop(DropReason.BAD_KNOCK, 2, result._value_)
         if result.client_ip != pkt.src:
             # a key holder may only open the filter for the address it sends from
             return actions.drop(DropReason.BAD_KNOCK, 2, "IpMismatch")

@@ -1,7 +1,9 @@
 import pytest
 
 from cloaknic.frames import (
+    ARP_REPLY,
     ARP_REQUEST,
+    MAC_BROADCAST,
     MAC_ZERO,
     PROTO_TCP,
     PROTO_UDP,
@@ -26,6 +28,7 @@ from cloaknic.netsim import (
     CloakedServerNode,
     DuplicateHandle,
     FrameEvent,
+    IgnoredRecord,
     KnockReplay,
     MacSpoof,
     NothingCaptured,
@@ -33,9 +36,18 @@ from cloaknic.netsim import (
     PlainHostNode,
     PortScan,
     Segment,
+    TraceRecord,
     describe_frame,
 )
-from cloaknic.nic import Actions, CloakingNic, DropReason, DropRecord, NicConfig
+from cloaknic.nic import (
+    Actions,
+    ArpCacheUpdate,
+    CloakingNic,
+    Delivered,
+    DropReason,
+    DropRecord,
+    NicConfig,
+)
 from cloaknic.demos import DEMOS
 from cloaknic.scenario import parse_scenario, run_scenario, build_segment
 
@@ -307,3 +319,88 @@ def test_describe_frame_is_total():
     assert "malformed" in describe_frame(b"\x00")
     assert "arp-request" in describe_frame(serialize_frame(make_arp(
         ARP_REQUEST, MAC("aa:00:00:00:00:01"), IP("10.0.0.1"), MAC_ZERO, IP("10.0.0.2"))))
+
+
+class TestMetricsNode:
+    def test_an_unattached_name_is_refused_and_adds_no_node(self):
+        sc = parse_scenario(DEMOS["happy-path"])
+        seg = build_segment(sc)
+        seg.run(sc.horizon)
+        metrics = seg.metrics
+        text = metrics.to_text()
+        with pytest.raises(KeyError):
+            metrics.node("srever")
+        assert metrics.to_text() == text
+        assert [line for line in text.splitlines() if line.startswith("node ")] == \
+            ["node client", "node server"]
+
+
+KNOCK = "icmp-knock 10.0.0.66->10.0.0.2"
+SYN = "tcp 10.0.0.5:40000->10.0.0.2:22 syn"
+ARP_ASK = "arp-request who-has 10.0.0.2 tell 10.0.0.5"
+
+
+class TestExactText:
+    """Each line and description class, letter for letter."""
+
+    @pytest.mark.parametrize("record, plain_line, hex_line", [
+        (TraceRecord(7, "client", FrameEvent.TX, SYN, "ab12"),
+         f"t=7 node=client dir=tx stage=0 info={SYN}",
+         f"t=7 node=client dir=tx stage=0 info={SYN} hex=ab12"),
+        (TraceRecord(7, "plain", FrameEvent.IGNORED, SYN, "ab12"),
+         f"t=7 node=plain dir=rx stage=0 info=ignored (other dst) | {SYN}",
+         f"t=7 node=plain dir=rx stage=0 info=ignored (other dst) | {SYN} hex=ab12"),
+        (IgnoredRecord(7, "plain", FrameEvent.IGNORED, SYN, "ab12"),
+         f"t=7 node=plain dir=rx stage=0 info=ignored (other dst) | {SYN}",
+         f"t=7 node=plain dir=rx stage=0 info=ignored (other dst) | {SYN}"),
+        (TraceRecord(7, "server", FrameEvent.PROCESSED, ARP_ASK, "ab12"),
+         f"t=7 node=server dir=rx stage=1 info=processed | {ARP_ASK}",
+         f"t=7 node=server dir=rx stage=1 info=processed | {ARP_ASK} hex=ab12"),
+        (TraceRecord(7, "server", DropRecord(DropReason.BAD_KNOCK, 2, "BadTag"), KNOCK, "ab12"),
+         f"t=7 node=server dir=drop stage=2 info=BadKnock BadTag | {KNOCK}",
+         f"t=7 node=server dir=drop stage=2 info=BadKnock BadTag | {KNOCK} hex=ab12"),
+        (TraceRecord(7, "server", DropRecord(DropReason.NO_FILTER_MATCH, 1), SYN, "ab12"),
+         f"t=7 node=server dir=drop stage=1 info=NoFilterMatch | {SYN}",
+         f"t=7 node=server dir=drop stage=1 info=NoFilterMatch | {SYN} hex=ab12"),
+        (TraceRecord(7, "server", Delivered(), SYN, "ab12"),
+         f"t=7 node=server dir=host_event stage=2 info=delivered | {SYN}",
+         f"t=7 node=server dir=host_event stage=2 info=delivered | {SYN} hex=ab12"),
+        (TraceRecord(7, "server", ArpCacheUpdate(IP("10.0.0.5"), MAC("aa:00:00:00:00:05")),
+                     "icmp-knock 10.0.0.5->10.0.0.2", "ab12"),
+         "t=7 node=server dir=host_event stage=2 info=arp-cache-update 10.0.0.5 is-at "
+         "aa:00:00:00:00:05",
+         "t=7 node=server dir=host_event stage=2 info=arp-cache-update 10.0.0.5 is-at "
+         "aa:00:00:00:00:05"),
+        (TraceRecord(7, "client", FrameEvent.TX, SYN),
+         f"t=7 node=client dir=tx stage=0 info={SYN}",
+         f"t=7 node=client dir=tx stage=0 info={SYN}"),
+    ], ids=["tx", "ignored", "ignored-record", "processed", "drop-detail", "drop-bare",
+            "delivered", "arp-cache-update", "tx-no-hex"])
+    def test_format_line(self, record, plain_line, hex_line):
+        assert record.format_line() == plain_line
+        assert record.format_line(with_hex=True) == hex_line
+
+    A, B = MAC("aa:00:00:00:00:05"), MAC("aa:00:00:00:00:02")
+    IP_A, IP_B = IP("10.0.0.5"), IP("10.0.0.2")
+
+    @pytest.mark.parametrize("frame, text", [
+        (make_arp(ARP_REQUEST, A, IP_A, MAC_ZERO, IP_B), ARP_ASK),
+        (make_arp(ARP_REPLY, B, IP_B, A, IP_A), "arp-reply 10.0.0.2 is-at aa:00:00:00:00:02"),
+        (make_icmp_echo(A, B, IP_A, IP_B, b"KNCK\x01\x00" + bytes(40)),
+         "icmp-knock 10.0.0.5->10.0.0.2"),
+        (make_icmp_echo(A, B, IP_A, IP_B, b"ping", reply=True), "icmp type=0 10.0.0.5->10.0.0.2"),
+        (make_ipv4_frame(A, B, IP_A, IP_B, PROTO_TCP, tcp_segment(40000, 22)), SYN),
+        (make_ipv4_frame(A, B, IP_A, IP_B, PROTO_TCP, tcp_segment(40000, 22, TCP_FLAG_ACK)),
+         "tcp 10.0.0.5:40000->10.0.0.2:22"),
+        (make_ipv4_frame(A, B, IP_A, IP_B, PROTO_UDP, udp_datagram(5353, 53)),
+         "udp 10.0.0.5:5353->10.0.0.2:53"),
+        (make_ipv4_frame(A, B, IP_A, IP_B, PROTO_TCP, b"short"), "ipv4 proto=6 10.0.0.5->10.0.0.2"),
+        (EthernetFrame(MAC_BROADCAST, A, 0x88B5, b"spoof"), "ethertype=0x88b5 (19 bytes)"),
+        (None, "malformed (TooShort, 13 bytes)"),
+    ], ids=["arp-request", "arp-reply", "icmp-knock", "icmp-other", "tcp-syn", "tcp-ack", "udp",
+            "ipv4-proto", "ethertype", "malformed"])
+    def test_describe_frame(self, frame, text):
+        data = b"\x00" * 13 if frame is None else serialize_frame(frame)
+        assert describe_frame(data) == text
+        wire = Wire(data) if frame is None else Wire.from_frame(frame)
+        assert describe_frame(wire) == text
