@@ -30,14 +30,16 @@ Describing, dispatching and recording run once per frame, so they keep to
 these rules:
 
 - records and spans are built with `tuple.__new__`, not through their
-  Python-level constructors, and verdicts are dispatched on `type(x) is`;
+  Python-level constructors, and payloads and events are dispatched on
+  `type(x) is`;
 - the benchmark's tracer wraps `describe_frame`, `Segment.step`,
   `Segment.run` (which calls `self.step()`), the nodes' `receive`,
   `observe`, `perform` and `frames_for`, `TraceRecord.format_line` and
   `Metrics.to_text`, so each is reached through its module global or
   class attribute and none is inlined into its caller;
-- nothing is cached by frame bytes; the one text cache, an address's
-  dotted quad (`frames.Ipv4Address`), is bounded.
+- nothing is cached by frame bytes; the two text caches, an address's
+  dotted quad (`frames.Ipv4Address`) and an event's line head
+  (`_line_head`), are bounded.
 """
 
 from __future__ import annotations
