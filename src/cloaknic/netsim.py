@@ -13,7 +13,9 @@ order when the trace is read.
 Node kinds: cloaked servers and clients (backed by `CloakingNic`), a plain
 software-stack baseline host (answers ARP and pings, RSTs closed ports,
 and accepts unsolicited ARP replies into its cache -- the poisonable
-reference point), and attackers running the layer-2 attack programs.
+reference point), and attackers running the layer-2 attack programs. A
+step is the value a node performs: a `Send`, a `Ping`, or an attack program
+itself, which carries its own `count` and `period` if it repeats.
 
 Stage counts model code-execution-path length: the cloaking NIC rejects at
 stage 1, its filter; the plain host carries every probe through link (1),
@@ -23,8 +25,9 @@ The trace is the run's one account: each `TraceRecord` holds a typed event
 and its frame's text, never the frame. The event is a verdict exactly as a
 node returned it (a `DropRecord`, `Delivered` or `ArpCacheUpdate`), or a
 `FrameEvent` where no node gives one; every event carries its own stage.
-`Segment.trace` is a read-only view of the log with one record per line,
-and `Segment.metrics` folds the log, counting a span's nodes in bulk.
+`Segment.trace` is the one way to read a run: a read-only view of the whole
+log with one record per line. `Segment.step()` returns nothing, and
+`Segment.metrics` folds the log, counting a span's nodes in bulk.
 
 Describing, dispatching and recording run once per frame, so they keep to
 these rules:
@@ -44,7 +47,6 @@ these rules:
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -181,6 +183,9 @@ def _line_head(event: Event) -> str:
     return f"dir={direction} stage={event.stage_count} info={summary}"
 
 
+_IGNORED_HEAD = _line_head(FrameEvent.IGNORED)
+
+
 class IgnoredRecord(TraceRecord):
     """The line of a node that a frame passed by: its event is `FrameEvent.IGNORED`
     and it shows no hex."""
@@ -188,8 +193,7 @@ class IgnoredRecord(TraceRecord):
     __slots__ = ()
 
     def format_line(self, with_hex: bool = False) -> str:
-        return (f"t={self.time} node={self.node} dir=rx stage=0 "
-                f"info=ignored (other dst) | {self.frame}")
+        return f"t={self.time} node={self.node} {_IGNORED_HEAD}{self.frame}"
 
 
 # (time, node, event, frame, raw_hex) -> TraceRecord, and (time, node,
@@ -219,29 +223,21 @@ LogEntry = Union[TraceRecord, IgnoredSpan]
 
 
 class TraceView:
-    """Read-only lines of a segment's log from `start` to `stop` (its end, if
-    None): each `IgnoredSpan` reads as one record per node. `spans` holds the
-    log index of every span. An index or slice reads every line first."""
+    """Read-only lines of a segment's whole log: each `IgnoredSpan` reads as
+    one record per node. `spans` holds the log index of every span."""
 
-    __slots__ = ("_log", "_spans", "_start", "_stop")
+    __slots__ = ("_log", "_spans")
 
-    def __init__(self, log: List[LogEntry], spans: List[int], start: int = 0,
-                 stop: Optional[int] = None):
-        self._log, self._spans, self._start, self._stop = log, spans, start, stop
-
-    def _span_range(self) -> Tuple[int, List[int]]:
-        stop = len(self._log) if self._stop is None else self._stop
-        spans = self._spans
-        return stop, spans[bisect_left(spans, self._start):bisect_left(spans, stop)]
+    def __init__(self, log: List[LogEntry], spans: List[int]):
+        self._log, self._spans = log, spans
 
     def _pieces(self) -> Iterator[Iterable[TraceRecord]]:
         """The runs of records between spans, and each span's records. The runs
         share one iterator over the log, with no copy: `chain` exhausts each
         piece before it asks for the next, so a run starts where the last ended."""
-        log, at = self._log, self._start
-        stop, spans = self._span_range()
-        entries = islice(log, at, stop)
-        for i in spans:
+        log, at = self._log, 0
+        entries = iter(log)
+        for i in self._spans:
             yield islice(entries, i - at)
             next(entries)  # the span, read as its records
             yield log[i].records()
@@ -252,12 +248,8 @@ class TraceView:
         return chain.from_iterable(self._pieces())
 
     def __len__(self) -> int:
-        stop, spans = self._span_range()
         log = self._log
-        return stop - self._start + sum(len(log[i].names) - 1 for i in spans)
-
-    def __getitem__(self, index):
-        return list(self)[index]
+        return len(log) + sum(len(log[i].names) - 1 for i in self._spans)
 
 
 @dataclass
@@ -273,11 +265,11 @@ class NodeMetrics:
 class Metrics:
     """Per-node counters of the named nodes, folded from a segment's log."""
 
-    def __init__(self, trace: Iterable[LogEntry], names: Iterable[str]):
+    def __init__(self, log: Iterable[LogEntry], names: Iterable[str]):
         self.nodes: Dict[str, NodeMetrics] = {name: NodeMetrics() for name in names}
         tx, ignored = FrameEvent.TX, FrameEvent.IGNORED
         spans = []
-        for record in trace:
+        for record in log:
             if type(record) is IgnoredSpan:
                 spans.append(record.names)
                 continue
@@ -387,12 +379,7 @@ class Ping:                # an ICMP echo request
     dst: str
 
 
-@dataclass
-class Attack:              # one firing of an attacker's program
-    program: AttackProgram
-
-
-Step = Union[Send, Ping, Attack]
+Step = Union[Send, Ping, ArpPoison, MacSpoof, KnockReplay, PortScan]
 
 
 # --------------------------------------------------------------------------
@@ -535,22 +522,22 @@ class AttackerNode(Node):
     def receive(self, wire: Wire, now: int) -> Actions:
         return Actions()  # attackers never answer traffic aimed at them
 
-    def perform(self, step: Union[Ping, Attack], now: int) -> List[Wire]:
-        if isinstance(step, Attack):
-            return self.frames_for(step.program, self.lookup)
+    def perform(self, step: Union[Ping, AttackProgram], now: int) -> List[Wire]:
+        if type(step) is not Ping:
+            return self.frames_for(step)
         target = self.lookup(step.dst)
         return [Wire.from_frame(frames.make_icmp_echo(
             self.mac, target.mac, self.ip, target.ip, b"probe"))]
 
-    def frames_for(self, program: AttackProgram, lookup) -> List[Wire]:
-        """Wire frames for one firing of a program; `lookup(name) -> Node`."""
+    def frames_for(self, program: AttackProgram) -> List[Wire]:
+        """Wire frames for one firing of a program."""
         if isinstance(program, ArpPoison):
-            victim = lookup(program.victim)
+            victim = self.lookup(program.victim)
             forged = frames.make_arp(ARP_REPLY, program.claimed_mac,
                                      program.claimed_ip, victim.mac, victim.ip)
             return [Wire.from_frame(forged)]
         if isinstance(program, MacSpoof):
-            victim = lookup(program.victim)
+            victim = self.lookup(program.victim)
             # any frame with the victim's source MAC hijacks switch learning
             spoofed = EthernetFrame(MAC_BROADCAST, victim.mac, 0x88B5, b"spoof")
             return [Wire.from_frame(spoofed)]
@@ -559,7 +546,7 @@ class AttackerNode(Node):
                 raise NothingCaptured(f"{self.name} has observed no knock to replay")
             return [self.last_knock]
         if isinstance(program, PortScan):
-            target = lookup(program.victim)
+            target = self.lookup(program.victim)
             out = []
             for i, port in enumerate(range(program.port_lo, program.port_hi + 1)):
                 seg = frames.tcp_segment(50000 + (i % 10000), port, TCP_FLAG_SYN)
@@ -654,11 +641,12 @@ class Segment:
         self._push(time, "frame", Wire.wrap(wire), origin, described)
 
     def schedule(self, time: int, node: str, step: Step) -> None:
-        """Queue a step; an attack queues its first firing, and each firing the next."""
-        program = getattr(step, "program", None)
-        if getattr(program, "period", 1) < 1:
-            raise ValueError(f"attack period must be >= 1, got {program.period}")
-        if getattr(program, "count", 1) > 0:
+        """Queue a step; a repeated program queues its first firing, and each
+        firing the next."""
+        period = getattr(step, "period", 1)
+        if period < 1:
+            raise ValueError(f"attack period must be >= 1, got {period}")
+        if getattr(step, "count", 1) > 0:
             self._push(time, "action", node, step)
 
     # -- the event loop ------------------------------------------------------
@@ -669,12 +657,11 @@ class Segment:
             self._log.append(_record((now, origin.name, _TX, described, wire.hex)))
             self.inject(now + 1, wire, origin.name, described)
 
-    def step(self) -> TraceView:
-        """Process the next event; the view holds the records it appended."""
-        log = self._log
-        mark = len(log)
+    def step(self) -> None:
+        """Process the next event, if any; `trace` reads what it logged."""
         if not self._queue:
-            return TraceView(log, self._spans, mark, mark)
+            return
+        log = self._log
         time, seq, kind, payload = heappop(self._queue)
         self.clock = time
         if kind == "frame":
@@ -707,16 +694,14 @@ class Segment:
                         self._transmit(item, map(Wire.from_frame, actions.tx_frames), time)
         else:
             name, step = payload
-            if isinstance(step, Attack):
-                # the program's remaining firings keep its seq, so they order
-                # among equal times as if every firing had been queued up front
-                rest = getattr(step.program, "count", 1) - 1
-                if rest > 0:
-                    heappush(self._queue, (time + step.program.period, seq, kind,
-                                           (name, Attack(replace(step.program, count=rest)))))
+            # a program's remaining firings keep its seq, so they order among
+            # equal times as if every firing had been queued up front
+            rest = getattr(step, "count", 1) - 1
+            if rest > 0:
+                heappush(self._queue, (time + step.period, seq, kind,
+                                       (name, replace(step, count=rest))))
             node = self._by_name[name]
             self._transmit(node, node.perform(step, time), time)
-        return TraceView(log, self._spans, mark, len(log))
 
     def run(self, horizon: Optional[int] = None) -> None:
         queue = self._queue

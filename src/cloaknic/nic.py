@@ -332,12 +332,6 @@ class CloakingNic:
 
     # -- wire-facing operations --------------------------------------------
 
-    def arp_process(self, arp: ArpPacket) -> Optional[ArpPacket]:
-        """Stateless: answer requests for our IP, ignore everything else."""
-        if arp.operation == ARP_REQUEST and arp.target_ip == self.ip:
-            return ArpPacket(ARP_REPLY, self.mac, self.ip, arp.sender_mac, arp.sender_ip)
-        return None
-
     def on_wire_receive(self, wire: Union[Wire, bytes], now: int) -> Actions:
         """Verdict on one received frame; plain bytes are wrapped and parsed here."""
         if not isinstance(wire, Wire):
@@ -356,11 +350,10 @@ class CloakingNic:
         return actions.drop(DropReason.NO_FILTER_MATCH, 1, "non-ip ethertype")
 
     def _receive_arp(self, actions: Actions, arp: ArpPacket, now: int) -> Actions:
-        reply = self.arp_process(arp)
-        if reply is not None:
+        # stateless: a request for our IP is answered from the NIC's own addresses
+        if arp.operation == ARP_REQUEST and arp.target_ip == self.ip:
             actions.tx_frames.append(frames.make_arp(
-                reply.operation, reply.sender_mac, reply.sender_ip,
-                reply.target_mac, reply.target_ip))
+                ARP_REPLY, self.mac, self.ip, arp.sender_mac, arp.sender_ip))
             return actions
         # Replies never reach the host ARP cache. A reply answering our own
         # outstanding request does complete parked transmissions (the NIC is

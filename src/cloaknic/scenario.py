@@ -22,7 +22,9 @@ it), and 1 <= LO <= HI for a scan. The step time T and a count N are
 integers >= 0, a period N is >= 1, N defaults to 1, and TICKS is at most
 2**64-1, so a knock sealed by the horizon has a 64-bit timestamp. Only the
 options shown are accepted, each at most once; only a plain host reads
-`services=`. `demos.py` has complete scenarios.
+`services=`. `demos.py` has complete scenarios. Each step line parses to
+the step its actor performs: a `Send`, a `Ping`, or the attack program
+itself, which carries its own `period` and `count`.
 
 `parse_scenario` checks what one line shows (its fields, integers and their
 ranges, addresses, key length, option names) and raises `ParseError` naming
@@ -41,7 +43,6 @@ from .frames import Ipv4Address, MacAddress
 from .knock import SharedKey
 from .netsim import (
     ArpPoison,
-    Attack,
     AttackerNode,
     ClientNode,
     CloakedServerNode,
@@ -54,7 +55,7 @@ from .netsim import (
     Segment,
     Send,
     Step,
-    TraceRecord,
+    TraceView,
 )
 from .nic import CloakingNic, NicConfig
 
@@ -192,7 +193,7 @@ def _parse_line(sc: Scenario, section: str, tokens: List[str], line_no: int) -> 
 
 
 def _parse_step(tokens: List[str]) -> Step:
-    """A step from its tokens, `T VERB ACTOR ...`."""
+    """A step from its tokens, `T VERB ACTOR ...`; an attack's step is its program."""
     verb = tokens[1]
     if verb == "send":
         (_, _, _, dst, proto, src_port, dst_port), _ = _fields(
@@ -212,19 +213,19 @@ def _parse_step(tokens: List[str]) -> Step:
         port_lo, port_hi = _int(lo, "port", 0xFFFF), _int(hi, "port", 0xFFFF)
         if not dash or not 1 <= port_lo <= port_hi:
             raise ValueError(f"port range must be LO-HI with 1 <= LO <= HI, got {span!r}")
-        return Attack(PortScan(victim, port_lo, port_hi))
+        return PortScan(victim, port_lo, port_hi)
     if program == "arppoison":
         (_, _, _, _, victim, ip, mac), opts = _fields(
             tokens, "T attack ATTACKER arppoison VICTIM IP MAC", ("period", "count"))
-        return Attack(ArpPoison(victim, Ipv4Address.from_str(ip), MacAddress.from_str(mac),
-                                **{k: _int(v, k, lo=REPEAT_LO[k]) for k, v in opts.items()}))
+        return ArpPoison(victim, Ipv4Address.from_str(ip), MacAddress.from_str(mac),
+                         **{k: _int(v, k, lo=REPEAT_LO[k]) for k, v in opts.items()})
     if program == "macspoof":
         (_, _, _, _, victim), opts = _fields(tokens, "T attack ATTACKER macspoof VICTIM",
                                      ("count", "period"))
-        return Attack(MacSpoof(victim, **{k: _int(v, k, lo=REPEAT_LO[k]) for k, v in opts.items()}))
+        return MacSpoof(victim, **{k: _int(v, k, lo=REPEAT_LO[k]) for k, v in opts.items()})
     if program == "knockreplay":
         _fields(tokens, "T attack ATTACKER knockreplay")
-        return Attack(KnockReplay())
+        return KnockReplay()
     if program == "ping":
         (_, _, _, _, victim), _ = _fields(tokens, "T attack ATTACKER ping VICTIM")
         return Ping(victim)
@@ -256,8 +257,7 @@ def validate_scenario(sc: Scenario) -> None:
             raise InvalidScenario(f"only {' or '.join(kinds)} nodes can {step.verb}, "
                                   f"{step.actor} is {kind}", line_no)
         # a knock replay names no node besides its actor
-        aimed_at = getattr(action.program, "victim", None) if isinstance(action, Attack) \
-            else action.dst
+        aimed_at = getattr(action, "dst", getattr(action, "victim", None))
         if aimed_at is not None:
             _require_node(sc, aimed_at, line_no)
 
@@ -292,7 +292,7 @@ def build_segment(sc: Scenario, seed: int = 0) -> Segment:
     return seg
 
 
-def run_scenario(sc: Scenario, seed: int = 0) -> Tuple[List[TraceRecord], Metrics]:
+def run_scenario(sc: Scenario, seed: int = 0) -> Tuple[TraceView, Metrics]:
     seg = build_segment(sc, seed)
     seg.run(sc.horizon)
     return seg.trace, seg.metrics

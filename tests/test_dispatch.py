@@ -4,7 +4,8 @@
 but its origin, in attach order, and logs one ignored record per node the
 frame passes by. On generated segments with colliding MACs and a
 promiscuous attacker, `Segment` must render the same `--hex` lines and
-metrics, count the same trace lines, and show its taps the same frames.
+metrics, count the same trace lines, and show its taps the same frames,
+both after each step and at the end of the run.
 Frames to unknown MACs must not grow its plan cache.
 """
 
@@ -144,6 +145,29 @@ def test_indexed_dispatch_renders_what_the_hub_renders(data):
     hub = outputs(build(HubSegment, specs), offers)
     assert indexed == hub
     assert indexed[2] == len(indexed[0])
+
+
+def lines_so_far(seg):
+    lines = [record.format_line(with_hex=True) for record in seg.trace]
+    return lines, len(seg.trace)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_every_step_leaves_the_trace_the_hub_leaves(data):
+    specs = data.draw(node_specs)
+    offers = data.draw(st.lists(offered_frames(len(specs)), min_size=1, max_size=12))
+    indexed, hub = build(Segment, specs), build(HubSegment, specs)
+    for seg in (indexed, hub):
+        for time, origin, frame in offers:
+            seg.inject(time, frame, origin)
+    while hub._queue:
+        assert indexed.step() is None
+        hub.step()
+        lines, count = lines_so_far(indexed)
+        assert (lines, count) == lines_so_far(hub)
+        assert count == len(lines)
+    assert not indexed._queue
 
 
 def test_frames_to_unknown_macs_do_not_grow_the_plan_cache():

@@ -22,7 +22,6 @@ from cloaknic.frames import (
 )
 from cloaknic.netsim import (
     ArpPoison,
-    Attack,
     AttackerNode,
     ClientNode,
     CloakedServerNode,
@@ -71,8 +70,8 @@ class TestAttach:
         seg.attach(plain("c", "10.0.0.3", "aa:00:00:00:00:03"))
         wire = serialize_frame(make_arp(ARP_REQUEST, a.mac, a.ip, MAC_ZERO, IP("10.0.0.9")))
         seg.inject(0, wire, "a")
-        records = seg.step()
-        receivers = {r.node for r in records}
+        seg.step()
+        receivers = {r.node for r in seg.trace}
         assert receivers == {"b", "c"}
 
     def test_duplicate_mac_allowed(self):
@@ -87,7 +86,9 @@ class TestAttach:
             seg.attach(plain("a", "10.0.0.9", "aa:00:00:00:00:09"))
 
     def test_empty_queue_step_is_noop(self):
-        assert list(Segment().step()) == []
+        seg = Segment()
+        seg.step()
+        assert list(seg.trace) == []
 
 
 class TestStep:
@@ -119,8 +120,8 @@ class TestPlainHost:
         victim = plain("victim", "10.0.0.3", "aa:00:00:00:00:03")
         seg.attach(victim)
         mal = seg.attach(attacker())
-        seg.schedule(0, mal.name, Attack(ArpPoison("victim", IP("10.0.0.1"),
-                                                   MAC("de:ad:be:ef:00:01"), count=3)))
+        seg.schedule(0, mal.name, ArpPoison("victim", IP("10.0.0.1"),
+                                            MAC("de:ad:be:ef:00:01"), count=3))
         seg.run()
         assert victim.arp_cache[IP("10.0.0.1")] == MAC("de:ad:be:ef:00:01")
         assert seg.metrics.node("victim").arp_cache_writes == 3
@@ -129,7 +130,7 @@ class TestPlainHost:
         seg = Segment()
         seg.attach(plain("victim", "10.0.0.3", "aa:00:00:00:00:03", services={22}))
         mal = seg.attach(attacker())
-        seg.schedule(0, mal.name, Attack(PortScan("victim", 1, 32)))
+        seg.schedule(0, mal.name, PortScan("victim", 1, 32))
         seg.schedule(0, mal.name, Ping("victim"))
         seg.run()
         m = seg.metrics.node("victim")
@@ -164,7 +165,7 @@ class TestAttackPrograms:
     def test_knock_replay_without_capture(self):
         seg = Segment()
         mal = seg.attach(attacker())
-        seg.schedule(0, mal.name, Attack(KnockReplay()))
+        seg.schedule(0, mal.name, KnockReplay())
         with pytest.raises(NothingCaptured):
             seg.run()
 
@@ -183,7 +184,7 @@ class TestAttackPrograms:
         victim = seg.attach(plain("victim", "10.0.0.3", "aa:00:00:00:00:03"))
         seg.attach(plain("other", "10.0.0.4", "aa:00:00:00:00:04"))
         mal = seg.attach(attacker())
-        frames_out = mal.frames_for(MacSpoof("victim"), seg.node)
+        frames_out = mal.frames_for(MacSpoof("victim"))
         assert frames_out[0].data[6:12] == victim.mac.octets
 
     def test_each_firing_queues_the_next(self):
@@ -200,7 +201,7 @@ class TestAttackPrograms:
         seg = Segment()
         seg.attach(plain("victim", "10.0.0.3", "aa:00:00:00:00:03"))
         mal = seg.attach(attacker())
-        seg.schedule(0, mal.name, Attack(MacSpoof("victim", count=0)))
+        seg.schedule(0, mal.name, MacSpoof("victim", count=0))
         assert seg._queue == []
         seg.run()
         assert list(seg.trace) == []
@@ -209,7 +210,7 @@ class TestAttackPrograms:
         seg = Segment()
         mal = seg.attach(attacker())
         with pytest.raises(ValueError, match="period"):
-            seg.schedule(0, mal.name, Attack(MacSpoof("victim", count=10**8, period=0)))
+            seg.schedule(0, mal.name, MacSpoof("victim", count=10**8, period=0))
         assert seg._queue == []
 
     def test_repeated_firings_keep_their_order_at_equal_times(self):
@@ -218,9 +219,9 @@ class TestAttackPrograms:
         mal = seg.attach(attacker())
         # the spoof's second firing is queued after the poison was injected,
         # yet both fall at tick 1 and the program injected first goes first
-        seg.schedule(0, mal.name, Attack(MacSpoof("victim", count=2, period=1)))
-        seg.schedule(1, mal.name, Attack(ArpPoison("victim", IP("10.0.0.1"),
-                                                   MAC("de:ad:be:ef:00:01"))))
+        seg.schedule(0, mal.name, MacSpoof("victim", count=2, period=1))
+        seg.schedule(1, mal.name, ArpPoison("victim", IP("10.0.0.1"),
+                                            MAC("de:ad:be:ef:00:01")))
         seg.run()
         sent = [(r.time, r.summary.split(" ")[0]) for r in seg.trace if r.direction == "tx"]
         assert sent == [(0, "ethertype=0x88b5"), (1, "ethertype=0x88b5"), (1, "arp-reply")]
@@ -230,7 +231,7 @@ class TestAttackPrograms:
         seg = Segment()
         seg.attach(plain("victim", "10.0.0.3", "aa:00:00:00:00:03"))
         mal = seg.attach(attacker())
-        out = mal.frames_for(PortScan("victim", 10, 20), seg.node)
+        out = mal.frames_for(PortScan("victim", 10, 20))
         assert len(out) == 11
 
 

@@ -221,12 +221,14 @@ class TestArpProcessing:
         actions = server_nic().on_wire_receive(bytes(wire), now=0)
         assert actions == Actions(drops=[DropRecord(DropReason.MALFORMED, 1, "UnsupportedArp")])
 
-    def test_arp_process_is_stateless(self):
+    def test_arp_answers_are_stateless(self):
         nic = server_nic()
-        req = ArpPacket(ARP_REQUEST, CLIENT_MAC, CLIENT_IP, MAC_ZERO, SERVER_IP)
-        assert nic.arp_process(req) == nic.arp_process(req)
-        assert nic.arp_process(ArpPacket(ARP_REPLY, CLIENT_MAC, CLIENT_IP,
-                                         SERVER_MAC, SERVER_IP)) is None
+        request = serialize_frame(make_arp(ARP_REQUEST, CLIENT_MAC, CLIENT_IP, MAC_ZERO, SERVER_IP))
+        first = nic.on_wire_receive(request, now=0)
+        assert first.tx_frames
+        assert nic.on_wire_receive(request, now=1) == first
+        reply = serialize_frame(make_arp(ARP_REPLY, CLIENT_MAC, CLIENT_IP, SERVER_MAC, SERVER_IP))
+        assert nic.on_wire_receive(reply, now=2).tx_frames == []
 
 
 class TestKnockAdmission:

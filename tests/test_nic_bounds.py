@@ -101,7 +101,7 @@ def test_frames_for_an_ip_that_never_answers_arp_are_forgotten():
     client = seg.metrics.node("client")
     assert client.tx == sends  # one ARP request per send, and nothing released
     assert client.dropped_by_reason == {"UnsolicitedArpReply": 1}
-    last = seg.trace[-1]
+    last = list(seg.trace)[-1]
     assert (last.node, last.event) == ("client", DropRecord(DropReason.UNSOLICITED_ARP_REPLY, 1))
     assert parse_frame(bytes.fromhex(last.raw_hex)).payload.sender_ip == STRANGER_IP
     # at most the frames parked in the last ARP_TIMEOUT_TICKS + 1 ticks are kept

@@ -76,8 +76,8 @@ def test_injected_bytes_are_parsed_once_for_all_receivers(parse_count):
                                  Ipv4Address(bytes([10, 0, 0, i])), set()))
     request = make_arp(ARP_REQUEST, MAC_A, IP_A, MAC_ZERO, Ipv4Address.from_str("10.0.0.9"))
     seg.inject(0, serialize_frame(request), "h1")
-    records = seg.step()
-    assert {r.node for r in records} == {"h2", "h3", "h4"}
+    seg.step()
+    assert {r.node for r in seg.trace} == {"h2", "h3", "h4"}
     assert parse_count[0] == 1
 
 

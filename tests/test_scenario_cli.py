@@ -74,6 +74,24 @@ class TestParse:
         assert "mallory" in str(err.value)
         assert err.value.line_no is not None
 
+    @pytest.mark.parametrize("step", [
+        "5 send client ghost tcp 40000 22",
+        "5 ping client ghost",
+        "5 attack m ping ghost",
+        "5 attack m portscan ghost 1-2",
+        "5 attack m arppoison ghost 10.0.0.1 de:ad:be:ef:00:01",
+        "5 attack m macspoof ghost",
+    ], ids=["send", "ping", "attack-ping", "portscan", "arppoison", "macspoof"])
+    def test_undefined_target_names_line(self, step):
+        sc = parse_scenario(WITH_STEPS + step + "\n")
+        with pytest.raises(UnknownNodeReference) as err:
+            validate_scenario(sc)
+        assert "ghost" in str(err.value)
+        assert err.value.line_no == STEP_LINE
+
+    def test_knock_replay_names_no_target(self):
+        validate_scenario(parse_scenario(WITH_STEPS + "5 attack m knockreplay\n"))
+
     def test_protected_without_key(self):
         bad = "\n".join(line for line in GOOD.splitlines()
                         if TEST_KEY_HEX not in line) + "\n"
