@@ -63,14 +63,23 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+def _write_trace(handle, trace, with_hex: bool) -> None:
+    """Write the trace line by line: each line and its newline, and one
+    newline for an empty trace."""
+    lines = (record.format_line(with_hex=with_hex) for record in trace)
+    handle.write(next(lines, "") + "\n")
+    handle.writelines(line + "\n" for line in lines)
+
+
 def _write_outputs(args, trace, metrics) -> None:
-    trace_text = "\n".join(r.format_line(with_hex=args.hex) for r in trace) + "\n"
-    for path, text in ((args.trace, trace_text), (args.metrics, metrics.to_text())):
+    writers = ((args.trace, lambda handle: _write_trace(handle, trace, args.hex)),
+               (args.metrics, lambda handle: handle.write(metrics.to_text())))
+    for path, write in writers:
         if path:
             with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                write(handle)
         elif not args.quiet:
-            sys.stdout.write(text)
+            write(sys.stdout)
 
 
 def cmd_run(args) -> int:

@@ -335,18 +335,18 @@ def parse_frame(wire: bytes) -> EthernetFrame:
 
 
 class Wire:
-    """One frame on the wire: its bytes, parsed at most once, hex-encoded at most once.
+    """One frame on the wire: its bytes, parsed at most once.
 
-    `from_frame` keeps the frame it serializes as the parse: the `make_*`
-    builders return frames equal to their own round trip.
+    `data` is kept as given, and every trace record of the frame holds that
+    one object. `from_frame` keeps the frame it serializes as the parse: the
+    `make_*` builders return frames equal to their own round trip.
     """
 
-    __slots__ = ("data", "_parsed", "_hex")
+    __slots__ = ("data", "_parsed")
 
     def __init__(self, data: bytes, parsed: Optional[EthernetFrame] = None):
         self.data = data
         self._parsed: Union[EthernetFrame, FrameError, None] = parsed
-        self._hex: Optional[str] = None
 
     @classmethod
     def from_frame(cls, frame: EthernetFrame) -> "Wire":
@@ -370,12 +370,6 @@ class Wire:
         if isinstance(parsed, FrameError):
             raise parsed.with_traceback(None)
         return parsed
-
-    @property
-    def hex(self) -> str:
-        if self._hex is None:
-            self._hex = self.data.hex()
-        return self._hex
 
 
 def make_arp(

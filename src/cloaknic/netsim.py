@@ -21,13 +21,15 @@ Stage counts model code-execution-path length: the cloaking NIC rejects at
 stage 1, its filter; the plain host carries every probe through link (1),
 IP (2) and transport/ICMP (3) before its verdict.
 
-The trace is the run's one account: each `TraceRecord` holds a typed event
-and its frame's text, never the frame. The event is a verdict exactly as a
-node returned it (a `DropRecord`, `Delivered` or `ArpCacheUpdate`), or a
-`FrameEvent` where no node gives one; every event carries its own stage.
-`Segment.trace` is the one way to read a run: a read-only view of the whole
-log with one record per line. `Segment.step()` returns nothing, and
-`Segment.metrics` folds the log, counting a span's nodes in bulk.
+The trace is the run's one account: each `TraceRecord` holds a typed event,
+its frame's description and its frame's wire bytes, never the parsed
+frame; a line renders the bytes as hex only when it is written. The event
+is a verdict exactly as a node returned it (a `DropRecord`, `Delivered` or
+`ArpCacheUpdate`), or a `FrameEvent` where no node gives one; every event
+carries its own stage. `Segment.trace` is the one way to read a run: a
+read-only view of the whole log with one record per line. `Segment.step()`
+returns nothing, and `Segment.metrics` folds the log with one count of its
+distinct (node, event) pairs.
 
 Describing, dispatching and recording run once per frame, so they keep to
 these rules:
@@ -53,6 +55,7 @@ from enum import Enum
 from functools import lru_cache, partial
 from heapq import heappop, heappush
 from itertools import chain, islice, repeat
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from . import frames
@@ -129,31 +132,37 @@ Event = Union[FrameEvent, DropRecord, Delivered, ArpCacheUpdate]
 
 class TraceRecord(NamedTuple):
     """One node's account of one frame, the run's only record. `frame` is the
-    frame's description: one string, shared by every record of that frame."""
+    frame's description and `raw` its wire bytes; each is one object, shared
+    by every record of that frame."""
 
     time: int
     node: str
     event: Event
     frame: str
-    raw_hex: Optional[str] = None
+    raw: Optional[bytes] = None
 
     @property
     def stage_count(self) -> int:
         return self.event.stage_count
 
-    def _text(self) -> Tuple[str, str, Optional[str]]:
-        """The record's direction (rx, tx, drop or host_event), summary and the
-        hex its line shows: a cache write's line shows neither frame nor hex."""
+    @property
+    def raw_hex(self) -> Optional[str]:
+        raw = self.raw
+        return None if raw is None else raw.hex()
+
+    def _text(self) -> Tuple[str, str]:
+        """The record's direction (rx, tx, drop or host_event) and summary: a
+        cache write's summary shows no frame."""
         event = self.event
         kind = type(event)
         if kind is FrameEvent:
-            return event.direction, event.prefix + self.frame, self.raw_hex
+            return event.direction, event.prefix + self.frame
         if kind is DropRecord:
             detail = f" {event.detail}" if event.detail else ""
-            return "drop", f"{event.reason._value_}{detail} | {self.frame}", self.raw_hex
+            return "drop", f"{event.reason._value_}{detail} | {self.frame}"
         if kind is Delivered:
-            return "host_event", "delivered | " + self.frame, self.raw_hex
-        return "host_event", f"arp-cache-update {event.ip} is-at {event.mac}", None
+            return "host_event", "delivered | " + self.frame
+        return "host_event", f"arp-cache-update {event.ip} is-at {event.mac}"
 
     @property
     def direction(self) -> str:
@@ -164,11 +173,13 @@ class TraceRecord(NamedTuple):
         return self._text()[1]
 
     def format_line(self, with_hex: bool = False) -> str:
-        time, node, event, frame, raw_hex = self
+        """The record's trace line; `with_hex` appends its wire bytes, if any,
+        as hex. A cache write's line shows neither frame nor hex."""
+        time, node, event, frame, raw = self
         if type(event) is ArpCacheUpdate:
             return f"t={time} node={node} {_line_head(event)}"
-        if with_hex and raw_hex:
-            return f"t={time} node={node} {_line_head(event)}{frame} hex={raw_hex}"
+        if with_hex and raw:
+            return f"t={time} node={node} {_line_head(event)}{frame} hex={raw.hex()}"
         return f"t={time} node={node} {_line_head(event)}{frame}"
 
 
@@ -179,7 +190,7 @@ def _line_head(event: Event) -> str:
     head is its summary with no frame. The events a node shares (drop
     records, `Delivered`, `FrameEvent`) come from the code's few literals,
     and a cache write's head holds only two addresses, so the cache is small."""
-    direction, summary, _ = TraceRecord(0, "", event, "")._text()
+    direction, summary = TraceRecord(0, "", event, "")._text()
     return f"dir={direction} stage={event.stage_count} info={summary}"
 
 
@@ -196,7 +207,7 @@ class IgnoredRecord(TraceRecord):
         return f"t={self.time} node={self.node} {_IGNORED_HEAD}{self.frame}"
 
 
-# (time, node, event, frame, raw_hex) -> TraceRecord, and (time, node,
+# (time, node, event, frame, raw) -> TraceRecord, and (time, node,
 # FrameEvent.IGNORED, frame, None) -> IgnoredRecord, with no Python frame
 _record = partial(tuple.__new__, TraceRecord)
 _ignored_record = partial(tuple.__new__, IgnoredRecord)
@@ -268,27 +279,27 @@ class Metrics:
     def __init__(self, log: Iterable[LogEntry], names: Iterable[str]):
         self.nodes: Dict[str, NodeMetrics] = {name: NodeMetrics() for name in names}
         tx, ignored = FrameEvent.TX, FrameEvent.IGNORED
-        spans = []
-        for record in log:
-            if type(record) is IgnoredSpan:
-                spans.append(record.names)
+        # Each distinct (node, event) pair is folded once, times its count. An
+        # `IgnoredSpan` gives (names, frame): each of its names is ignored.
+        for (node, event), n in Counter(map(itemgetter(1, 2), log)).items():
+            if type(node) is tuple:
+                for name in node:
+                    self.nodes[name].ignored += n
                 continue
-            m, event = self.nodes[record.node], record.event
+            m = self.nodes[node]
             if event is tx:
-                m.tx += 1
+                m.tx += n
             elif event is ignored:
-                m.ignored += 1
+                m.ignored += n
             else:
-                m.cep_histogram[event.stage_count] += 1
+                m.cep_histogram[event.stage_count] += n
                 kind = type(event)
                 if kind is Delivered:
-                    m.delivered += 1
+                    m.delivered += n
                 elif kind is ArpCacheUpdate:
-                    m.arp_cache_writes += 1
+                    m.arp_cache_writes += n
                 elif kind is DropRecord:
-                    m.dropped_by_reason[event.reason._value_] += 1
-        for name, n in Counter(chain.from_iterable(spans)).items():
-            self.nodes[name].ignored += n
+                    m.dropped_by_reason[event.reason._value_] += n
 
     def node(self, name: str) -> NodeMetrics:
         """The counters of an attached node; a KeyError for any other name."""
@@ -654,7 +665,7 @@ class Segment:
     def _transmit(self, origin: Node, wires: Iterable[Wire], now: int) -> None:
         for wire in wires:
             described = describe_frame(wire)
-            self._log.append(_record((now, origin.name, _TX, described, wire.hex)))
+            self._log.append(_record((now, origin.name, _TX, described, wire.data)))
             self.inject(now + 1, wire, origin.name, described)
 
     def step(self) -> None:
@@ -687,9 +698,9 @@ class Segment:
                     events = actions.drops
                     if actions.host_events:
                         events = events + actions.host_events
-                    name, raw_hex = item.name, wire.hex
+                    name = item.name
                     for event in events or _PROCESSED_ONLY:
-                        append(_record((time, name, event, described, raw_hex)))
+                        append(_record((time, name, event, described, data)))
                     if actions.tx_frames:
                         self._transmit(item, map(Wire.from_frame, actions.tx_frames), time)
         else:

@@ -66,7 +66,7 @@ class HubSegment(Segment):
                 continue
             actions = node.receive(wire, time)
             for event in actions.drops + actions.host_events or [FrameEvent.PROCESSED]:
-                self._log.append(TraceRecord(time, node.name, event, described, wire.hex))
+                self._log.append(TraceRecord(time, node.name, event, described, wire.data))
             self._transmit(node, map(Wire.from_frame, actions.tx_frames), time)
 
 
@@ -74,7 +74,7 @@ class Tap(AttackerNode):
     """An attacker that logs every frame it observes."""
 
     def observe(self, wire, now):
-        self.observed.append((now, self.name, wire.hex))
+        self.observed.append((now, self.name, wire.data))
         super().observe(wire, now)
 
 

@@ -177,7 +177,7 @@ class TestAttackPrograms:
         # the client's knock: origin exclusion hides the attacker's own replay
         knocks = [r.raw_hex for r in seg.trace if r.node == "client" and r.direction == "tx"
                   and r.summary.startswith("icmp-knock")]
-        assert knocks and mal.last_knock.hex == knocks[-1]
+        assert knocks and mal.last_knock.data.hex() == knocks[-1]
 
     def test_macspoof_emits_victim_source_mac(self):
         seg = Segment()
@@ -345,29 +345,31 @@ class TestExactText:
     """Each line and description class, letter for letter."""
 
     @pytest.mark.parametrize("record, plain_line, hex_line", [
-        (TraceRecord(7, "client", FrameEvent.TX, SYN, "ab12"),
+        (TraceRecord(7, "client", FrameEvent.TX, SYN, bytes.fromhex("ab12")),
          f"t=7 node=client dir=tx stage=0 info={SYN}",
          f"t=7 node=client dir=tx stage=0 info={SYN} hex=ab12"),
-        (TraceRecord(7, "plain", FrameEvent.IGNORED, SYN, "ab12"),
+        (TraceRecord(7, "plain", FrameEvent.IGNORED, SYN, bytes.fromhex("ab12")),
          f"t=7 node=plain dir=rx stage=0 info=ignored (other dst) | {SYN}",
          f"t=7 node=plain dir=rx stage=0 info=ignored (other dst) | {SYN} hex=ab12"),
-        (IgnoredRecord(7, "plain", FrameEvent.IGNORED, SYN, "ab12"),
+        (IgnoredRecord(7, "plain", FrameEvent.IGNORED, SYN, bytes.fromhex("ab12")),
          f"t=7 node=plain dir=rx stage=0 info=ignored (other dst) | {SYN}",
          f"t=7 node=plain dir=rx stage=0 info=ignored (other dst) | {SYN}"),
-        (TraceRecord(7, "server", FrameEvent.PROCESSED, ARP_ASK, "ab12"),
+        (TraceRecord(7, "server", FrameEvent.PROCESSED, ARP_ASK, bytes.fromhex("ab12")),
          f"t=7 node=server dir=rx stage=1 info=processed | {ARP_ASK}",
          f"t=7 node=server dir=rx stage=1 info=processed | {ARP_ASK} hex=ab12"),
-        (TraceRecord(7, "server", DropRecord(DropReason.BAD_KNOCK, 2, "BadTag"), KNOCK, "ab12"),
+        (TraceRecord(7, "server", DropRecord(DropReason.BAD_KNOCK, 2, "BadTag"), KNOCK,
+                     bytes.fromhex("ab12")),
          f"t=7 node=server dir=drop stage=2 info=BadKnock BadTag | {KNOCK}",
          f"t=7 node=server dir=drop stage=2 info=BadKnock BadTag | {KNOCK} hex=ab12"),
-        (TraceRecord(7, "server", DropRecord(DropReason.NO_FILTER_MATCH, 1), SYN, "ab12"),
+        (TraceRecord(7, "server", DropRecord(DropReason.NO_FILTER_MATCH, 1), SYN,
+                     bytes.fromhex("ab12")),
          f"t=7 node=server dir=drop stage=1 info=NoFilterMatch | {SYN}",
          f"t=7 node=server dir=drop stage=1 info=NoFilterMatch | {SYN} hex=ab12"),
-        (TraceRecord(7, "server", Delivered(), SYN, "ab12"),
+        (TraceRecord(7, "server", Delivered(), SYN, bytes.fromhex("ab12")),
          f"t=7 node=server dir=host_event stage=2 info=delivered | {SYN}",
          f"t=7 node=server dir=host_event stage=2 info=delivered | {SYN} hex=ab12"),
         (TraceRecord(7, "server", ArpCacheUpdate(IP("10.0.0.5"), MAC("aa:00:00:00:00:05")),
-                     "icmp-knock 10.0.0.5->10.0.0.2", "ab12"),
+                     "icmp-knock 10.0.0.5->10.0.0.2", bytes.fromhex("ab12")),
          "t=7 node=server dir=host_event stage=2 info=arp-cache-update 10.0.0.5 is-at "
          "aa:00:00:00:00:05",
          "t=7 node=server dir=host_event stage=2 info=arp-cache-update 10.0.0.5 is-at "

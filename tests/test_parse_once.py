@@ -97,7 +97,6 @@ def test_carried_frame_equals_its_parse(name, monkeypatch):
     for wire, described in carried:
         assert isinstance(wire, Wire)
         assert wire.frame == parse_frame(wire.data)
-        assert wire.hex == wire.data.hex()
         assert described in (None, describe_frame(wire.data))
 
 

@@ -2,14 +2,17 @@ import pathlib
 
 import pytest
 
+from test_golden import golden_bytes
+
 from cloaknic.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from cloaknic.demos import DEMOS, TEST_KEY_HEX
+from cloaknic.demos import DEMOS, TEST_KEY_HEX, interpret
 from cloaknic.scenario import (
     MissingKey,
     ParseError,
     Scenario,
     UnknownNodeReference,
     parse_scenario,
+    run_scenario,
     validate_scenario,
 )
 
@@ -216,3 +219,44 @@ class TestCli:
               "--metrics", str(tmp_path / "m")])
         out = capsys.readouterr().out
         assert "Replayed" in out
+
+
+class TestStreamedOutput:
+    """`run` and `demo` write the trace line by line, the same bytes to a file
+    and to stdout."""
+
+    @staticmethod
+    def argv(command, name, tmp_path):
+        if command == "demo":
+            return ["demo", name]
+        path = tmp_path / "sc.txt"
+        path.write_text(DEMOS[name])
+        return ["run", "--scenario", str(path)]
+
+    @pytest.mark.parametrize("command", ["run", "demo"])
+    @pytest.mark.parametrize("name", sorted(DEMOS))
+    def test_file_and_stdout_match_the_goldens(self, command, name, tmp_path, capsys):
+        argv = self.argv(command, name, tmp_path) + ["--hex", "--seed", "0"]
+        trace, metrics = tmp_path / "trace", tmp_path / "metrics"
+        assert main(argv + ["--quiet", "--trace", str(trace), "--metrics", str(metrics)]) == 0
+        assert capsys.readouterr().out == ""
+        golden_trace, golden_metrics = (golden_bytes(f"{name}.{kind}").decode()
+                                        for kind in ("trace", "metrics"))
+        assert trace.read_text() == golden_trace
+        assert metrics.read_text() == golden_metrics
+
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if command == "demo":
+            _, folded = run_scenario(parse_scenario(DEMOS[name]))
+            golden_metrics += interpret(name, folded) + "\n"
+        assert out == golden_trace + golden_metrics
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    def test_a_scenario_with_no_steps_writes_one_newline(self, to_file, tmp_path, capsys):
+        path = tmp_path / "sc.txt"
+        path.write_text(GOOD.split("[steps]")[0])
+        trace = tmp_path / "trace"
+        argv = ["run", "--scenario", str(path), "--metrics", str(tmp_path / "metrics")]
+        assert main(argv + (["--trace", str(trace)] if to_file else [])) == 0
+        assert (trace.read_text() if to_file else capsys.readouterr().out) == "\n"

@@ -1,0 +1,105 @@
+"""The trace keeps each frame's wire bytes, not their hex, and `run` writes it line by line.
+
+A record holds the very bytes object its frame was carried in, so a forged
+frame costs the log two small records, not a hex string per receiver; and
+the CLI renders one line at a time, so writing a trace needs memory for a
+line, not for the whole text. Both bounds fail on a log that keeps hex text
+or a CLI that joins the trace into one string.
+"""
+
+import argparse
+import gc
+import random
+import tracemalloc
+
+from cloaknic import frames
+from cloaknic.cli import _write_outputs
+from cloaknic.demos import TEST_KEY_HEX
+from cloaknic.netsim import DropRecord
+from cloaknic.scenario import build_segment, parse_scenario, run_scenario
+
+FORGED = 2000
+# Log growth per trace line over a run of forged knocks. Records that hold
+# the frame's bytes grow it by about 135 B per line (Python 3.11); records
+# that also keep the frame's 224-character hex, by about 250 B.
+BYTES_PER_LINE = 190
+# What writing a trace may hold at once beyond its starting size: some
+# buffered lines, far below the ~6 MB of text of the scan below.
+WRITE_PEAK = 1 << 20
+
+SEGMENT = f"""\
+[nodes]
+server cloaked 10.0.0.2 aa:00:00:00:00:02 services=22
+client client 10.0.0.5 aa:00:00:00:00:05
+mallory attacker 10.0.0.66 aa:00:00:00:00:66
+[keys]
+client server {TEST_KEY_HEX}
+[protected]
+client server
+[horizon]
+300
+"""
+
+SCAN = """\
+[nodes]
+server cloaked 10.0.0.2 aa:00:00:00:00:02 services=22
+plain plainhost 10.0.0.3 aa:00:00:00:00:03 services=22
+mallory attacker 10.0.0.66 aa:00:00:00:00:66
+[steps]
+5 attack mallory portscan server 1-4096
+5 attack mallory portscan plain 1-4096
+[horizon]
+60
+"""
+
+
+def forged_knocks(n):
+    """`n` knocks from mallory's MAC in the client's name, with random tags."""
+    rng = random.Random(1)
+    mallory, server = (frames.MacAddress.from_str(f"aa:00:00:00:00:{b}") for b in ("66", "02"))
+    client_ip, server_ip = (frames.Ipv4Address.from_str(f"10.0.0.{b}") for b in (5, 2))
+    return [frames.serialize_frame(frames.make_icmp_echo(
+        mallory, server, client_ip, server_ip, b"KNCK\x01\x00" + rng.randbytes(40)))
+        for _ in range(n)]
+
+
+def test_records_hold_the_injected_bytes_and_no_hex():
+    sc = parse_scenario(SEGMENT)
+    seg = build_segment(sc, seed=1)
+    forged = forged_knocks(FORGED)
+    for i, wire in enumerate(forged):
+        seg.inject(5 + i // 10, wire, "mallory")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        seg.run(sc.horizon)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+    rejected = [r for r in seg.trace if type(r.event) is DropRecord and r.event.detail == "BadTag"]
+    assert len(rejected) == FORGED
+    assert all(r.raw is wire for r, wire in zip(rejected, forged))
+    assert rejected[0].raw_hex == forged[0].hex()
+    lines = len(seg.trace)
+    assert lines == 2 * FORGED  # the server's drop and the client's ignored line
+    assert grown / lines < BYTES_PER_LINE
+
+
+def test_writing_a_trace_holds_no_more_than_a_few_lines(tmp_path):
+    trace, metrics = run_scenario(parse_scenario(SCAN))
+    args = argparse.Namespace(trace=str(tmp_path / "trace"), metrics=str(tmp_path / "metrics"),
+                              hex=True, quiet=True)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        _write_outputs(args, trace, metrics)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = (tmp_path / "trace").stat().st_size
+    assert written > 5 * WRITE_PEAK
+    assert peak - start < WRITE_PEAK
