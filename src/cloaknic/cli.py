@@ -95,18 +95,16 @@ def cmd_check(args) -> int:
 
 
 def cmd_vectors(args) -> int:
+    """Write the vectors line by line, each as it is made."""
     key = SharedKey.from_hex(args.key)
-    lines = []
-    for i in range(args.count):
-        nonce = struct.pack(">Q", i)
-        fields = KnockFields(Ipv4Address.from_str("10.0.0.5"), 40000, 1000 + i)
-        lines.append(format_vector_line(key, nonce, fields))
-    text = "".join(line + "\n" for line in lines)
+    client = Ipv4Address.from_str("10.0.0.5")
+    lines = (format_vector_line(key, struct.pack(">Q", i), KnockFields(client, 40000, 1000 + i))
+             + "\n" for i in range(args.count))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     return EXIT_OK
 
 

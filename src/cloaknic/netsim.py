@@ -6,9 +6,10 @@ no jitter. Identical scenarios therefore produce byte-identical traces.
 The segment keeps these semantics through an index: it offers a frame only
 to the nodes its destination MAC addresses, from a plan cached per origin
 and destination, and the promiscuous taps observe every frame. The nodes
-a frame passes by are logged in attach order, a run of them as one
-`IgnoredSpan`, and their `ignored (other dst)` lines are rendered from that
-order when the trace is read.
+a frame passes by are logged in attach order as `FrameEvent.IGNORED`
+records with no bytes; a run of two or more is one record whose `node` is
+the tuple of their names, read back as one `ignored (other dst)` line per
+name.
 
 Node kinds: cloaked servers and clients (backed by `CloakingNic`), a plain
 software-stack baseline host (answers ARP and pings, RSTs closed ports,
@@ -34,8 +35,8 @@ distinct (node, event) pairs.
 Describing, dispatching and recording run once per frame, so they keep to
 these rules:
 
-- records and spans are built with `tuple.__new__`, not through their
-  Python-level constructors, and payloads and events are dispatched on
+- records are built with `tuple.__new__`, not through their Python-level
+  constructor, and payloads and events are dispatched on
   `type(x) is`;
 - the benchmark's tracer wraps `describe_frame`, `Segment.step`,
   `Segment.run` (which calls `self.step()`), the nodes' `receive`,
@@ -133,10 +134,12 @@ Event = Union[FrameEvent, DropRecord, Delivered, ArpCacheUpdate]
 class TraceRecord(NamedTuple):
     """One node's account of one frame, the run's only record. `frame` is the
     frame's description and `raw` its wire bytes; each is one object, shared
-    by every record of that frame."""
+    by every record of that frame. In the log, `node` may be the tuple of the
+    names of a run of nodes the frame passed by; `Segment.trace` reads such a
+    record as one record per name."""
 
     time: int
-    node: str
+    node: Union[str, Tuple[str, ...]]
     event: Event
     frame: str
     raw: Optional[bytes] = None
@@ -176,6 +179,8 @@ class TraceRecord(NamedTuple):
         """The record's trace line; `with_hex` appends its wire bytes, if any,
         as hex. A cache write's line shows neither frame nor hex."""
         time, node, event, frame, raw = self
+        if raw is None and event is _IGNORED:  # a passer-by's line, the most common
+            return f"t={time} node={node} {_IGNORED_HEAD}{frame}"
         if type(event) is ArpCacheUpdate:
             return f"t={time} node={node} {_line_head(event)}"
         if with_hex and raw:
@@ -196,62 +201,33 @@ def _line_head(event: Event) -> str:
 
 _IGNORED_HEAD = _line_head(FrameEvent.IGNORED)
 
-
-class IgnoredRecord(TraceRecord):
-    """The line of a node that a frame passed by: its event is `FrameEvent.IGNORED`
-    and it shows no hex."""
-
-    __slots__ = ()
-
-    def format_line(self, with_hex: bool = False) -> str:
-        return f"t={self.time} node={self.node} {_IGNORED_HEAD}{self.frame}"
-
-
-# (time, node, event, frame, raw) -> TraceRecord, and (time, node,
-# FrameEvent.IGNORED, frame, None) -> IgnoredRecord, with no Python frame
+# (time, node, event, frame, raw) -> TraceRecord, with no Python frame
 _record = partial(tuple.__new__, TraceRecord)
-_ignored_record = partial(tuple.__new__, IgnoredRecord)
 _IGNORED = FrameEvent.IGNORED
 _PROCESSED_ONLY = (FrameEvent.PROCESSED,)  # the events of a receiver that gave no verdict
 _TX = FrameEvent.TX
-_tuple_new = tuple.__new__
-
-
-class IgnoredSpan(NamedTuple):
-    """Two or more nodes in a row, in attach order, that one frame passed by."""
-
-    time: int
-    names: Tuple[str, ...]
-    frame: str
-
-    def records(self) -> Iterator[IgnoredRecord]:
-        """The span's lines, one record per node."""
-        return map(_ignored_record, zip(repeat(self.time), self.names, repeat(_IGNORED),
-                                        repeat(self.frame), repeat(None)))
-
-
-LogEntry = Union[TraceRecord, IgnoredSpan]
 
 
 class TraceView:
-    """Read-only lines of a segment's whole log: each `IgnoredSpan` reads as
-    one record per node. `spans` holds the log index of every span."""
+    """Read-only lines of a segment's whole log: a record of a run of nodes
+    reads as one record per name. `spans` holds the log index of every run."""
 
     __slots__ = ("_log", "_spans")
 
-    def __init__(self, log: List[LogEntry], spans: List[int]):
+    def __init__(self, log: List[TraceRecord], spans: List[int]):
         self._log, self._spans = log, spans
 
     def _pieces(self) -> Iterator[Iterable[TraceRecord]]:
-        """The runs of records between spans, and each span's records. The runs
+        """The records between runs, and each run's records. The pieces between
         share one iterator over the log, with no copy: `chain` exhausts each
-        piece before it asks for the next, so a run starts where the last ended."""
+        piece before it asks for the next, so one starts where the last ended."""
         log, at = self._log, 0
         entries = iter(log)
         for i in self._spans:
             yield islice(entries, i - at)
-            next(entries)  # the span, read as its records
-            yield log[i].records()
+            time, names, event, frame, raw = next(entries)  # the run, read per name
+            yield map(_record, zip(repeat(time), names, repeat(event), repeat(frame),
+                                   repeat(raw)))
             at = i + 1
         yield entries
 
@@ -260,7 +236,7 @@ class TraceView:
 
     def __len__(self) -> int:
         log = self._log
-        return len(log) + sum(len(log[i].names) - 1 for i in self._spans)
+        return len(log) + sum(len(log[i].node) - 1 for i in self._spans)
 
 
 @dataclass
@@ -276,11 +252,11 @@ class NodeMetrics:
 class Metrics:
     """Per-node counters of the named nodes, folded from a segment's log."""
 
-    def __init__(self, log: Iterable[LogEntry], names: Iterable[str]):
+    def __init__(self, log: Iterable[TraceRecord], names: Iterable[str]):
         self.nodes: Dict[str, NodeMetrics] = {name: NodeMetrics() for name in names}
         tx, ignored = FrameEvent.TX, FrameEvent.IGNORED
-        # Each distinct (node, event) pair is folded once, times its count. An
-        # `IgnoredSpan` gives (names, frame): each of its names is ignored.
+        # Each distinct (node, event) pair is folded once, times its count. A
+        # run's record gives (names, IGNORED): each of its names is ignored.
         for (node, event), n in Counter(map(itemgetter(1, 2), log)).items():
             if type(node) is tuple:
                 for name in node:
@@ -573,7 +549,7 @@ class AttackerNode(Node):
 
 # A dispatch plan: the taps, then each node in attach order as a receiver
 # (a `Node`), a lone node the frame passes by (its name) or a run of them
-# (a tuple of names).
+# (a tuple of names); either of the last two is the `node` of one ignored record.
 Plan = Tuple[Tuple[Node, ...], Tuple[Union[Node, str, Tuple[str, ...]], ...]]
 
 
@@ -586,8 +562,8 @@ class Segment:
         self.clock = 0
         self._queue: List[tuple] = []  # (time, seq, kind, payload)
         self._seq = 0
-        self._log: List[LogEntry] = []
-        self._spans: List[int] = []  # the log index of each IgnoredSpan
+        self._log: List[TraceRecord] = []
+        self._spans: List[int] = []  # the log index of each run's record
 
     @property
     def trace(self) -> TraceView:
@@ -688,10 +664,10 @@ class Segment:
             for item in steps:
                 shape = type(item)
                 if shape is str:
-                    append(_ignored_record((time, item, _IGNORED, described, None)))
+                    append(_record((time, item, _IGNORED, described, None)))
                 elif shape is tuple:
                     self._spans.append(len(log))
-                    append(_tuple_new(IgnoredSpan, (time, item, described)))
+                    append(_record((time, item, _IGNORED, described, None)))
                 else:
                     # the node's verdicts as it gave them, then its answers
                     actions = item.receive(wire, time)

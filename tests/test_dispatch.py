@@ -6,10 +6,13 @@ frame passes by. On generated segments with colliding MACs and a
 promiscuous attacker, `Segment` must render the same `--hex` lines and
 metrics, count the same trace lines, and show its taps the same frames,
 both after each step and at the end of the run.
-Frames to unknown MACs must not grow its plan cache.
+Frames to unknown MACs must not grow its plan cache, and a run of nodes a
+frame passes by must be one log entry.
 """
 
 import heapq
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -186,3 +189,25 @@ def test_frames_to_unknown_macs_do_not_grow_the_plan_cache():
     # sent to the two MACs that are not its own
     assert seg.metrics.node("n0").ignored == 7_506
     assert len(seg._plans) <= len(specs) * (len(seg._by_mac) + 2)
+
+
+@pytest.mark.parametrize("receiver_at", ["first", "last"])
+@pytest.mark.parametrize("k", [1, 2, 15])
+def test_a_run_of_passers_by_is_one_log_entry(k, receiver_at):
+    passers = [("plain", MacAddress(bytes([0xAA, 0, 0, 0, 1, i]))) for i in range(k)]
+    receiver = [("plain", MACS[0])]
+    specs = receiver + passers if receiver_at == "first" else passers + receiver
+    names = tuple(f"n{i}" for i, spec in enumerate(specs) if spec[1] != MACS[0])
+    frame = serialize_frame(EthernetFrame(MACS[0], UNKNOWN_MAC, 0x88B5, b"x"))
+    indexed, hub = build(Segment, specs), build(HubSegment, specs)
+    for seg in (indexed, hub):
+        seg.inject(0, frame, "outside")
+        seg.step()
+    # one entry for the receiver's drop, one for the k nodes the frame passed by
+    assert len(indexed._log) == 2
+    (passed,) = [r for r in indexed._log if r.event is FrameEvent.IGNORED]
+    assert passed.node == (names if k > 1 else names[0]) and passed.raw is None
+    lines, count = lines_so_far(indexed)
+    assert count == k + 1
+    assert sum("ignored (other dst)" in line for line in lines) == k
+    assert (lines, count) == lines_so_far(hub)

@@ -27,7 +27,6 @@ from cloaknic.netsim import (
     CloakedServerNode,
     DuplicateHandle,
     FrameEvent,
-    IgnoredRecord,
     KnockReplay,
     MacSpoof,
     NothingCaptured,
@@ -351,7 +350,7 @@ class TestExactText:
         (TraceRecord(7, "plain", FrameEvent.IGNORED, SYN, bytes.fromhex("ab12")),
          f"t=7 node=plain dir=rx stage=0 info=ignored (other dst) | {SYN}",
          f"t=7 node=plain dir=rx stage=0 info=ignored (other dst) | {SYN} hex=ab12"),
-        (IgnoredRecord(7, "plain", FrameEvent.IGNORED, SYN, bytes.fromhex("ab12")),
+        (TraceRecord(7, "plain", FrameEvent.IGNORED, SYN),
          f"t=7 node=plain dir=rx stage=0 info=ignored (other dst) | {SYN}",
          f"t=7 node=plain dir=rx stage=0 info=ignored (other dst) | {SYN}"),
         (TraceRecord(7, "server", FrameEvent.PROCESSED, ARP_ASK, bytes.fromhex("ab12")),

@@ -1,4 +1,6 @@
+import gc
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -17,6 +19,10 @@ from cloaknic.scenario import (
 )
 
 VECTOR_FILE = pathlib.Path(__file__).parent / "data" / "knock_vectors.txt"
+# 5,000 vectors are about 1 MB of text; writing them may hold a few lines at
+# a time beyond the starting size, not the whole text.
+VECTORS = 5000
+VECTORS_PEAK = 512 << 10
 
 GOOD = DEMOS["happy-path"]
 
@@ -191,6 +197,25 @@ class TestCli:
         rc = main(["vectors", "--key", TEST_KEY_HEX, "--count", "8", "--out", str(out)])
         assert rc == EXIT_OK
         assert out.read_text() == VECTOR_FILE.read_text()
+
+    def test_vectors_are_written_line_by_line(self, tmp_path, capsys):
+        out = tmp_path / "v.txt"
+        argv = ["vectors", "--key", TEST_KEY_HEX, "--count", str(VECTORS)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            assert main(argv + ["--out", str(out)]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = out.read_text()
+        assert len(text) > VECTORS_PEAK
+        assert peak - start < VECTORS_PEAK
+        assert text.count("\n") == VECTORS and text.startswith(VECTOR_FILE.read_text())
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == text
 
     def test_vectors_count_zero(self, tmp_path, capsys):
         assert main(["vectors", "--key", TEST_KEY_HEX, "--count", "0"]) == EXIT_OK

@@ -117,6 +117,8 @@ def test_every_traced_layer_is_reached(calls):
     wire_frames = sum(m.tx for m in metrics.nodes.values()) + 1
     assert 1 <= calls["cloaknic.frames.parse_frame"] <= wire_frames
     assert calls["cloaknic.netsim.describe_frame"] == wire_frames  # once per frame
+    # every line, a passer-by's too, renders through the method the tracer wraps
+    assert calls["TraceRecord.format_line"] == len(lines)
     # the layers did their work: a delivery, a replay refused, a plain host's replies
     assert any("delivered | tcp 10.0.0.5:40000->10.0.0.2:22 syn" in line for line in lines)
     assert any("BadKnock Replayed" in line for line in lines)
