@@ -9,7 +9,14 @@ and destination, and the promiscuous taps observe every frame. The nodes
 a frame passes by are logged in attach order as `FrameEvent.IGNORED`
 records with no bytes; a run of two or more is one record whose `node` is
 the tuple of their names, read back as one `ignored (other dst)` line per
-name.
+name. Such a record is the same line for every frame that passes the same
+node or run at one time with one description, so those frames log one
+shared record object.
+
+The event queue is a heap of flat tuples ordered by (time, seq): a frame is
+`(time, seq, wire, origin, description or None)`, its wire a `Wire` or the
+bytes it was injected as, wrapped when it is delivered; a step is
+`(time, seq, None, node, step)`.
 
 Node kinds: cloaked servers and clients (backed by `CloakingNic`), a plain
 software-stack baseline host (answers ARP and pings, RSTs closed ports,
@@ -43,9 +50,11 @@ these rules:
   `observe`, `perform` and `frames_for`, `TraceRecord.format_line` and
   `Metrics.to_text`, so each is reached through its module global or
   class attribute and none is inlined into its caller;
-- nothing is cached by frame bytes; the two text caches, an address's
-  dotted quad (`frames.Ipv4Address`) and an event's line head
-  (`_line_head`), are bounded.
+- nothing is cached by frame bytes, and every cache is bounded: an
+  address's dotted quad (`frames.Ipv4Address`), an event's line head
+  (`_line_head`), the one object per description text (`describe_frame`),
+  and the last passer-by record per plan item (`Segment._passed`, whose
+  keys are attached nodes' names and runs of them; `attach` empties it).
 """
 
 from __future__ import annotations
@@ -93,6 +102,8 @@ from .nic import (
 # Distinct line heads `TraceRecord.format_line` keeps: those of the shared
 # verdicts are a few dozen; cache writes, one per knock, cycle through the rest.
 LINE_HEAD_CACHE = 256
+# Distinct description texts `describe_frame` keeps, least recently used out.
+DESCRIPTION_CACHE = 1024
 
 PLAIN_STAGE_LINK = 1
 PLAIN_STAGE_IP = 2
@@ -134,9 +145,10 @@ Event = Union[FrameEvent, DropRecord, Delivered, ArpCacheUpdate]
 class TraceRecord(NamedTuple):
     """One node's account of one frame, the run's only record. `frame` is the
     frame's description and `raw` its wire bytes; each is one object, shared
-    by every record of that frame. In the log, `node` may be the tuple of the
-    names of a run of nodes the frame passed by; `Segment.trace` reads such a
-    record as one record per name."""
+    by every record of that frame, and a description also by the frames with
+    its text. In the log, `node` may be the tuple of the names of a run of
+    nodes the frame passed by; `Segment.trace` reads such a record as one
+    record per name."""
 
     time: int
     node: Union[str, Tuple[str, ...]]
@@ -291,8 +303,22 @@ class Metrics:
         return "\n".join(out) + "\n"
 
 
+# The one object `describe_frame` returns for each text. On a miss the cache
+# calls `str`, which returns a `str` itself, so it keeps a text's first
+# object and returns it for every equal text after. Frames repeat a text
+# soon or not at all (a scan's, one per port, never do), so the least
+# recently used text goes first. Only which object a record holds depends on
+# the cache, never a line.
+_shared_text = lru_cache(maxsize=DESCRIPTION_CACHE)(str)
+
+
 def describe_frame(wire: Union[Wire, bytes]) -> str:
-    """One-line human summary of a frame for trace records."""
+    """One-line human summary of a frame for trace records; equal summaries
+    are one object while the text stays in a bounded cache."""
+    return _shared_text(_summary(wire))
+
+
+def _summary(wire: Union[Wire, bytes]) -> str:
     if not isinstance(wire, Wire):
         wire = Wire(wire)
     try:
@@ -560,10 +586,15 @@ class Segment:
         self._by_mac: Dict[bytes, List[int]] = {}  # MAC octets -> attach indices
         self._plans: Dict[Tuple[str, bytes], Plan] = {}  # (origin, dst MAC) -> plan
         self.clock = 0
-        self._queue: List[tuple] = []  # (time, seq, kind, payload)
+        # (time, seq, wire, origin, description or None) for a frame, and
+        # (time, seq, None, node, step) for a step
+        self._queue: List[tuple] = []
         self._seq = 0
         self._log: List[TraceRecord] = []
         self._spans: List[int] = []  # the log index of each run's record
+        # plan item -> the last ignored record logged for it, logged again
+        # for the next frame it passes by at that time with that description
+        self._passed: Dict[Union[str, Tuple[str, ...]], TraceRecord] = {}
 
     @property
     def trace(self) -> TraceView:
@@ -582,6 +613,7 @@ class Segment:
         self.nodes.append(node)
         self._by_name[node.name] = node
         self._plans.clear()
+        self._passed.clear()
         node.lookup = self.node
         return node
 
@@ -618,14 +650,12 @@ class Segment:
             self._plans[origin, dst] = plan
         return plan
 
-    def _push(self, time: int, kind: str, *payload) -> None:
-        heappush(self._queue, (time, self._seq, kind, payload))
-        self._seq += 1
-
     def inject(self, time: int, wire: Union[Wire, bytes], origin: str,
                described: Optional[str] = None) -> None:
-        """Queue a frame; `described` is its description, if already made."""
-        self._push(time, "frame", Wire.wrap(wire), origin, described)
+        """Queue a frame as given, a `Wire` or its bytes; `described` is its
+        description, if already made."""
+        heappush(self._queue, (time, self._seq, wire, origin, described))
+        self._seq += 1
 
     def schedule(self, time: int, node: str, step: Step) -> None:
         """Queue a step; a repeated program queues its first firing, and each
@@ -634,7 +664,8 @@ class Segment:
         if period < 1:
             raise ValueError(f"attack period must be >= 1, got {period}")
         if getattr(step, "count", 1) > 0:
-            self._push(time, "action", node, step)
+            heappush(self._queue, (time, self._seq, None, node, step))
+            self._seq += 1
 
     # -- the event loop ------------------------------------------------------
 
@@ -649,11 +680,12 @@ class Segment:
         if not self._queue:
             return
         log = self._log
-        time, seq, kind, payload = heappop(self._queue)
+        time, seq, wire, origin, arg = heappop(self._queue)
         self.clock = time
-        if kind == "frame":
-            wire, origin, described = payload
-            described = described or describe_frame(wire)
+        if wire is not None:  # a frame; `arg` is its description, if already made
+            if not isinstance(wire, Wire):  # `Wire.wrap`, without its call
+                wire = Wire(wire)
+            described = arg or describe_frame(wire)
             data = wire.data
             dst = data[:6] if len(data) >= 6 else None
             taps, steps = self._plans.get((origin, dst)) or self._plan(origin, dst)
@@ -661,13 +693,18 @@ class Segment:
             for tap in taps:
                 tap.observe(wire, time)
             append = log.append
+            passed = self._passed
             for item in steps:
                 shape = type(item)
-                if shape is str:
-                    append(_record((time, item, _IGNORED, described, None)))
-                elif shape is tuple:
-                    self._spans.append(len(log))
-                    append(_record((time, item, _IGNORED, described, None)))
+                if shape is str or shape is tuple:
+                    # a passer-by's record has no bytes: equal fields, the same line
+                    record = passed.get(item)
+                    if record is None or record.time != time or record.frame != described:
+                        record = passed[item] = _record((time, item, _IGNORED, described,
+                                                         None))
+                    if shape is tuple:
+                        self._spans.append(len(log))
+                    append(record)
                 else:
                     # the node's verdicts as it gave them, then its answers
                     actions = item.receive(wire, time)
@@ -679,15 +716,15 @@ class Segment:
                         append(_record((time, name, event, described, data)))
                     if actions.tx_frames:
                         self._transmit(item, map(Wire.from_frame, actions.tx_frames), time)
-        else:
-            name, step = payload
+        else:  # a step: the node `origin` performs `arg`
+            step = arg
             # a program's remaining firings keep its seq, so they order among
             # equal times as if every firing had been queued up front
             rest = getattr(step, "count", 1) - 1
             if rest > 0:
-                heappush(self._queue, (time + step.period, seq, kind,
-                                       (name, replace(step, count=rest))))
-            node = self._by_name[name]
+                heappush(self._queue, (time + step.period, seq, None, origin,
+                                       replace(step, count=rest)))
+            node = self._by_name[origin]
             self._transmit(node, node.perform(step, time), time)
 
     def run(self, horizon: Optional[int] = None) -> None:

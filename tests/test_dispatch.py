@@ -6,8 +6,9 @@ frame passes by. On generated segments with colliding MACs and a
 promiscuous attacker, `Segment` must render the same `--hex` lines and
 metrics, count the same trace lines, and show its taps the same frames,
 both after each step and at the end of the run.
-Frames to unknown MACs must not grow its plan cache, and a run of nodes a
-frame passes by must be one log entry.
+Frames to unknown MACs must not grow its plan cache, a run of nodes a
+frame passes by must be one log entry, and the frames that pass a node at
+one tick with one description share its record, and no others do.
 """
 
 import heapq
@@ -55,8 +56,9 @@ class HubSegment(Segment):
     """Offers each frame to every node but its origin, in attach order."""
 
     def step(self):
-        time, _seq, _kind, (wire, origin, described) = heapq.heappop(self._queue)
+        time, _seq, wire, origin, described = heapq.heappop(self._queue)
         self.clock = time
+        wire = Wire.wrap(wire)
         described = described or describe_frame(wire)
         dst = wire.data[:6] if len(wire.data) >= 6 else None
         for node in self.nodes:
@@ -211,3 +213,31 @@ def test_a_run_of_passers_by_is_one_log_entry(k, receiver_at):
     assert count == k + 1
     assert sum("ignored (other dst)" in line for line in lines) == k
     assert (lines, count) == lines_so_far(hub)
+
+
+def test_passers_by_share_a_record_only_where_it_is_the_same_line():
+    passer = [("plain", MacAddress(bytes([0xAA, 0, 0, 0, 1, i]))) for i in range(3)]
+    specs = passer[:1] + [("plain", MACS[0])] + passer[1:]  # a lone passer-by, then a run
+    lone, run = "n0", ("n2", "n3")
+
+    def frame(payload):
+        return serialize_frame(EthernetFrame(MACS[0], UNKNOWN_MAC, 0x88B5, payload))
+
+    # b"x" and b"y" are one text, b"xy" another; the text comes back after
+    # another at tick 0, and tick 1 repeats one
+    offers = [(0, "outside", frame(p)) for p in (b"x", b"y", b"xy", b"x")]
+    offers += [(1, "outside", frame(p)) for p in (b"x", b"y")]
+    indexed, hub = build(Segment, specs), build(HubSegment, specs)
+    assert outputs(indexed, offers) == outputs(hub, offers)
+
+    passers = [r for r in indexed._log if r.event is FrameEvent.IGNORED]
+    shared = 0
+    for node in (lone, run):
+        mine = [r for r in passers if r.node == node]
+        assert len(mine) == len(offers)
+        for before, after in zip(mine, mine[1:]):
+            same = (before.time, before.frame) == (after.time, after.frame)
+            assert (before is after) == same
+            shared += same
+    assert shared == 2 * 2  # (x, y) at tick 0 and at tick 1, for each plan item
+    assert len({id(r) for r in passers}) == len(passers) - shared

@@ -1,10 +1,13 @@
 """The trace keeps each frame's wire bytes, not their hex, and `run` writes it line by line.
 
 A record holds the very bytes object its frame was carried in, so a forged
-frame costs the log two small records, not a hex string per receiver; and
-the CLI renders one line at a time, so writing a trace needs memory for a
-line, not for the whole text. Both bounds fail on a log that keeps hex text
-or a CLI that joins the trace into one string.
+frame costs the log two small records, not a hex string per receiver; frames
+with the same text share one description, and the frames a node passes by at
+one tick with one description share one record; and the CLI renders one line
+at a time, so writing a trace needs memory for a line, not for the whole
+text. The bounds fail on a log that keeps hex text, a description per frame
+or a passer-by record per frame, or on a CLI that joins the trace into one
+string.
 """
 
 import argparse
@@ -19,10 +22,14 @@ from cloaknic.netsim import DropRecord
 from cloaknic.scenario import build_segment, parse_scenario, run_scenario
 
 FORGED = 2000
-# Log growth per trace line over a run of forged knocks. Records that hold
-# the frame's bytes grow it by about 135 B per line (Python 3.11); records
-# that also keep the frame's 224-character hex, by about 250 B.
-BYTES_PER_LINE = 190
+# Log growth per trace line over a run of forged knocks, ten to a tick
+# (Python 3.11): about 57 B when they share one description and, per tick,
+# one passer-by record; 135 B with a description and a record each; and
+# about 250 B when records also keep the frame's 224-character hex.
+BYTES_PER_LINE = 80
+# The same, one knock to a tick, so no passer-by record is shared: about
+# 96 B with one shared description, 135 B with a description per frame.
+BYTES_PER_LINE_ONE_PER_TICK = 120
 # What writing a trace may hold at once beyond its starting size: some
 # buffered lines, far below the ~6 MB of text of the scan below.
 WRITE_PEAK = 1 << 20
@@ -63,21 +70,25 @@ def forged_knocks(n):
         for _ in range(n)]
 
 
-def test_records_hold_the_injected_bytes_and_no_hex():
-    sc = parse_scenario(SEGMENT)
-    seg = build_segment(sc, seed=1)
-    forged = forged_knocks(FORGED)
+def run_forged(forged, per_tick):
+    """The segment after `forged` ran, `per_tick` to a tick, and what its run grew."""
+    seg = build_segment(parse_scenario(SEGMENT), seed=1)
     for i, wire in enumerate(forged):
-        seg.inject(5 + i // 10, wire, "mallory")
+        seg.inject(5 + i // per_tick, wire, "mallory")
     gc.collect()
     tracemalloc.start()
     try:
-        seg.run(sc.horizon)
+        seg.run()
         gc.collect()
         grown = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    return seg, grown
 
+
+def test_records_hold_the_injected_bytes_and_no_hex():
+    forged = forged_knocks(FORGED)
+    seg, grown = run_forged(forged, per_tick=10)
     rejected = [r for r in seg.trace if type(r.event) is DropRecord and r.event.detail == "BadTag"]
     assert len(rejected) == FORGED
     assert all(r.raw is wire for r, wire in zip(rejected, forged))
@@ -85,6 +96,13 @@ def test_records_hold_the_injected_bytes_and_no_hex():
     lines = len(seg.trace)
     assert lines == 2 * FORGED  # the server's drop and the client's ignored line
     assert grown / lines < BYTES_PER_LINE
+
+
+def test_one_forged_knock_per_tick_shares_its_description():
+    seg, grown = run_forged(forged_knocks(FORGED), per_tick=1)
+    lines = len(seg.trace)
+    assert lines == 2 * FORGED
+    assert grown / lines < BYTES_PER_LINE_ONE_PER_TICK
 
 
 def test_writing_a_trace_holds_no_more_than_a_few_lines(tmp_path):
