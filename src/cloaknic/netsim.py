@@ -7,11 +7,9 @@ The segment keeps these semantics through an index: it offers a frame only
 to the nodes its destination MAC addresses, from a plan cached per origin
 and destination, and the promiscuous taps observe every frame. The nodes
 a frame passes by are logged in attach order as `FrameEvent.IGNORED`
-records with no bytes; a run of two or more is one record whose `node` is
+entries with no bytes; a run of two or more is one entry whose `node` is
 the tuple of their names, read back as one `ignored (other dst)` line per
-name. Such a record is the same line for every frame that passes the same
-node or run at one time with one description, so those frames log one
-shared record object.
+name.
 
 The event queue is a heap of flat tuples ordered by (time, seq): a frame is
 `(time, seq, wire, origin, description or None)`, its wire a `Wire` or the
@@ -29,22 +27,24 @@ Stage counts model code-execution-path length: the cloaking NIC rejects at
 stage 1, its filter; the plain host carries every probe through link (1),
 IP (2) and transport/ICMP (3) before its verdict.
 
-The trace is the run's one account: each `TraceRecord` holds a typed event,
-its frame's description and its frame's wire bytes, never the parsed
-frame; a line renders the bytes as hex only when it is written. The event
-is a verdict exactly as a node returned it (a `DropRecord`, `Delivered` or
+The trace is the run's one account. The log is one flat list that holds
+each entry's five fields, `(time, node, event, frame, raw)`, in consecutive
+slots, and no record objects: the event is typed, the frame is its
+description and raw its wire bytes, never the parsed frame, and a line
+renders the bytes as hex only when it is written. The event is a verdict
+exactly as a node returned it (a `DropRecord`, `Delivered` or
 `ArpCacheUpdate`), or a `FrameEvent` where no node gives one; every event
 carries its own stage. `Segment.trace` is the one way to read a run: a
-read-only view of the whole log with one record per line. `Segment.step()`
-returns nothing, and `Segment.metrics` folds the log with one count of its
-distinct (node, event) pairs.
+read-only view of the whole log that builds one `TraceRecord` per line as
+it is read. `Segment.step()` returns nothing, and `Segment.metrics` folds
+the log's node and event slots with one count of their distinct pairs.
 
 Describing, dispatching and recording run once per frame, so they keep to
 these rules:
 
-- records are built with `tuple.__new__`, not through their Python-level
-  constructor, and payloads and events are dispatched on
-  `type(x) is`;
+- an entry is appended with one `list.extend` of its five fields, records
+  are built on read with `tuple.__new__`, not through their Python-level
+  constructor, and payloads and events are dispatched on `type(x) is`;
 - the benchmark's tracer wraps `describe_frame`, `Segment.step`,
   `Segment.run` (which calls `self.step()`), the nodes' `receive`,
   `observe`, `perform` and `frames_for`, `TraceRecord.format_line` and
@@ -52,9 +52,7 @@ these rules:
   class attribute and none is inlined into its caller;
 - nothing is cached by frame bytes, and every cache is bounded: an
   address's dotted quad (`frames.Ipv4Address`), an event's line head
-  (`_line_head`), the one object per description text (`describe_frame`),
-  and the last passer-by record per plan item (`Segment._passed`, whose
-  keys are attached nodes' names and runs of them; `attach` empties it).
+  (`_line_head`) and the one object per description text (`describe_frame`).
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ from enum import Enum
 from functools import lru_cache, partial
 from heapq import heappop, heappush
 from itertools import chain, islice, repeat
-from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from . import frames
@@ -143,15 +140,14 @@ Event = Union[FrameEvent, DropRecord, Delivered, ArpCacheUpdate]
 
 
 class TraceRecord(NamedTuple):
-    """One node's account of one frame, the run's only record. `frame` is the
-    frame's description and `raw` its wire bytes; each is one object, shared
-    by every record of that frame, and a description also by the frames with
-    its text. In the log, `node` may be the tuple of the names of a run of
-    nodes the frame passed by; `Segment.trace` reads such a record as one
-    record per name."""
+    """One node's account of one frame: one trace line, as `Segment.trace`
+    reads it. The log keeps no records, only their fields, so each is built
+    when its line is read. `frame` is the frame's description and `raw` its
+    wire bytes; each is one object, shared by every line of that frame, and
+    a description also by the frames with its text."""
 
     time: int
-    node: Union[str, Tuple[str, ...]]
+    node: str
     event: Event
     frame: str
     raw: Optional[bytes] = None
@@ -215,40 +211,46 @@ _IGNORED_HEAD = _line_head(FrameEvent.IGNORED)
 
 # (time, node, event, frame, raw) -> TraceRecord, with no Python frame
 _record = partial(tuple.__new__, TraceRecord)
+FIELDS = len(TraceRecord._fields)  # the log's slots per entry
 _IGNORED = FrameEvent.IGNORED
 _PROCESSED_ONLY = (FrameEvent.PROCESSED,)  # the events of a receiver that gave no verdict
 _TX = FrameEvent.TX
 
 
 class TraceView:
-    """Read-only lines of a segment's whole log: a record of a run of nodes
-    reads as one record per name. `spans` holds the log index of every run."""
+    """Read-only lines of a segment's whole log, one `TraceRecord` per line,
+    each built as it is read from its entry's `FIELDS` slots: the entry of a
+    run of nodes reads as one record per name. `spans` holds the slot at
+    which every run's entry starts."""
 
     __slots__ = ("_log", "_spans")
 
-    def __init__(self, log: List[TraceRecord], spans: List[int]):
+    def __init__(self, log: list, spans: List[int]):
         self._log, self._spans = log, spans
 
     def _pieces(self) -> Iterator[Iterable[TraceRecord]]:
-        """The records between runs, and each run's records. The pieces between
-        share one iterator over the log, with no copy: `chain` exhausts each
-        piece before it asks for the next, so one starts where the last ended."""
-        log, at = self._log, 0
-        entries = iter(log)
+        """The records between runs, and each run's records. The pieces share
+        one iterator over the log's entries, with no copy: `chain` exhausts
+        each piece before it asks for the next, so one starts where the last
+        ended."""
+        it = iter(self._log)
+        entries = zip(it, it, it, it, it)
+        records = map(_record, entries)
+        at = 0
         for i in self._spans:
-            yield islice(entries, i - at)
+            yield islice(records, (i - at) // FIELDS)
             time, names, event, frame, raw = next(entries)  # the run, read per name
             yield map(_record, zip(repeat(time), names, repeat(event), repeat(frame),
                                    repeat(raw)))
-            at = i + 1
-        yield entries
+            at = i + FIELDS
+        yield records
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return chain.from_iterable(self._pieces())
 
     def __len__(self) -> int:
         log = self._log
-        return len(log) + sum(len(log[i].node) - 1 for i in self._spans)
+        return len(log) // FIELDS + sum(len(log[i + 1]) - 1 for i in self._spans)
 
 
 @dataclass
@@ -264,12 +266,14 @@ class NodeMetrics:
 class Metrics:
     """Per-node counters of the named nodes, folded from a segment's log."""
 
-    def __init__(self, log: Iterable[TraceRecord], names: Iterable[str]):
+    def __init__(self, log: list, names: Iterable[str]):
         self.nodes: Dict[str, NodeMetrics] = {name: NodeMetrics() for name in names}
         tx, ignored = FrameEvent.TX, FrameEvent.IGNORED
-        # Each distinct (node, event) pair is folded once, times its count. A
-        # run's record gives (names, IGNORED): each of its names is ignored.
-        for (node, event), n in Counter(map(itemgetter(1, 2), log)).items():
+        # Each distinct (node, event) pair of the log's node and event slots
+        # is folded once, times its count. A run's entry gives (names,
+        # IGNORED): each of its names is ignored.
+        pairs = zip(islice(log, 1, None, FIELDS), islice(log, 2, None, FIELDS))
+        for (node, event), n in Counter(pairs).items():
             if type(node) is tuple:
                 for name in node:
                     self.nodes[name].ignored += n
@@ -575,7 +579,7 @@ class AttackerNode(Node):
 
 # A dispatch plan: the taps, then each node in attach order as a receiver
 # (a `Node`), a lone node the frame passes by (its name) or a run of them
-# (a tuple of names); either of the last two is the `node` of one ignored record.
+# (a tuple of names); either of the last two is the `node` of one ignored entry.
 Plan = Tuple[Tuple[Node, ...], Tuple[Union[Node, str, Tuple[str, ...]], ...]]
 
 
@@ -590,11 +594,10 @@ class Segment:
         # (time, seq, None, node, step) for a step
         self._queue: List[tuple] = []
         self._seq = 0
-        self._log: List[TraceRecord] = []
-        self._spans: List[int] = []  # the log index of each run's record
-        # plan item -> the last ignored record logged for it, logged again
-        # for the next frame it passes by at that time with that description
-        self._passed: Dict[Union[str, Tuple[str, ...]], TraceRecord] = {}
+        # each entry's (time, node, event, frame, raw) in `FIELDS` consecutive
+        # slots; `trace` builds a `TraceRecord` from them per read
+        self._log: list = []
+        self._spans: List[int] = []  # the slot at which each run's entry starts
 
     @property
     def trace(self) -> TraceView:
@@ -613,7 +616,6 @@ class Segment:
         self.nodes.append(node)
         self._by_name[node.name] = node
         self._plans.clear()
-        self._passed.clear()
         node.lookup = self.node
         return node
 
@@ -672,7 +674,7 @@ class Segment:
     def _transmit(self, origin: Node, wires: Iterable[Wire], now: int) -> None:
         for wire in wires:
             described = describe_frame(wire)
-            self._log.append(_record((now, origin.name, _TX, described, wire.data)))
+            self._log.extend((now, origin.name, _TX, described, wire.data))
             self.inject(now + 1, wire, origin.name, described)
 
     def step(self) -> None:
@@ -692,19 +694,13 @@ class Segment:
             # a tap only reads the frame, so observing first keeps the hub's effects
             for tap in taps:
                 tap.observe(wire, time)
-            append = log.append
-            passed = self._passed
+            extend = log.extend
             for item in steps:
                 shape = type(item)
-                if shape is str or shape is tuple:
-                    # a passer-by's record has no bytes: equal fields, the same line
-                    record = passed.get(item)
-                    if record is None or record.time != time or record.frame != described:
-                        record = passed[item] = _record((time, item, _IGNORED, described,
-                                                         None))
+                if shape is str or shape is tuple:  # a passer-by's entry has no bytes
                     if shape is tuple:
                         self._spans.append(len(log))
-                    append(record)
+                    extend((time, item, _IGNORED, described, None))
                 else:
                     # the node's verdicts as it gave them, then its answers
                     actions = item.receive(wire, time)
@@ -713,7 +709,7 @@ class Segment:
                         events = events + actions.host_events
                     name = item.name
                     for event in events or _PROCESSED_ONLY:
-                        append(_record((time, name, event, described, data)))
+                        extend((time, name, event, described, data))
                     if actions.tx_frames:
                         self._transmit(item, map(Wire.from_frame, actions.tx_frames), time)
         else:  # a step: the node `origin` performs `arg`

@@ -1,14 +1,14 @@
 """The segment's indexed dispatch is the hub it models.
 
 `HubSegment` below is the literal hub: it offers every frame to every node
-but its origin, in attach order, and logs one ignored record per node the
+but its origin, in attach order, and logs one ignored entry per node the
 frame passes by. On generated segments with colliding MACs and a
 promiscuous attacker, `Segment` must render the same `--hex` lines and
 metrics, count the same trace lines, and show its taps the same frames,
 both after each step and at the end of the run.
 Frames to unknown MACs must not grow its plan cache, a run of nodes a
-frame passes by must be one log entry, and the frames that pass a node at
-one tick with one description share its record, and no others do.
+frame passes by must be one log entry, and the log must hold each entry's
+fields, never a record object.
 """
 
 import heapq
@@ -40,6 +40,7 @@ from cloaknic.frames import (
 from cloaknic.netsim import (
     AttackerNode,
     CloakedServerNode,
+    FIELDS,
     FrameEvent,
     PlainHostNode,
     Segment,
@@ -67,11 +68,11 @@ class HubSegment(Segment):
             if node.promiscuous:
                 node.observe(wire, time)
             if dst is not None and dst != node.mac.octets and dst != MAC_BROADCAST.octets:
-                self._log.append(TraceRecord(time, node.name, FrameEvent.IGNORED, described))
+                self._log.extend((time, node.name, FrameEvent.IGNORED, described, None))
                 continue
             actions = node.receive(wire, time)
             for event in actions.drops + actions.host_events or [FrameEvent.PROCESSED]:
-                self._log.append(TraceRecord(time, node.name, event, described, wire.data))
+                self._log.extend((time, node.name, event, described, wire.data))
             self._transmit(node, map(Wire.from_frame, actions.tx_frames), time)
 
 
@@ -131,6 +132,12 @@ def offered_frames(draw, n_nodes):
     else:
         frame = EthernetFrame(dst, src, 0x88B5, b"raw")
     return time, origin, serialize_frame(frame)
+
+
+def entries(seg):
+    """The log's entries, each its `FIELDS` slots as one tuple."""
+    slots = iter(seg._log)
+    return list(zip(*[slots] * FIELDS))
 
 
 def outputs(seg, offers):
@@ -206,8 +213,8 @@ def test_a_run_of_passers_by_is_one_log_entry(k, receiver_at):
         seg.inject(0, frame, "outside")
         seg.step()
     # one entry for the receiver's drop, one for the k nodes the frame passed by
-    assert len(indexed._log) == 2
-    (passed,) = [r for r in indexed._log if r.event is FrameEvent.IGNORED]
+    assert len(indexed._log) == 2 * FIELDS
+    (passed,) = [TraceRecord(*e) for e in entries(indexed) if e[2] is FrameEvent.IGNORED]
     assert passed.node == (names if k > 1 else names[0]) and passed.raw is None
     lines, count = lines_so_far(indexed)
     assert count == k + 1
@@ -215,7 +222,7 @@ def test_a_run_of_passers_by_is_one_log_entry(k, receiver_at):
     assert (lines, count) == lines_so_far(hub)
 
 
-def test_passers_by_share_a_record_only_where_it_is_the_same_line():
+def test_the_log_holds_fields_not_records():
     passer = [("plain", MacAddress(bytes([0xAA, 0, 0, 0, 1, i]))) for i in range(3)]
     specs = passer[:1] + [("plain", MACS[0])] + passer[1:]  # a lone passer-by, then a run
     lone, run = "n0", ("n2", "n3")
@@ -230,14 +237,8 @@ def test_passers_by_share_a_record_only_where_it_is_the_same_line():
     indexed, hub = build(Segment, specs), build(HubSegment, specs)
     assert outputs(indexed, offers) == outputs(hub, offers)
 
-    passers = [r for r in indexed._log if r.event is FrameEvent.IGNORED]
-    shared = 0
+    assert not any(isinstance(slot, TraceRecord) for slot in indexed._log)
+    passers = [e for e in entries(indexed) if e[2] is FrameEvent.IGNORED]
     for node in (lone, run):
-        mine = [r for r in passers if r.node == node]
-        assert len(mine) == len(offers)
-        for before, after in zip(mine, mine[1:]):
-            same = (before.time, before.frame) == (after.time, after.frame)
-            assert (before is after) == same
-            shared += same
-    assert shared == 2 * 2  # (x, y) at tick 0 and at tick 1, for each plan item
-    assert len({id(r) for r in passers}) == len(passers) - shared
+        assert sum(e[1] == node for e in passers) == len(offers)
+    assert len(passers) == 2 * len(offers)

@@ -1,13 +1,12 @@
 """The trace keeps each frame's wire bytes, not their hex, and `run` writes it line by line.
 
 A record holds the very bytes object its frame was carried in, so a forged
-frame costs the log two small records, not a hex string per receiver; frames
-with the same text share one description, and the frames a node passes by at
-one tick with one description share one record; and the CLI renders one line
-at a time, so writing a trace needs memory for a line, not for the whole
-text. The bounds fail on a log that keeps hex text, a description per frame
-or a passer-by record per frame, or on a CLI that joins the trace into one
-string.
+frame costs the log two entries of five slots, not a hex string per
+receiver; frames with the same text share one description; the log keeps
+each line's fields, not a record object; and the CLI renders one line at a
+time, so writing a trace needs memory for a line, not for the whole text.
+The bounds fail on a log that keeps hex text, a description per frame or a
+record per line, or on a CLI that joins the trace into one string.
 """
 
 import argparse
@@ -23,13 +22,18 @@ from cloaknic.scenario import build_segment, parse_scenario, run_scenario
 
 FORGED = 2000
 # Log growth per trace line over a run of forged knocks, ten to a tick
-# (Python 3.11): about 57 B when they share one description and, per tick,
-# one passer-by record; 135 B with a description and a record each; and
-# about 250 B when records also keep the frame's 224-character hex.
+# (Python 3.11): about 41 B when they share one description and the log
+# keeps fields; 57 B with a record per line, shared by the passers-by of a
+# tick; 135 B with a description and a record each; and about 250 B when
+# records also keep the frame's 224-character hex.
 BYTES_PER_LINE = 80
-# The same, one knock to a tick, so no passer-by record is shared: about
-# 96 B with one shared description, 135 B with a description per frame.
+# The same, one knock to a tick: about 41 B with fields in the log, 96 B
+# with a record per line, 135 B with a description per frame as well.
 BYTES_PER_LINE_ONE_PER_TICK = 120
+# Log growth per trace line over the scan below, whose every frame has its
+# own bytes and description: about 102 B with fields in the log, 157 B with
+# a record per line.
+SCAN_BYTES_PER_LINE = 120
 # What writing a trace may hold at once beyond its starting size: some
 # buffered lines, far below the ~6 MB of text of the scan below.
 WRITE_PEAK = 1 << 20
@@ -75,6 +79,11 @@ def run_forged(forged, per_tick):
     seg = build_segment(parse_scenario(SEGMENT), seed=1)
     for i, wire in enumerate(forged):
         seg.inject(5 + i // per_tick, wire, "mallory")
+    return seg, grown_by_run(seg)
+
+
+def grown_by_run(seg):
+    """The memory `seg.run()` leaves allocated."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -83,7 +92,7 @@ def run_forged(forged, per_tick):
         grown = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    return seg, grown
+    return grown
 
 
 def test_records_hold_the_injected_bytes_and_no_hex():
@@ -103,6 +112,14 @@ def test_one_forged_knock_per_tick_shares_its_description():
     lines = len(seg.trace)
     assert lines == 2 * FORGED
     assert grown / lines < BYTES_PER_LINE_ONE_PER_TICK
+
+
+def test_a_scan_leaves_each_lines_fields_not_a_record():
+    seg = build_segment(parse_scenario(SCAN), seed=1)
+    grown = grown_by_run(seg)
+    lines = len(seg.trace)
+    assert lines == 9 * 4096  # per port: 3 lines for the probe of the server, 6 of the plain host
+    assert grown / lines < SCAN_BYTES_PER_LINE
 
 
 def test_writing_a_trace_holds_no_more_than_a_few_lines(tmp_path):
