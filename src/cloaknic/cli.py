@@ -96,6 +96,8 @@ def cmd_check(args) -> int:
 
 def cmd_vectors(args) -> int:
     """Write the vectors line by line, each as it is made."""
+    if args.count < 0:
+        raise ValueError("count must be >= 0")
     key = SharedKey.from_hex(args.key)
     client = Ipv4Address.from_str("10.0.0.5")
     lines = (format_vector_line(key, struct.pack(">Q", i), KnockFields(client, 40000, 1000 + i))

@@ -5,11 +5,10 @@ its origin, in attach order, one time unit of latency per hop, no loss and
 no jitter. Identical scenarios therefore produce byte-identical traces.
 The segment keeps these semantics through an index: it offers a frame only
 to the nodes its destination MAC addresses, from a plan cached per origin
-and destination, and the promiscuous taps observe every frame. The nodes
-a frame passes by are logged in attach order as `FrameEvent.IGNORED`
-entries with no bytes; a run of two or more is one entry whose `node` is
-the tuple of their names, read back as one `ignored (other dst)` line per
-name.
+and destination, and the promiscuous taps observe every frame. Each run
+of nodes a frame passes by, in attach order, is one `FrameEvent.IGNORED`
+entry with no bytes whose `node` is the plan's tuple of their names, one
+name or many, read back as one `ignored (other dst)` line per name.
 
 The event queue is a heap of flat tuples ordered by (time, seq): a frame is
 `(time, seq, wire, origin, description or None)`, its wire a `Wire` or the
@@ -62,8 +61,9 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache, partial
 from heapq import heappop, heappush
-from itertools import chain, islice, repeat
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
+from itertools import groupby, islice
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple,
+                    Union)
 
 from . import frames
 from .frames import (
@@ -219,38 +219,27 @@ _TX = FrameEvent.TX
 
 class TraceView:
     """Read-only lines of a segment's whole log, one `TraceRecord` per line,
-    each built as it is read from its entry's `FIELDS` slots: the entry of a
-    run of nodes reads as one record per name. `spans` holds the slot at
-    which every run's entry starts."""
+    each built as it is read from its entry's `FIELDS` slots: a passers-by
+    entry, whose `node` is a tuple of names, reads as one record per name."""
 
-    __slots__ = ("_log", "_spans")
+    __slots__ = ("_log",)
 
-    def __init__(self, log: list, spans: List[int]):
-        self._log, self._spans = log, spans
-
-    def _pieces(self) -> Iterator[Iterable[TraceRecord]]:
-        """The records between runs, and each run's records. The pieces share
-        one iterator over the log's entries, with no copy: `chain` exhausts
-        each piece before it asks for the next, so one starts where the last
-        ended."""
-        it = iter(self._log)
-        entries = zip(it, it, it, it, it)
-        records = map(_record, entries)
-        at = 0
-        for i in self._spans:
-            yield islice(records, (i - at) // FIELDS)
-            time, names, event, frame, raw = next(entries)  # the run, read per name
-            yield map(_record, zip(repeat(time), names, repeat(event), repeat(frame),
-                                   repeat(raw)))
-            at = i + FIELDS
-        yield records
+    def __init__(self, log: list):
+        self._log = log
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return chain.from_iterable(self._pieces())
+        it = iter(self._log)
+        for entry in zip(it, it, it, it, it):
+            if type(entry[1]) is tuple:
+                time, names, event, frame, raw = entry
+                for name in names:
+                    yield _record((time, name, event, frame, raw))
+            else:
+                yield _record(entry)
 
     def __len__(self) -> int:
-        log = self._log
-        return len(log) // FIELDS + sum(len(log[i + 1]) - 1 for i in self._spans)
+        return sum(len(node) if type(node) is tuple else 1
+                   for node in islice(self._log, 1, None, FIELDS))
 
 
 @dataclass
@@ -268,9 +257,9 @@ class Metrics:
 
     def __init__(self, log: list, names: Iterable[str]):
         self.nodes: Dict[str, NodeMetrics] = {name: NodeMetrics() for name in names}
-        tx, ignored = FrameEvent.TX, FrameEvent.IGNORED
+        tx = FrameEvent.TX
         # Each distinct (node, event) pair of the log's node and event slots
-        # is folded once, times its count. A run's entry gives (names,
+        # is folded once, times its count. A passers-by entry gives (names,
         # IGNORED): each of its names is ignored.
         pairs = zip(islice(log, 1, None, FIELDS), islice(log, 2, None, FIELDS))
         for (node, event), n in Counter(pairs).items():
@@ -281,8 +270,6 @@ class Metrics:
             m = self.nodes[node]
             if event is tx:
                 m.tx += n
-            elif event is ignored:
-                m.ignored += n
             else:
                 m.cep_histogram[event.stage_count] += n
                 kind = type(event)
@@ -577,17 +564,17 @@ class AttackerNode(Node):
 # --------------------------------------------------------------------------
 # the segment
 
-# A dispatch plan: the taps, then each node in attach order as a receiver
-# (a `Node`), a lone node the frame passes by (its name) or a run of them
-# (a tuple of names); either of the last two is the `node` of one ignored entry.
-Plan = Tuple[Tuple[Node, ...], Tuple[Union[Node, str, Tuple[str, ...]], ...]]
+# A dispatch plan: the taps, then the steps in attach order: each receiver (a
+# `Node`), and for each run of nodes the frame passes by, one or many, the
+# tuple of their names, which is the `node` of one ignored entry.
+Plan = Tuple[Tuple[Node, ...], Tuple[Union[Node, Tuple[str, ...]], ...]]
 
 
 class Segment:
     def __init__(self):
         self.nodes: List[Node] = []
         self._by_name: Dict[str, Node] = {}
-        self._by_mac: Dict[bytes, List[int]] = {}  # MAC octets -> attach indices
+        self._macs: Set[bytes] = set()  # the attached nodes' MAC octets
         self._plans: Dict[Tuple[str, bytes], Plan] = {}  # (origin, dst MAC) -> plan
         self.clock = 0
         # (time, seq, wire, origin, description or None) for a frame, and
@@ -597,12 +584,11 @@ class Segment:
         # each entry's (time, node, event, frame, raw) in `FIELDS` consecutive
         # slots; `trace` builds a `TraceRecord` from them per read
         self._log: list = []
-        self._spans: List[int] = []  # the slot at which each run's entry starts
 
     @property
     def trace(self) -> TraceView:
         """The run's records, one per trace line, in order."""
-        return TraceView(self._log, self._spans)
+        return TraceView(self._log)
 
     @property
     def metrics(self) -> Metrics:
@@ -612,7 +598,7 @@ class Segment:
     def attach(self, node: Node) -> Node:
         if node.name in self._by_name:
             raise DuplicateHandle(f"node {node.name!r} already attached")
-        self._by_mac.setdefault(node.mac.octets, []).append(len(self.nodes))
+        self._macs.add(node.mac.octets)
         self.nodes.append(node)
         self._by_name[node.name] = node
         self._plans.clear()
@@ -627,28 +613,16 @@ class Segment:
         short to hold one) reaches every node. Only a plan for broadcast or an
         attached MAC, from an attached origin, is cached, so frames to unknown
         MACs cannot grow the cache. `attach` empties the cache."""
-        if dst is None or dst == MAC_BROADCAST.octets:
-            receivers = range(len(self.nodes))
-        else:
-            receivers = self._by_mac.get(dst, ())
-        steps: List[Union[Node, str, Tuple[str, ...]]] = []
-        passed: List[str] = []
-        for i, node in enumerate(self.nodes):
-            if node.name == origin:
-                continue
-            if i not in receivers:
-                passed.append(node.name)
-                continue
-            if passed:
-                steps.append(passed[0] if len(passed) == 1 else tuple(passed))
-                passed = []
-            steps.append(node)
-        if passed:
-            steps.append(passed[0] if len(passed) == 1 else tuple(passed))
-        taps = tuple(node for node in self.nodes if node.promiscuous and node.name != origin)
-        plan = (taps, tuple(steps))
-        if dst is not None and origin in self._by_name \
-                and (dst == MAC_BROADCAST.octets or dst in self._by_mac):
+        everyone = dst is None or dst == MAC_BROADCAST.octets
+        others = [node for node in self.nodes if node.name != origin]
+        steps: List[Union[Node, Tuple[str, ...]]] = []
+        for addressed, run in groupby(others, lambda node: everyone or node.mac.octets == dst):
+            if addressed:
+                steps += run
+            else:
+                steps.append(tuple(node.name for node in run))
+        plan = (tuple(node for node in others if node.promiscuous), tuple(steps))
+        if dst is not None and origin in self._by_name and (everyone or dst in self._macs):
             self._plans[origin, dst] = plan
         return plan
 
@@ -696,10 +670,7 @@ class Segment:
                 tap.observe(wire, time)
             extend = log.extend
             for item in steps:
-                shape = type(item)
-                if shape is str or shape is tuple:  # a passer-by's entry has no bytes
-                    if shape is tuple:
-                        self._spans.append(len(log))
+                if type(item) is tuple:  # the names the frame passes by; no bytes
                     extend((time, item, _IGNORED, described, None))
                 else:
                     # the node's verdicts as it gave them, then its answers

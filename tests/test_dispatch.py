@@ -68,7 +68,7 @@ class HubSegment(Segment):
             if node.promiscuous:
                 node.observe(wire, time)
             if dst is not None and dst != node.mac.octets and dst != MAC_BROADCAST.octets:
-                self._log.extend((time, node.name, FrameEvent.IGNORED, described, None))
+                self._log.extend((time, (node.name,), FrameEvent.IGNORED, described, None))
                 continue
             actions = node.receive(wire, time)
             for event in actions.drops + actions.host_events or [FrameEvent.PROCESSED]:
@@ -197,7 +197,7 @@ def test_frames_to_unknown_macs_do_not_grow_the_plan_cache():
     # n0 passes by the 7,500 unknown-MAC frames the others sent, and the 6 they
     # sent to the two MACs that are not its own
     assert seg.metrics.node("n0").ignored == 7_506
-    assert len(seg._plans) <= len(specs) * (len(seg._by_mac) + 2)
+    assert len(seg._plans) <= len(specs) * (len(seg._macs) + 2)
 
 
 @pytest.mark.parametrize("receiver_at", ["first", "last"])
@@ -215,7 +215,7 @@ def test_a_run_of_passers_by_is_one_log_entry(k, receiver_at):
     # one entry for the receiver's drop, one for the k nodes the frame passed by
     assert len(indexed._log) == 2 * FIELDS
     (passed,) = [TraceRecord(*e) for e in entries(indexed) if e[2] is FrameEvent.IGNORED]
-    assert passed.node == (names if k > 1 else names[0]) and passed.raw is None
+    assert passed.node == names and passed.raw is None
     lines, count = lines_so_far(indexed)
     assert count == k + 1
     assert sum("ignored (other dst)" in line for line in lines) == k
@@ -225,7 +225,7 @@ def test_a_run_of_passers_by_is_one_log_entry(k, receiver_at):
 def test_the_log_holds_fields_not_records():
     passer = [("plain", MacAddress(bytes([0xAA, 0, 0, 0, 1, i]))) for i in range(3)]
     specs = passer[:1] + [("plain", MACS[0])] + passer[1:]  # a lone passer-by, then a run
-    lone, run = "n0", ("n2", "n3")
+    lone, run = ("n0",), ("n2", "n3")
 
     def frame(payload):
         return serialize_frame(EthernetFrame(MACS[0], UNKNOWN_MAC, 0x88B5, payload))

@@ -57,6 +57,7 @@ def workloads(monkeypatch):
 def assert_folds_agree(seg):
     metrics = seg.metrics
     assert metrics.nodes == fold_line_by_line(seg)
+    assert len(seg.trace) == sum(1 for _ in seg.trace)
     assert sum(m.ignored for m in metrics.nodes.values()) > 0
 
 

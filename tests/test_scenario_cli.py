@@ -221,6 +221,12 @@ class TestCli:
         assert main(["vectors", "--key", TEST_KEY_HEX, "--count", "0"]) == EXIT_OK
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("count", ["-1", "-3"])
+    def test_vectors_negative_count_is_refused(self, count, capsys):
+        assert main(["vectors", "--key", TEST_KEY_HEX, "--count", count]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: count must be >= 0\n"
+
     def test_vectors_bad_key_length(self, capsys):
         assert main(["vectors", "--key", "aabb", "--count", "1"]) == EXIT_VALIDATION
 
