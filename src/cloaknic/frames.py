@@ -2,9 +2,9 @@
 
 Everything here is a pure function over immutable values: parse, build,
 serialize. The one exception, `Wire`, memoises only a frame's parse and
-hex. Big-endian; no FCS or minimum-size padding (there is no medium).
-Unknown ethertypes and IP protocols decode to opaque bytes on purpose --
-rejecting them is the packet filter's job, not the parser's.
+its IPv4 header. Big-endian; no FCS or minimum-size padding (there is no
+medium). Unknown ethertypes and IP protocols decode to opaque bytes on
+purpose -- rejecting them is the packet filter's job, not the parser's.
 
 A frame value is its bytes: values hold only the fields the model keeps,
 and checksums are computed by serialize and checked by parse, never stored.
@@ -24,6 +24,11 @@ The codec is on every frame's path, so it keeps to these rules:
 
 - each header layout is a `struct.Struct` compiled once, and serialize
   writes the Ethernet and IPv4 headers with one of them;
+- `read_ipv4_header` is the one IPv4 validator: it reads both headers with
+  that one layout and makes every IPv4 and ICMP check, and `parse_frame`
+  builds an IPv4 frame's values from its result. So a reader that needs
+  only addresses, protocol and fixed-offset fields (the NIC's filter, the
+  trace's description) gets them without building the typed parse;
 - the benchmark's tracer wraps `parse_frame`, `serialize_frame`,
   `internet_checksum` and `make_ipv4_frame`, so each is called through its
   module global and never inlined, and one frame costs the same number of
@@ -59,6 +64,11 @@ ETH_HEADER_LEN = 14
 DEFAULT_TTL = 64
 MAX_PAYLOAD = 1500
 MAX_FRAME = ETH_HEADER_LEN + MAX_PAYLOAD  # 1514, FCS excluded
+IPV4_HEADER_LEN = 20  # IHL 5: the only IPv4 header the codec reads
+ICMP_HEADER_LEN = 8
+# Fixed offsets in an IPv4 frame: its body, and an ICMP message's payload
+IPV4_BODY_AT = ETH_HEADER_LEN + IPV4_HEADER_LEN
+ICMP_DATA_AT = IPV4_BODY_AT + ICMP_HEADER_LEN
 
 # Addresses whose text `Ipv4Address.__str__` keeps: far more than a
 # segment's nodes, and a bound however many addresses a sender forges.
@@ -67,6 +77,7 @@ IPV4_TEXT_CACHE = 1024
 _tuple_new = tuple.__new__  # builds a value without its constructor's checks
 
 _ETH = struct.Struct(">6s6sH")
+_ETHERTYPE_IPV4 = ETHERTYPE_IPV4.to_bytes(2, "big")  # as it is on the wire
 _ARP = struct.Struct(">HHBBH6s4s6s4s")
 _IPV4 = struct.Struct(">BBHHHBBH4s4s")
 _ETH_IPV4 = struct.Struct(">6s6sHBBHHHBBH4s4s")  # both headers of an IPv4 frame
@@ -209,13 +220,19 @@ class IcmpMessage(NamedTuple):
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "IcmpMessage":
-        if len(data) < 8:
+        if len(data) < ICMP_HEADER_LEN:
             raise TooShort(f"ICMP message is {len(data)} bytes, need 8")
-        icmp_type, code, checksum, ident, seq = _ICMP.unpack_from(data)
-        # 0xFFFF verifies wherever 0x0000 is due, but is written only over all-zero data
-        if internet_checksum(data) or checksum == 0xFFFF and any(data[:2] + data[4:]):
-            raise BadChecksum("ICMP checksum mismatch")
-        return _tuple_new(cls, (icmp_type, code, ident, seq, data[8:]))
+        _check_icmp(data)
+        icmp_type, code, _, ident, seq = _ICMP.unpack_from(data)
+        return _tuple_new(cls, (icmp_type, code, ident, seq, data[ICMP_HEADER_LEN:]))
+
+
+def _check_icmp(message: bytes) -> None:
+    """Raise `BadChecksum` unless an ICMP message of 8 or more bytes carries
+    the checksum serialize writes."""
+    # 0xFFFF verifies wherever 0x0000 is due, but is written only over all-zero data
+    if internet_checksum(message) or message[2:4] == b"\xff\xff" and any(message[:2] + message[4:]):
+        raise BadChecksum("ICMP checksum mismatch")
 
 
 class TransportView(NamedTuple):
@@ -228,8 +245,20 @@ class TransportView(NamedTuple):
 
 
 def _ip_body(protocol: int, body: bytes) -> Union[IcmpMessage, bytes]:
-    """An IPv4 body as parse reads it: 8 or more bytes under protocol 1 are an ICMP message."""
+    """An IPv4 body as parse reads it: 8 or more bytes under protocol 1 are
+    an ICMP message, as `read_ipv4_header` reads them."""
     return IcmpMessage.from_bytes(body) if protocol == PROTO_ICMP and len(body) >= 8 else body
+
+
+def _transport_view(protocol: int, data: bytes, start: int, end: int) -> Optional[TransportView]:
+    """The view of the TCP or UDP header at `data[start:end]`, if it holds one."""
+    if protocol == PROTO_TCP and end - start >= 20:
+        src_port, dst_port, flags = _TCP_PORTS_FLAGS.unpack_from(data, start)
+        return _tuple_new(TransportView, (src_port, dst_port, "tcp", flags & TCP_FLAG_SYN != 0))
+    if protocol == PROTO_UDP and end - start >= 8:
+        src_port, dst_port = _PORTS.unpack_from(data, start)
+        return _tuple_new(TransportView, (src_port, dst_port, "udp", False))
+    return None
 
 
 class Ipv4Packet(NamedTuple):
@@ -241,8 +270,6 @@ class Ipv4Packet(NamedTuple):
     payload: Union[IcmpMessage, bytes] = b""
     ttl: int = DEFAULT_TTL
     identification: int = 0
-
-    HEADER_LEN = 20
 
     def to_bytes(self) -> bytes:
         return self._pack(_IPV4)
@@ -259,41 +286,28 @@ class Ipv4Packet(NamedTuple):
         return layout.pack(*ahead, 0x45, 0, total, ident, 0, ttl, protocol, checksum,
                            src.octets, dst.octets) + body
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Ipv4Packet":
-        if len(data) < cls.HEADER_LEN:
-            raise TooShort(f"IPv4 packet is {len(data)} bytes, need 20")
-        vihl, tos, total, ident, frag, ttl, proto, checksum, src, dst = _IPV4.unpack_from(data)
-        if vihl != 0x45:
-            raise UnsupportedIpHeader(f"IPv4 version {vihl >> 4}, IHL {vihl & 0xF}; need 4, 5")
-        # 0xFFFF verifies wherever 0x0000 is due, but is written only over
-        # all-zero data, and a header that starts 0x45 is never all zero
-        if internet_checksum(data[:cls.HEADER_LEN]) or checksum == 0xFFFF:
-            raise BadChecksum("IPv4 header checksum mismatch")
-        if not cls.HEADER_LEN <= total <= len(data):
-            raise BadTotalLength(f"IPv4 total length {total} in {len(data)} bytes")
-        if frag & 0x3FFF:
-            raise Fragment(f"IPv4 flags/offset 0x{frag:04x}: MF set or offset non-zero")
-        if tos or frag:
-            raise UnsupportedIpHeader(f"IPv4 TOS 0x{tos:02x}, flags/offset 0x{frag:04x}; "
-                                      "DF, the reserved flag and TOS are not kept")
-        # bytes past the total length are Ethernet padding
-        body = _ip_body(proto, data[cls.HEADER_LEN:total])
-        return _tuple_new(cls, (_tuple_new(Ipv4Address, (src,)), _tuple_new(Ipv4Address, (dst,)),
-                                proto, body, ttl, ident))
-
     def transport_view(self) -> Optional[TransportView]:
         raw = self.payload
         if type(raw) is IcmpMessage:
             return None
-        if self.protocol == PROTO_TCP and len(raw) >= 20:
-            src_port, dst_port, flags = _TCP_PORTS_FLAGS.unpack_from(raw)
-            return _tuple_new(TransportView, (src_port, dst_port, "tcp",
-                                              bool(flags & TCP_FLAG_SYN)))
-        if self.protocol == PROTO_UDP and len(raw) >= 8:
-            src_port, dst_port = _PORTS.unpack_from(raw)
-            return _tuple_new(TransportView, (src_port, dst_port, "udp", False))
-        return None
+        return _transport_view(self.protocol, raw, 0, len(raw))
+
+
+class Ipv4Header(NamedTuple):
+    """What `read_ipv4_header` reads of an IPv4 frame, at fixed offsets: the
+    values of its `Ipv4Packet` but the body; `end`, the offset in the frame
+    just past the body, which is `data[IPV4_BODY_AT:end]` (any bytes after it
+    are Ethernet padding); and what a filter reads of the body: the payload
+    of the ICMP message it holds, and its `transport_view`."""
+
+    src: Ipv4Address
+    dst: Ipv4Address
+    protocol: int
+    end: int
+    ttl: int
+    identification: int
+    icmp: Optional[bytes]  # the ICMP message's payload; None if the body is not one
+    view: Optional[TransportView]
 
 
 class EthernetFrame(NamedTuple):
@@ -317,15 +331,66 @@ def serialize_frame(frame: EthernetFrame) -> bytes:
     return data
 
 
-def parse_frame(wire: bytes) -> EthernetFrame:
-    """Decode a frame into typed payloads; unknown protocols stay opaque bytes."""
-    if len(wire) < ETH_HEADER_LEN:
-        raise TooShort(f"frame is {len(wire)} bytes, need 14")
-    if len(wire) > MAX_FRAME:
-        raise Oversize(f"frame is {len(wire)} bytes, max {MAX_FRAME}")
+def read_ipv4_header(data: bytes) -> Optional[Ipv4Header]:
+    """The header of the IPv4 frame `data`, or None if its ethertype is
+    another. Raises the `FrameError` that `parse_frame` raises for `data`
+    when the frame's length or its IPv4 or ICMP part is refused: the checks
+    are these, in this order, and the parse builds its values from the result."""
+    size = len(data)
+    if size < ETH_HEADER_LEN:
+        raise TooShort(f"frame is {size} bytes, need 14")
+    if size > MAX_FRAME:
+        raise Oversize(f"frame is {size} bytes, max {MAX_FRAME}")
+    if data[12:ETH_HEADER_LEN] != _ETHERTYPE_IPV4:
+        return None
+    if size < IPV4_BODY_AT:
+        raise TooShort(f"IPv4 packet is {size - ETH_HEADER_LEN} bytes, need 20")
+    _, _, _, vihl, tos, total, ident, frag, ttl, proto, checksum, src, dst = \
+        _ETH_IPV4.unpack_from(data)
+    if vihl != 0x45:
+        raise UnsupportedIpHeader(f"IPv4 version {vihl >> 4}, IHL {vihl & 0xF}; need 4, 5")
+    # 0xFFFF verifies wherever 0x0000 is due, but is written only over
+    # all-zero data, and a header that starts 0x45 is never all zero
+    if internet_checksum(data[ETH_HEADER_LEN:IPV4_BODY_AT]) or checksum == 0xFFFF:
+        raise BadChecksum("IPv4 header checksum mismatch")
+    if not IPV4_HEADER_LEN <= total <= size - ETH_HEADER_LEN:
+        raise BadTotalLength(f"IPv4 total length {total} in {size - ETH_HEADER_LEN} bytes")
+    if frag & 0x3FFF:
+        raise Fragment(f"IPv4 flags/offset 0x{frag:04x}: MF set or offset non-zero")
+    if tos or frag:
+        raise UnsupportedIpHeader(f"IPv4 TOS 0x{tos:02x}, flags/offset 0x{frag:04x}; "
+                                  "DF, the reserved flag and TOS are not kept")
+    # bytes past the total length are Ethernet padding, and a body of 8 or
+    # more bytes under protocol 1 is an ICMP message, as `_ip_body` reads it
+    end = ETH_HEADER_LEN + total
+    if proto == PROTO_ICMP and end - IPV4_BODY_AT >= ICMP_HEADER_LEN:
+        _check_icmp(data[IPV4_BODY_AT:end])
+        icmp, view = data[ICMP_DATA_AT:end], None
+    else:
+        icmp, view = None, _transport_view(proto, data, IPV4_BODY_AT, end)
+    return _tuple_new(Ipv4Header, (_tuple_new(Ipv4Address, (src,)),
+                                   _tuple_new(Ipv4Address, (dst,)),
+                                   proto, end, ttl, ident, icmp, view))
+
+
+def parse_frame(wire: bytes, header: Optional[Ipv4Header] = None) -> EthernetFrame:
+    """Decode a frame into typed payloads; unknown protocols stay opaque bytes.
+
+    An IPv4 frame's values come from `read_ipv4_header(wire)`; a caller that
+    has already read its header passes it as `header`, and it is not read
+    again.
+    """
+    if header is None:
+        header = read_ipv4_header(wire)  # also refuses any frame by its length
     dst, src, ethertype = _ETH.unpack_from(wire)
-    if ethertype == ETHERTYPE_IPV4:
-        payload = Ipv4Packet.from_bytes(wire[ETH_HEADER_LEN:])
+    if header is not None:
+        ip_src, ip_dst, proto, end, ttl, ident, icmp, _ = header
+        if icmp is not None:
+            icmp_type, code, _, icmp_ident, seq = _ICMP.unpack_from(wire, IPV4_BODY_AT)
+            body = _tuple_new(IcmpMessage, (icmp_type, code, icmp_ident, seq, icmp))
+        else:
+            body = wire[IPV4_BODY_AT:end]
+        payload = _tuple_new(Ipv4Packet, (ip_src, ip_dst, proto, body, ttl, ident))
     elif ethertype == ETHERTYPE_ARP:
         payload = ArpPacket.from_bytes(wire[ETH_HEADER_LEN:])
     else:
@@ -335,18 +400,24 @@ def parse_frame(wire: bytes) -> EthernetFrame:
 
 
 class Wire:
-    """One frame on the wire: its bytes, parsed at most once.
+    """One frame on the wire: its bytes, its IPv4 header read at most once,
+    and its parse built at most once.
 
     `data` is kept as given, and every trace record of the frame holds that
     one object. `from_frame` keeps the frame it serializes as the parse: the
-    `make_*` builders return frames equal to their own round trip.
+    `make_*` builders return frames equal to their own round trip, and the
+    header is taken from that frame, with no checksum computed. Of a frame
+    given as bytes, `header` reads the header and checks it, and `frame`
+    builds the typed values from that header.
     """
 
-    __slots__ = ("data", "_parsed")
+    __slots__ = ("data", "_parsed", "_header")
 
     def __init__(self, data: bytes, parsed: Optional[EthernetFrame] = None):
         self.data = data
         self._parsed: Union[EthernetFrame, FrameError, None] = parsed
+        # the header once read; False once a frame of another ethertype is read
+        self._header: Union[Ipv4Header, bool, None] = None
 
     @classmethod
     def from_frame(cls, frame: EthernetFrame) -> "Wire":
@@ -364,12 +435,47 @@ class Wire:
             return parsed
         if parsed is None:
             try:
-                parsed = self._parsed = parse_frame(self.data)
+                parsed = self._parsed = parse_frame(self.data, self._header or None)
             except FrameError as exc:
                 parsed = self._parsed = exc
         if isinstance(parsed, FrameError):
             raise parsed.with_traceback(None)
         return parsed
+
+    @property
+    def header(self) -> Optional[Ipv4Header]:
+        """The IPv4 header, or None for a frame of another ethertype; raises
+        the parse's `FrameError` on every access."""
+        header = self._header
+        if header is not None:
+            return header or None
+        parsed = self._parsed
+        if type(parsed) is EthernetFrame:
+            # what `read_ipv4_header` reads from these bytes, taken from the
+            # frame's values: built by a node, or already parsed
+            pkt = parsed.payload
+            if type(pkt) is not Ipv4Packet:
+                self._header = False
+                return None
+            src, dst, protocol, body, ttl, ident = pkt
+            if type(body) is IcmpMessage:
+                icmp = body.payload
+                header = (src, dst, protocol, ICMP_DATA_AT + len(icmp), ttl, ident, icmp, None)
+            else:
+                size = len(body)
+                header = (src, dst, protocol, IPV4_BODY_AT + size, ttl, ident, None,
+                          _transport_view(protocol, body, 0, size))
+            header = self._header = _tuple_new(Ipv4Header, header)
+            return header
+        if parsed is None:
+            try:
+                header = read_ipv4_header(self.data)
+            except FrameError as exc:
+                parsed = self._parsed = exc
+            else:
+                self._header = header or False
+                return header
+        raise parsed.with_traceback(None)
 
 
 def make_arp(

@@ -5,10 +5,11 @@ its origin, in attach order, one time unit of latency per hop, no loss and
 no jitter. Identical scenarios therefore produce byte-identical traces.
 The segment keeps these semantics through an index: it offers a frame only
 to the nodes its destination MAC addresses, from a plan cached per origin
-and destination, and the promiscuous taps observe every frame. Each run
-of nodes a frame passes by, in attach order, is one `FrameEvent.IGNORED`
-entry with no bytes whose `node` is the plan's tuple of their names, one
-name or many, read back as one `ignored (other dst)` line per name.
+and destination (one for every MAC no node has), and the promiscuous taps
+observe every frame. Each run of nodes a frame passes by, in attach order,
+is one `FrameEvent.IGNORED` entry with no bytes whose `node` is the plan's
+tuple of their names, one name or many, read back as one
+`ignored (other dst)` line per name.
 
 The event queue is a heap of flat tuples ordered by (time, seq): a frame is
 `(time, seq, wire, origin, description or None)`, its wire a `Wire` or the
@@ -44,6 +45,9 @@ these rules:
 - an entry is appended with one `list.extend` of its five fields, records
   are built on read with `tuple.__new__`, not through their Python-level
   constructor, and payloads and events are dispatched on `type(x) is`;
+- an IPv4 frame is described from its checked header (`Wire.header`) and
+  fixed offsets of its bytes, never from its typed parse, so a frame that
+  arrives as bytes is parsed only by a node that needs its values;
 - the benchmark's tracer wraps `describe_frame`, `Segment.step`,
   `Segment.run` (which calls `self.step()`), the nodes' `receive`,
   `observe`, `perform` and `frames_for`, `TraceRecord.format_line` and
@@ -305,35 +309,43 @@ _shared_text = lru_cache(maxsize=DESCRIPTION_CACHE)(str)
 
 def describe_frame(wire: Union[Wire, bytes]) -> str:
     """One-line human summary of a frame for trace records; equal summaries
-    are one object while the text stays in a bounded cache."""
-    return _shared_text(_summary(wire))
+    are one object while the text stays in a bounded cache.
 
-
-def _summary(wire: Union[Wire, bytes]) -> str:
+    An IPv4 frame is described from its checked header (`Wire.header`) and
+    fixed offsets of its bytes: the knock magic, the ICMP type, the ports and
+    the SYN bit. So a frame that arrives as bytes is not parsed for its
+    description; only ARP and other ethertypes are.
+    """
     if not isinstance(wire, Wire):
         wire = Wire(wire)
+    data = wire.data
     try:
-        frame = wire.frame
+        header = wire.header
+        if header is None:
+            frame = wire.frame
     except FrameError as exc:
-        return f"malformed ({type(exc).__name__}, {len(wire.data)} bytes)"
-    p = frame.payload
-    kind = type(p)
-    if kind is Ipv4Packet:
-        body = p.payload
-        if type(body) is IcmpMessage:
-            if is_knock_payload(body.payload):
-                return f"icmp-knock {p.src}->{p.dst}"
-            return f"icmp type={body.icmp_type} {p.src}->{p.dst}"
-        view = p.transport_view()
-        if view is not None:
+        return _shared_text(f"malformed ({type(exc).__name__}, {len(data)} bytes)")
+    if header is not None:
+        src, dst, protocol, _, _, _, icmp, view = header
+        if icmp is not None:
+            if is_knock_payload(icmp):
+                text = f"icmp-knock {src}->{dst}"
+            else:
+                text = f"icmp type={data[frames.IPV4_BODY_AT]} {src}->{dst}"
+        elif view is not None:
             flag = " syn" if view.is_syn else ""
-            return f"{view.kind} {p.src}:{view.src_port}->{p.dst}:{view.dst_port}{flag}"
-        return f"ipv4 proto={p.protocol} {p.src}->{p.dst}"
-    if kind is ArpPacket:
-        if p.operation == ARP_REQUEST:
-            return f"arp-request who-has {p.target_ip} tell {p.sender_ip}"
-        return f"arp-reply {p.sender_ip} is-at {p.sender_mac}"
-    return f"ethertype=0x{frame.ethertype:04x} ({len(wire.data)} bytes)"
+            text = f"{view.kind} {src}:{view.src_port}->{dst}:{view.dst_port}{flag}"
+        else:
+            text = f"ipv4 proto={protocol} {src}->{dst}"
+    else:
+        p = frame.payload
+        if type(p) is not ArpPacket:
+            text = f"ethertype=0x{frame.ethertype:04x} ({len(data)} bytes)"
+        elif p.operation == ARP_REQUEST:
+            text = f"arp-request who-has {p.target_ip} tell {p.sender_ip}"
+        else:
+            text = f"arp-reply {p.sender_ip} is-at {p.sender_mac}"
+    return _shared_text(text)
 
 
 # --------------------------------------------------------------------------
@@ -464,7 +476,7 @@ class PlainHostNode(Node):
         p = frame.payload
         kind = type(p)
         if kind is Ipv4Packet:
-            return self._receive_ipv4(actions, frame, p)
+            return self._receive_ipv4(actions, frame, p, wire.header.view)
         if kind is ArpPacket:
             if p.operation == ARP_REQUEST and p.target_ip == self.ip:
                 actions.tx_frames.append(frames.make_arp(
@@ -478,7 +490,9 @@ class PlainHostNode(Node):
             return actions
         return actions.drop(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_LINK, "unknown-ethertype")
 
-    def _receive_ipv4(self, actions: Actions, frame: EthernetFrame, p: Ipv4Packet) -> Actions:
+    def _receive_ipv4(self, actions: Actions, frame: EthernetFrame, p: Ipv4Packet,
+                      view: Optional[frames.TransportView]) -> Actions:
+        """`view` is the packet's `transport_view`, as the wire's header holds it."""
         icmp = p.payload
         if type(icmp) is IcmpMessage:
             if icmp.icmp_type == ICMP_ECHO_REQUEST:
@@ -489,7 +503,6 @@ class PlainHostNode(Node):
             else:
                 actions.drop(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_TRANSPORT, "icmp-other")
             return actions
-        view = p.transport_view()
         if view is None:
             return actions.drop(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_IP, "unknown-proto")
         if view.kind == "tcp" and view.is_syn:
@@ -568,6 +581,9 @@ class AttackerNode(Node):
 # `Node`), and for each run of nodes the frame passes by, one or many, the
 # tuple of their names, which is the `node` of one ignored entry.
 Plan = Tuple[Tuple[Node, ...], Tuple[Union[Node, Tuple[str, ...]], ...]]
+# The plan key of every MAC no attached node has: neither a MAC's bytes nor
+# None, the key of a frame too short to hold a MAC, which reaches every node.
+_UNATTACHED = "unattached"
 
 
 class Segment:
@@ -575,7 +591,7 @@ class Segment:
         self.nodes: List[Node] = []
         self._by_name: Dict[str, Node] = {}
         self._macs: Set[bytes] = set()  # the attached nodes' MAC octets
-        self._plans: Dict[Tuple[str, bytes], Plan] = {}  # (origin, dst MAC) -> plan
+        self._plans: Dict[Tuple[str, Union[bytes, str]], Plan] = {}  # (origin, dst MAC) -> plan
         self.clock = 0
         # (time, seq, wire, origin, description or None) for a frame, and
         # (time, seq, None, node, step) for a step
@@ -610,10 +626,15 @@ class Segment:
 
     def _plan(self, origin: str, dst: Optional[bytes]) -> Plan:
         """Who a frame from `origin` to `dst` reaches; `dst` None (a frame too
-        short to hold one) reaches every node. Only a plan for broadcast or an
-        attached MAC, from an attached origin, is cached, so frames to unknown
-        MACs cannot grow the cache. `attach` empties the cache."""
+        short to hold one) reaches every node. A plan from an attached origin
+        is cached for broadcast, for each attached MAC, and once for every
+        other MAC, since each of those reaches the same nodes; so frames to
+        unknown MACs cannot grow the cache. `attach` empties the cache."""
         everyone = dst is None or dst == MAC_BROADCAST.octets
+        key = (origin, dst if everyone or dst in self._macs else _UNATTACHED)
+        plan = self._plans.get(key)
+        if plan is not None:
+            return plan
         others = [node for node in self.nodes if node.name != origin]
         steps: List[Union[Node, Tuple[str, ...]]] = []
         for addressed, run in groupby(others, lambda node: everyone or node.mac.octets == dst):
@@ -622,8 +643,8 @@ class Segment:
             else:
                 steps.append(tuple(node.name for node in run))
         plan = (tuple(node for node in others if node.promiscuous), tuple(steps))
-        if dst is not None and origin in self._by_name and (everyone or dst in self._macs):
-            self._plans[origin, dst] = plan
+        if dst is not None and origin in self._by_name:
+            self._plans[key] = plan
         return plan
 
     def inject(self, time: int, wire: Union[Wire, bytes], origin: str,

@@ -24,10 +24,14 @@ RESOLVER_TABLE_CAP (64) peers, and a write at capacity evicts the oldest.
 
 Each verdict is one immutable value that owns its stage count (a `DropRecord`,
 `Delivered` or `ArpCacheUpdate`), and `netsim` records it as it is returned.
-A verdict is reached with the least work the model allows: payloads are
-dispatched on `type(x) is`, a drop is one shared record, and `Actions` is a
-slotted value. `open_knock` and `on_wire_receive` stay separate calls, as
-the benchmark's tracer wraps both.
+A verdict is reached with the least work the model allows, as a hardware
+filter reads a few fields at fixed offsets: an IPv4 frame is judged from
+its checked header (`Wire.header`) and the knock magic, ports and payload
+at fixed offsets of its bytes, and only a knock that passes its tag builds
+the typed parse, for the sender's MAC. Payloads are dispatched on
+`type(x) is`, a drop is one shared record, and `Actions` is a slotted
+value. `open_knock` and `on_wire_receive` stay separate calls, as the
+benchmark's tracer wraps both.
 
 One instance is a single-threaded state machine; all cross-NIC traffic
 goes through the simulator.
@@ -49,8 +53,8 @@ from .frames import (
     MAC_ZERO,
     ArpPacket,
     EthernetFrame,
-    IcmpMessage,
     Ipv4Address,
+    Ipv4Header,
     Ipv4Packet,
     MacAddress,
     Wire,
@@ -333,19 +337,20 @@ class CloakingNic:
     # -- wire-facing operations --------------------------------------------
 
     def on_wire_receive(self, wire: Union[Wire, bytes], now: int) -> Actions:
-        """Verdict on one received frame; plain bytes are wrapped and parsed here."""
+        """Verdict on one received frame; plain bytes are wrapped here. An
+        IPv4 frame is read by its header, any other frame by its parse."""
         if not isinstance(wire, Wire):
             wire = Wire(wire)
         actions = Actions()
         try:
-            frame = wire.frame
+            header = wire.header
+            if header is None:
+                payload = wire.frame.payload
         except frames.FrameError as exc:
             return actions.drop(DropReason.MALFORMED, 1, type(exc).__name__)
-        payload = frame.payload
-        kind = type(payload)
-        if kind is Ipv4Packet:
-            return self._receive_ipv4(actions, frame, payload, now)
-        if kind is ArpPacket:
+        if header is not None:
+            return self._receive_ipv4(actions, wire, header, now)
+        if type(payload) is ArpPacket:
             return self._receive_arp(actions, payload, now)
         return actions.drop(DropReason.NO_FILTER_MATCH, 1, "non-ip ethertype")
 
@@ -372,33 +377,32 @@ class CloakingNic:
             return actions.drop(DropReason.NO_FILTER_MATCH, 1, "arp-other-ip")
         return actions.drop(DropReason.UNSOLICITED_ARP_REPLY, 1)
 
-    def _receive_ipv4(self, actions: Actions, frame: EthernetFrame, pkt: Ipv4Packet,
+    def _receive_ipv4(self, actions: Actions, wire: Wire, header: Ipv4Header,
                       now: int) -> Actions:
-        body = pkt.payload
-        if type(body) is IcmpMessage and is_knock_payload(body.payload):
-            return self._receive_knock(actions, frame, pkt, body.payload, now)
-        view = pkt.transport_view()
+        src, _, _, _, _, _, icmp, view = header
+        if icmp is not None and is_knock_payload(icmp):
+            return self._receive_knock(actions, wire, src, icmp, now)
         # plain ICMP and unknown IP protocols have no view: the default drop
-        if view is not None and self.filter.lookup(pkt.src, view.src_port, now):
+        if view is not None and self.filter.lookup(src, view.src_port, now):
             actions.host_events.append(_DELIVERED)
             return actions
         return actions.drop(DropReason.NO_FILTER_MATCH, 1)
 
-    def _receive_knock(self, actions: Actions, frame: EthernetFrame,
-                       pkt: Ipv4Packet, knock: bytes, now: int) -> Actions:
-        key = self.config.role_keys.get(pkt.src)
+    def _receive_knock(self, actions: Actions, wire: Wire, src: Ipv4Address,
+                       knock: bytes, now: int) -> Actions:
+        key = self.config.role_keys.get(src)
         if key is None:
             # unauthenticatable sender: indistinguishable from a forged tag
             return actions.drop(DropReason.BAD_KNOCK, 2, RejectReason.BAD_TAG._value_)
         result = open_knock(key, knock, now, self.replay_cache)
         if type(result) is RejectReason:
             return actions.drop(DropReason.BAD_KNOCK, 2, result._value_)
-        if result.client_ip != pkt.src:
+        if result.client_ip != src:
             # a key holder may only open the filter for the address it sends from
             return actions.drop(DropReason.BAD_KNOCK, 2, "IpMismatch")
         try:
             self.filter.insert(result.client_ip, result.client_port, now)
         except TableFull:
             return actions.drop(DropReason.BAD_KNOCK, 2, "TableFull")
-        actions.host_events.append(ArpCacheUpdate(result.client_ip, frame.src))
+        actions.host_events.append(ArpCacheUpdate(result.client_ip, wire.frame.src))
         return actions

@@ -7,8 +7,13 @@ import pathlib
 import sys
 
 import pytest
+from hypothesis import settings
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+# `--hypothesis-profile=deep` runs 20 times the default examples of each
+# property that does not set its own count
+settings.register_profile("deep", max_examples=20 * settings.default.max_examples)
 
 
 @pytest.fixture

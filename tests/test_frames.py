@@ -13,6 +13,7 @@ from cloaknic.frames import (
     PROTO_TCP,
     PROTO_UDP,
     ETH_HEADER_LEN,
+    MAX_FRAME,
     ArpPacket,
     BadTotalLength,
     EthernetFrame,
@@ -25,11 +26,13 @@ from cloaknic.frames import (
     TooShort,
     UnsupportedArp,
     UnsupportedIpHeader,
+    Wire,
     internet_checksum,
     make_arp,
     make_icmp_echo,
     make_ipv4_frame,
     parse_frame,
+    read_ipv4_header,
     serialize_frame,
     tcp_segment,
     udp_datagram,
@@ -267,6 +270,50 @@ def assert_accepted_frame_is_its_bytes(wire: bytes) -> bool:
 @settings(max_examples=1000)
 def test_mutated_frame_is_refused_or_round_trips_byte_for_byte(wire):
     assert_accepted_frame_is_its_bytes(wire)
+
+
+# every input the codec meets: frames it builds, those frames mutated, and noise
+any_wire = st.one_of(mutated_wires(), any_frame.map(serialize_frame), st.binary(max_size=200))
+
+
+@given(any_wire)
+def test_header_reader_accepts_what_the_parse_accepts_as_ipv4(wire):
+    """`read_ipv4_header` is the parse's IPv4 validator: it refuses a frame
+    with the parse's error class where the parse would refuse it for its
+    length or its IPv4 part, and gives the values the parse reads."""
+    try:
+        frame = parse_frame(wire)
+    except frames.FrameError as exc:
+        if len(wire) < ETH_HEADER_LEN or len(wire) > MAX_FRAME or wire[12:14] == b"\x08\x00":
+            with pytest.raises(type(exc)):
+                read_ipv4_header(wire)
+        else:  # an ARP body the parse refuses
+            assert read_ipv4_header(wire) is None
+        return
+    header = read_ipv4_header(wire)
+    pkt = frame.payload
+    if type(pkt) is not Ipv4Packet:
+        assert header is None
+        return
+    body = pkt.payload
+    body_len = 8 + len(body.payload) if type(body) is IcmpMessage else len(body)
+    assert (header.src, header.dst, header.protocol) == (pkt.src, pkt.dst, pkt.protocol)
+    assert header.end == frames.IPV4_BODY_AT + body_len
+    assert (header.ttl, header.identification) == (pkt.ttl, pkt.identification)
+    assert header.icmp == (body.payload if type(body) is IcmpMessage else None)
+    assert header.view == pkt.transport_view()
+    # the parse built from a header already read is the parse of the bytes
+    read_first = Wire(wire)
+    assert read_first.header == header
+    assert read_first.frame == frame
+
+
+@given(any_frame)
+def test_a_built_frames_header_is_the_one_its_bytes_give(frame):
+    """`Wire.from_frame` takes the header from the frame it was built from,
+    with no checksum computed; it is the header its bytes are read as."""
+    wire = Wire.from_frame(frame)
+    assert wire.header == read_ipv4_header(wire.data)
 
 
 def golden_wires():

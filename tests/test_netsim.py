@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given
 
 from cloaknic.frames import (
     ARP_REPLY,
@@ -8,8 +9,12 @@ from cloaknic.frames import (
     PROTO_TCP,
     PROTO_UDP,
     TCP_FLAG_ACK,
+    ArpPacket,
     EthernetFrame,
+    FrameError,
+    IcmpMessage,
     Ipv4Address,
+    Ipv4Packet,
     MacAddress,
     Wire,
     make_arp,
@@ -47,7 +52,9 @@ from cloaknic.nic import (
     NicConfig,
 )
 from cloaknic.demos import DEMOS
+from cloaknic.knock import is_knock_payload
 from cloaknic.scenario import parse_scenario, run_scenario, build_segment
+from test_frames import any_wire
 
 MAC = MacAddress.from_str
 IP = Ipv4Address.from_str
@@ -315,6 +322,38 @@ class TestEndToEnd:
         tx_count = sum(1 for r in trace if r.direction == "tx")
         assert tx_count > 0
         assert all(v >= 1 for v in terminals.values())
+
+
+def _summary(data: bytes) -> str:
+    """The description of a frame as its typed parse reads it: the oracle
+    for `describe_frame`, which reads an IPv4 frame from its header."""
+    try:
+        frame = parse_frame(data)
+    except FrameError as exc:
+        return f"malformed ({type(exc).__name__}, {len(data)} bytes)"
+    p = frame.payload
+    kind = type(p)
+    if kind is Ipv4Packet:
+        body = p.payload
+        if type(body) is IcmpMessage:
+            if is_knock_payload(body.payload):
+                return f"icmp-knock {p.src}->{p.dst}"
+            return f"icmp type={body.icmp_type} {p.src}->{p.dst}"
+        view = p.transport_view()
+        if view is not None:
+            flag = " syn" if view.is_syn else ""
+            return f"{view.kind} {p.src}:{view.src_port}->{p.dst}:{view.dst_port}{flag}"
+        return f"ipv4 proto={p.protocol} {p.src}->{p.dst}"
+    if kind is ArpPacket:
+        if p.operation == ARP_REQUEST:
+            return f"arp-request who-has {p.target_ip} tell {p.sender_ip}"
+        return f"arp-reply {p.sender_ip} is-at {p.sender_mac}"
+    return f"ethertype=0x{frame.ethertype:04x} ({len(data)} bytes)"
+
+
+@given(any_wire)
+def test_describe_frame_reads_bytes_as_the_typed_parse_does(data):
+    assert describe_frame(data) == _summary(data)
 
 
 def test_describe_frame_is_total():

@@ -1,8 +1,9 @@
 """Each wire frame is parsed at most once, and the frame it carries is its parse.
 
-A frame enters the segment as one `Wire` value (bytes, parse, hex), with its
-description beside it, that the segment hands to every receiver, so no
-layer parses it again.
+A frame enters the segment as one `Wire` value (bytes, IPv4 header, parse),
+with its description beside it, that the segment hands to every receiver,
+so no layer parses it again. A cloaked NIC and the trace read an IPv4 frame
+from its header, so the frames a cloaked server rejects are never parsed.
 """
 
 import sys
@@ -12,11 +13,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cloaknic import frames
-from cloaknic.demos import DEMOS
+from cloaknic.demos import DEMOS, TEST_KEY_HEX
 from cloaknic.frames import (
     ARP_REQUEST,
     MAC_ZERO,
     PROTO_ICMP,
+    PROTO_TCP,
     PROTO_UDP,
     FrameError,
     IcmpMessage,
@@ -25,11 +27,15 @@ from cloaknic.frames import (
     Oversize,
     Wire,
     make_arp,
+    make_icmp_echo,
     make_ipv4_frame,
     parse_frame,
     serialize_frame,
+    tcp_segment,
 )
+from cloaknic.knock import KnockFields, SharedKey, seal_knock
 from cloaknic.netsim import PlainHostNode, Segment, describe_frame
+from cloaknic.nic import ArpCacheUpdate, Delivered, DropReason, DropRecord
 from cloaknic.scenario import build_segment, parse_scenario
 
 MAC_A = MacAddress.from_str("aa:00:00:00:00:01")
@@ -44,9 +50,9 @@ def parse_count(monkeypatch):
     calls = [0]
     original = frames.parse_frame
 
-    def counting(wire):
+    def counting(*args):
         calls[0] += 1
-        return original(wire)
+        return original(*args)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "cloaknic" and getattr(module, "parse_frame", None) is original:
@@ -98,6 +104,58 @@ def test_carried_frame_equals_its_parse(name, monkeypatch):
         assert isinstance(wire, Wire)
         assert wire.frame == parse_frame(wire.data)
         assert described in (None, describe_frame(wire.data))
+
+
+CLOAKED = """\
+[nodes]
+server cloaked 10.0.0.2 aa:00:00:00:00:02 services=22
+client client 10.0.0.5 aa:00:00:00:00:05
+mallory attacker 10.0.0.66 aa:00:00:00:00:66
+[keys]
+client server {key}
+"""
+SERVER_MAC, CLIENT_MAC, MALLORY_MAC = (MacAddress.from_str(f"aa:00:00:00:00:{b}")
+                                       for b in ("02", "05", "66"))
+SERVER_IP, CLIENT_IP, MALLORY_IP = (Ipv4Address.from_str(f"10.0.0.{b}") for b in (2, 5, 66))
+KEY = SharedKey.from_hex(TEST_KEY_HEX)
+
+
+def knock(src_mac, src_ip, payload):
+    return serialize_frame(make_icmp_echo(src_mac, SERVER_MAC, src_ip, SERVER_IP, payload))
+
+
+def syn(src_mac, src_ip, port):
+    return serialize_frame(make_ipv4_frame(src_mac, SERVER_MAC, src_ip, SERVER_IP, PROTO_TCP,
+                                           tcp_segment(port, 22)))
+
+
+def server_verdicts(wires):
+    """The server's verdict on each frame, injected as bytes from mallory one tick apart."""
+    seg = build_segment(parse_scenario(CLOAKED.format(key=TEST_KEY_HEX)))
+    for t, wire in enumerate(wires, 1):
+        seg.inject(t, wire, "mallory")
+    seg.run()
+    return [(r.time, r.event) for r in seg.trace if r.node == "server"]
+
+
+def test_a_cloaked_server_rejects_bytes_from_their_header_alone(parse_count):
+    forged = knock(MALLORY_MAC, CLIENT_IP, b"KNCK\x01\x00" + bytes(40))
+    unkeyed = knock(MALLORY_MAC, MALLORY_IP, seal_knock(KEY, bytes(8),
+                                                         KnockFields(MALLORY_IP, 40000, 3)))
+    probe = syn(MALLORY_MAC, MALLORY_IP, 50000)
+    echo = serialize_frame(make_icmp_echo(MALLORY_MAC, SERVER_MAC, MALLORY_IP, SERVER_IP, b"hi"))
+    bad_tag = DropRecord(DropReason.BAD_KNOCK, 2, "BadTag")
+    no_match = DropRecord(DropReason.NO_FILTER_MATCH, 1)
+    assert server_verdicts([forged, unkeyed, probe, echo]) == \
+        [(1, bad_tag), (2, bad_tag), (3, no_match), (4, no_match)]
+    assert parse_count[0] == 0
+
+
+def test_bytes_that_pass_the_filter_are_admitted():
+    genuine = knock(CLIENT_MAC, CLIENT_IP, seal_knock(KEY, bytes(8),
+                                                      KnockFields(CLIENT_IP, 40000, 1)))
+    assert server_verdicts([genuine, syn(CLIENT_MAC, CLIENT_IP, 40000)]) == \
+        [(1, ArpCacheUpdate(CLIENT_IP, CLIENT_MAC)), (2, Delivered())]
 
 
 def test_malformed_wire_parses_once_and_raises_on_every_access(parse_count):

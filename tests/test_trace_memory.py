@@ -13,11 +13,12 @@ import argparse
 import gc
 import random
 import tracemalloc
+from itertools import islice
 
 from cloaknic import frames
 from cloaknic.cli import _write_outputs
 from cloaknic.demos import TEST_KEY_HEX
-from cloaknic.netsim import DropRecord
+from cloaknic.netsim import FIELDS, DropRecord, PlainHostNode, Segment
 from cloaknic.scenario import build_segment, parse_scenario, run_scenario
 
 FORGED = 2000
@@ -37,6 +38,10 @@ SCAN_BYTES_PER_LINE = 120
 # What writing a trace may hold at once beyond its starting size: some
 # buffered lines, far below the ~6 MB of text of the scan below.
 WRITE_PEAK = 1 << 20
+# Log growth per frame sent to a MAC no node has (Python 3.11): about 42 B
+# when every such frame shares its origin's plan and tuple of names; 90 B
+# with a plan, and a 1-tuple of names, built for each frame.
+BYTES_PER_UNKNOWN_MAC_FRAME = 45
 
 SEGMENT = f"""\
 [nodes]
@@ -120,6 +125,23 @@ def test_a_scan_leaves_each_lines_fields_not_a_record():
     lines = len(seg.trace)
     assert lines == 9 * 4096  # per port: 3 lines for the probe of the server, 6 of the plain host
     assert grown / lines < SCAN_BYTES_PER_LINE
+
+
+def test_frames_to_unknown_macs_share_one_plan_and_its_names():
+    seg = Segment()
+    for i in (0, 1):
+        seg.attach(PlainHostNode(f"n{i}", frames.MacAddress(bytes([0xAA, 0, 0, 0, 0, i])),
+                                 frames.Ipv4Address(bytes([10, 0, 0, i])), set()))
+    count = 10_000
+    src = seg.node("n0").mac
+    for i in range(count):
+        dst = frames.MacAddress(b"\x02" + i.to_bytes(5, "big"))
+        seg.inject(i, frames.serialize_frame(frames.EthernetFrame(dst, src, 0x88B5, b"x")), "n0")
+    grown = grown_by_run(seg)
+    passers_by = list(islice(seg._log, 1, None, FIELDS))
+    assert len(passers_by) == count and passers_by[0] == ("n1",)
+    assert len({id(names) for names in passers_by}) == 1
+    assert grown / count < BYTES_PER_UNKNOWN_MAC_FRAME
 
 
 def test_writing_a_trace_holds_no_more_than_a_few_lines(tmp_path):

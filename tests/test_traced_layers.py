@@ -102,19 +102,26 @@ def test_every_traced_layer_is_reached(calls):
     sc = scenario.parse_scenario(SCENARIO)
     scenario.validate_scenario(sc)
     seg = scenario.build_segment(sc, seed=1)
-    # a frame that arrives as bytes, as the benchmark's forged knocks do, is parsed
+    # frames that arrive as bytes, as the benchmark's forged knocks do: the
+    # cloaked server rejects the forged knock from its header alone, and the
+    # plain host, the full software stack, parses the ping it answers
+    mallory = MacAddress.from_str("aa:00:00:00:00:66")
     forged = serialize_frame(make_icmp_echo(
-        MacAddress.from_str("aa:00:00:00:00:66"), MacAddress.from_str("aa:00:00:00:00:02"),
+        mallory, MacAddress.from_str("aa:00:00:00:00:02"),
         Ipv4Address.from_str("10.0.0.5"), Ipv4Address.from_str("10.0.0.2"),
         b"KNCK\x01\x00" + bytes(40)))
+    ping = serialize_frame(make_icmp_echo(
+        mallory, MacAddress.from_str("aa:00:00:00:00:03"), Ipv4Address.from_str("10.0.0.66"),
+        Ipv4Address.from_str("10.0.0.3"), b"bytes"))
     seg.inject(50, forged, "mallory")
+    seg.inject(55, ping, "mallory")
     seg.run(sc.horizon)
     lines = [r.format_line(with_hex=True) for r in seg.trace]
     metrics = seg.metrics
     metrics.to_text()
 
     assert not [name for name, n in calls.items() if n == 0]
-    wire_frames = sum(m.tx for m in metrics.nodes.values()) + 1
+    wire_frames = sum(m.tx for m in metrics.nodes.values()) + 2
     assert 1 <= calls["cloaknic.frames.parse_frame"] <= wire_frames
     assert calls["cloaknic.netsim.describe_frame"] == wire_frames  # once per frame
     # every line, a passer-by's too, renders through the method the tracer wraps
@@ -123,7 +130,7 @@ def test_every_traced_layer_is_reached(calls):
     assert any("delivered | tcp 10.0.0.5:40000->10.0.0.2:22 syn" in line for line in lines)
     assert any("BadKnock Replayed" in line for line in lines)
     assert any("BadKnock BadTag" in line for line in lines)
-    assert metrics.node("plain").tx == 5 and metrics.node("mallory").tx == 5
+    assert metrics.node("plain").tx == 6 and metrics.node("mallory").tx == 5
 
 
 def test_the_lists_are_what_instrument_patches(monkeypatch):
