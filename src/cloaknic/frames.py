@@ -1,8 +1,8 @@
 """Byte-exact Ethernet II / ARP / IPv4 / ICMP / TCP-UDP-view codec.
 
 Everything here is a pure function over immutable values: parse, build,
-serialize. The one exception, `Wire`, memoises only a frame's parse and
-its IPv4 header. Big-endian; no FCS or minimum-size padding (there is no
+serialize. The one exception, `Wire`, memoises only a frame's header and
+its parse. Big-endian; no FCS or minimum-size padding (there is no
 medium). Unknown ethertypes and IP protocols decode to opaque bytes on
 purpose -- rejecting them is the packet filter's job, not the parser's.
 
@@ -14,21 +14,21 @@ header the model does not represent: an IPv4 fragment, TOS, DF or reserved
 flag, or ARP for other than Ethernet and IPv4. So for every accepted `b`,
 `serialize_frame(parse_frame(b))` is `b` up to Ethernet padding.
 
-Values are named tuples: immutable, equal and hashable by value, and built
-at the cost of a tuple, since the codec builds several for every frame. The
+Values are named tuples: immutable, and equal and hashable by value. The
 address constructors check the octet count; parse and the builders make
 every value with `_tuple_new`, from fields whose type and length they
-already know, so no value costs a Python-level constructor call.
+already know, so no value runs its constructor's Python frame.
 
 The codec is on every frame's path, so it keeps to these rules:
 
 - each header layout is a `struct.Struct` compiled once, and serialize
   writes the Ethernet and IPv4 headers with one of them;
-- `read_ipv4_header` is the one IPv4 validator: it reads both headers with
-  that one layout and makes every IPv4 and ICMP check, and `parse_frame`
-  builds an IPv4 frame's values from its result. So a reader that needs
-  only addresses, protocol and fixed-offset fields (the NIC's filter, the
-  trace's description) gets them without building the typed parse;
+- `read_header` is the one reader of every frame: it makes every check of
+  the parse and returns the frame's header, for IPv4 read with that one
+  layout, and `parse_frame` builds a frame's values from its result. So a
+  reader that needs only a frame's header and fixed-offset fields (the
+  NIC's filter, the trace's description, an attacker's tap) gets them
+  without building the typed parse;
 - the benchmark's tracer wraps `parse_frame`, `serialize_frame`,
   `internet_checksum` and `make_ipv4_frame`, so each is called through its
   module global and never inlined, and one frame costs the same number of
@@ -78,6 +78,7 @@ _tuple_new = tuple.__new__  # builds a value without its constructor's checks
 
 _ETH = struct.Struct(">6s6sH")
 _ETHERTYPE_IPV4 = ETHERTYPE_IPV4.to_bytes(2, "big")  # as it is on the wire
+_ETHERTYPE_ARP = ETHERTYPE_ARP.to_bytes(2, "big")
 _ARP = struct.Struct(">HHBBH6s4s6s4s")
 _IPV4 = struct.Struct(">BBHHHBBH4s4s")
 _ETH_IPV4 = struct.Struct(">6s6sHBBHHHBBH4s4s")  # both headers of an IPv4 frame
@@ -246,7 +247,7 @@ class TransportView(NamedTuple):
 
 def _ip_body(protocol: int, body: bytes) -> Union[IcmpMessage, bytes]:
     """An IPv4 body as parse reads it: 8 or more bytes under protocol 1 are
-    an ICMP message, as `read_ipv4_header` reads them."""
+    an ICMP message, as `read_header` reads them."""
     return IcmpMessage.from_bytes(body) if protocol == PROTO_ICMP and len(body) >= 8 else body
 
 
@@ -294,7 +295,7 @@ class Ipv4Packet(NamedTuple):
 
 
 class Ipv4Header(NamedTuple):
-    """What `read_ipv4_header` reads of an IPv4 frame, at fixed offsets: the
+    """What `read_header` reads of an IPv4 frame, at fixed offsets: the
     values of its `Ipv4Packet` but the body; `end`, the offset in the frame
     just past the body, which is `data[IPV4_BODY_AT:end]` (any bytes after it
     are Ethernet padding); and what a filter reads of the body: the payload
@@ -317,6 +318,9 @@ class EthernetFrame(NamedTuple):
     payload: Union[ArpPacket, Ipv4Packet, bytes] = b""
 
 
+Header = Union[Ipv4Header, ArpPacket, bytes]  # what `read_header` reads of a frame
+
+
 def serialize_frame(frame: EthernetFrame) -> bytes:
     """Canonical big-endian bytes; IPv4/ICMP checksums are recomputed."""
     dst, src, ethertype, payload = frame
@@ -331,18 +335,21 @@ def serialize_frame(frame: EthernetFrame) -> bytes:
     return data
 
 
-def read_ipv4_header(data: bytes) -> Optional[Ipv4Header]:
-    """The header of the IPv4 frame `data`, or None if its ethertype is
-    another. Raises the `FrameError` that `parse_frame` raises for `data`
-    when the frame's length or its IPv4 or ICMP part is refused: the checks
-    are these, in this order, and the parse builds its values from the result."""
+def read_header(data: bytes) -> Header:
+    """The header of the frame `data`: an IPv4 frame's `Ipv4Header`, an ARP
+    frame's `ArpPacket`, or the payload bytes of another ethertype. Raises
+    the `FrameError` that `parse_frame` raises for `data`: the checks are
+    these, in this order, and the parse builds its values from the result."""
     size = len(data)
     if size < ETH_HEADER_LEN:
         raise TooShort(f"frame is {size} bytes, need 14")
     if size > MAX_FRAME:
         raise Oversize(f"frame is {size} bytes, max {MAX_FRAME}")
-    if data[12:ETH_HEADER_LEN] != _ETHERTYPE_IPV4:
-        return None
+    ethertype = data[12:ETH_HEADER_LEN]
+    if ethertype != _ETHERTYPE_IPV4:
+        if ethertype == _ETHERTYPE_ARP:
+            return ArpPacket.from_bytes(data[ETH_HEADER_LEN:])
+        return data[ETH_HEADER_LEN:]
     if size < IPV4_BODY_AT:
         raise TooShort(f"IPv4 packet is {size - ETH_HEADER_LEN} bytes, need 20")
     _, _, _, vihl, tos, total, ident, frag, ttl, proto, checksum, src, dst = \
@@ -373,17 +380,17 @@ def read_ipv4_header(data: bytes) -> Optional[Ipv4Header]:
                                    proto, end, ttl, ident, icmp, view))
 
 
-def parse_frame(wire: bytes, header: Optional[Ipv4Header] = None) -> EthernetFrame:
+def parse_frame(wire: bytes, header: Optional[Header] = None) -> EthernetFrame:
     """Decode a frame into typed payloads; unknown protocols stay opaque bytes.
 
-    An IPv4 frame's values come from `read_ipv4_header(wire)`; a caller that
-    has already read its header passes it as `header`, and it is not read
-    again.
+    A frame's values come from `read_header(wire)`; a caller that has
+    already read its header passes it as `header`, and it is not read again.
     """
     if header is None:
-        header = read_ipv4_header(wire)  # also refuses any frame by its length
+        header = read_header(wire)  # also refuses any frame by its length
     dst, src, ethertype = _ETH.unpack_from(wire)
-    if header is not None:
+    payload = header  # an ARP packet and another ethertype's bytes are their own payload
+    if type(header) is Ipv4Header:
         ip_src, ip_dst, proto, end, ttl, ident, icmp, _ = header
         if icmp is not None:
             icmp_type, code, _, icmp_ident, seq = _ICMP.unpack_from(wire, IPV4_BODY_AT)
@@ -391,17 +398,13 @@ def parse_frame(wire: bytes, header: Optional[Ipv4Header] = None) -> EthernetFra
         else:
             body = wire[IPV4_BODY_AT:end]
         payload = _tuple_new(Ipv4Packet, (ip_src, ip_dst, proto, body, ttl, ident))
-    elif ethertype == ETHERTYPE_ARP:
-        payload = ArpPacket.from_bytes(wire[ETH_HEADER_LEN:])
-    else:
-        payload = wire[ETH_HEADER_LEN:]
     return _tuple_new(EthernetFrame, (_tuple_new(MacAddress, (dst,)),
                                       _tuple_new(MacAddress, (src,)), ethertype, payload))
 
 
 class Wire:
-    """One frame on the wire: its bytes, its IPv4 header read at most once,
-    and its parse built at most once.
+    """One frame on the wire: its bytes, its header read at most once, and
+    its parse built at most once.
 
     `data` is kept as given, and every trace record of the frame holds that
     one object. `from_frame` keeps the frame it serializes as the parse: the
@@ -416,8 +419,7 @@ class Wire:
     def __init__(self, data: bytes, parsed: Optional[EthernetFrame] = None):
         self.data = data
         self._parsed: Union[EthernetFrame, FrameError, None] = parsed
-        # the header once read; False once a frame of another ethertype is read
-        self._header: Union[Ipv4Header, bool, None] = None
+        self._header: Optional[Header] = None
 
     @classmethod
     def from_frame(cls, frame: EthernetFrame) -> "Wire":
@@ -435,7 +437,7 @@ class Wire:
             return parsed
         if parsed is None:
             try:
-                parsed = self._parsed = parse_frame(self.data, self._header or None)
+                parsed = self._parsed = parse_frame(self.data, self._header)
             except FrameError as exc:
                 parsed = self._parsed = exc
         if isinstance(parsed, FrameError):
@@ -443,20 +445,20 @@ class Wire:
         return parsed
 
     @property
-    def header(self) -> Optional[Ipv4Header]:
-        """The IPv4 header, or None for a frame of another ethertype; raises
-        the parse's `FrameError` on every access."""
+    def header(self) -> Header:
+        """The frame's header, as `read_header` reads it; raises the parse's
+        `FrameError` on every access."""
         header = self._header
         if header is not None:
-            return header or None
+            return header
         parsed = self._parsed
         if type(parsed) is EthernetFrame:
-            # what `read_ipv4_header` reads from these bytes, taken from the
-            # frame's values: built by a node, or already parsed
-            pkt = parsed.payload
+            # what `read_header` reads from these bytes, taken from the frame's
+            # values (built by a node, or already parsed): an `Ipv4Packet`
+            # gives an `Ipv4Header`, and any other payload is its own header
+            pkt = self._header = parsed.payload
             if type(pkt) is not Ipv4Packet:
-                self._header = False
-                return None
+                return pkt
             src, dst, protocol, body, ttl, ident = pkt
             if type(body) is IcmpMessage:
                 icmp = body.payload
@@ -469,11 +471,10 @@ class Wire:
             return header
         if parsed is None:
             try:
-                header = read_ipv4_header(self.data)
+                header = self._header = read_header(self.data)
             except FrameError as exc:
                 parsed = self._parsed = exc
             else:
-                self._header = header or False
                 return header
         raise parsed.with_traceback(None)
 

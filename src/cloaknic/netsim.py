@@ -45,9 +45,9 @@ these rules:
 - an entry is appended with one `list.extend` of its five fields, records
   are built on read with `tuple.__new__`, not through their Python-level
   constructor, and payloads and events are dispatched on `type(x) is`;
-- an IPv4 frame is described from its checked header (`Wire.header`) and
-  fixed offsets of its bytes, never from its typed parse, so a frame that
-  arrives as bytes is parsed only by a node that needs its values;
+- a frame is described, and a tap finds a knock, from its checked header
+  (`Wire.header`) and fixed offsets of its bytes, so a frame that arrives
+  as bytes is parsed only by a node that needs its values (the plain host);
 - the benchmark's tracer wraps `describe_frame`, `Segment.step`,
   `Segment.run` (which calls `self.step()`), the nodes' `receive`,
   `observe`, `perform` and `frames_for`, `TraceRecord.format_line` and
@@ -86,6 +86,7 @@ from .frames import (
     FrameError,
     IcmpMessage,
     Ipv4Address,
+    Ipv4Header,
     Ipv4Packet,
     MacAddress,
     Wire,
@@ -311,21 +312,19 @@ def describe_frame(wire: Union[Wire, bytes]) -> str:
     """One-line human summary of a frame for trace records; equal summaries
     are one object while the text stays in a bounded cache.
 
-    An IPv4 frame is described from its checked header (`Wire.header`) and
-    fixed offsets of its bytes: the knock magic, the ICMP type, the ports and
-    the SYN bit. So a frame that arrives as bytes is not parsed for its
-    description; only ARP and other ethertypes are.
+    A frame is described from its checked header (`Wire.header`) and fixed
+    offsets of its bytes (the ICMP type, the ethertype), never from its
+    typed parse, so a frame that arrives as bytes is not parsed for it.
     """
     if not isinstance(wire, Wire):
         wire = Wire(wire)
     data = wire.data
     try:
         header = wire.header
-        if header is None:
-            frame = wire.frame
     except FrameError as exc:
         return _shared_text(f"malformed ({type(exc).__name__}, {len(data)} bytes)")
-    if header is not None:
+    kind = type(header)
+    if kind is Ipv4Header:
         src, dst, protocol, _, _, _, icmp, view = header
         if icmp is not None:
             if is_knock_payload(icmp):
@@ -337,14 +336,12 @@ def describe_frame(wire: Union[Wire, bytes]) -> str:
             text = f"{view.kind} {src}:{view.src_port}->{dst}:{view.dst_port}{flag}"
         else:
             text = f"ipv4 proto={protocol} {src}->{dst}"
+    elif kind is not ArpPacket:
+        text = f"ethertype=0x{data[12:14].hex()} ({len(data)} bytes)"
+    elif header.operation == ARP_REQUEST:
+        text = f"arp-request who-has {header.target_ip} tell {header.sender_ip}"
     else:
-        p = frame.payload
-        if type(p) is not ArpPacket:
-            text = f"ethertype=0x{frame.ethertype:04x} ({len(data)} bytes)"
-        elif p.operation == ARP_REQUEST:
-            text = f"arp-request who-has {p.target_ip} tell {p.sender_ip}"
-        else:
-            text = f"arp-reply {p.sender_ip} is-at {p.sender_mac}"
+        text = f"arp-reply {header.sender_ip} is-at {header.sender_mac}"
     return _shared_text(text)
 
 
@@ -528,12 +525,10 @@ class AttackerNode(Node):
 
     def observe(self, wire: Wire, now: int) -> None:
         try:
-            frame = wire.frame
+            header = wire.header
         except FrameError:
             return
-        p = frame.payload
-        if (isinstance(p, Ipv4Packet) and isinstance(p.payload, IcmpMessage)
-                and is_knock_payload(p.payload.payload)):
+        if type(header) is Ipv4Header and header.icmp is not None and is_knock_payload(header.icmp):
             self.last_knock = wire
 
     def receive(self, wire: Wire, now: int) -> Actions:
@@ -555,7 +550,7 @@ class AttackerNode(Node):
             return [Wire.from_frame(forged)]
         if isinstance(program, MacSpoof):
             victim = self.lookup(program.victim)
-            # any frame with the victim's source MAC hijacks switch learning
+            # the victim's MAC as source; a hub has no switch to fool, so each receiver drops it
             spoofed = EthernetFrame(MAC_BROADCAST, victim.mac, 0x88B5, b"spoof")
             return [Wire.from_frame(spoofed)]
         if isinstance(program, KnockReplay):

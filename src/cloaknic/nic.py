@@ -25,13 +25,13 @@ RESOLVER_TABLE_CAP (64) peers, and a write at capacity evicts the oldest.
 Each verdict is one immutable value that owns its stage count (a `DropRecord`,
 `Delivered` or `ArpCacheUpdate`), and `netsim` records it as it is returned.
 A verdict is reached with the least work the model allows, as a hardware
-filter reads a few fields at fixed offsets: an IPv4 frame is judged from
-its checked header (`Wire.header`) and the knock magic, ports and payload
-at fixed offsets of its bytes, and only a knock that passes its tag builds
-the typed parse, for the sender's MAC. Payloads are dispatched on
-`type(x) is`, a drop is one shared record, and `Actions` is a slotted
-value. `open_knock` and `on_wire_receive` stay separate calls, as the
-benchmark's tracer wraps both.
+filter reads a few fields at fixed offsets: every frame is judged from its
+checked header (`Wire.header`), an IPv4 frame with the knock magic, ports
+and payload at fixed offsets of its bytes, and an admitted knock takes the
+sender's MAC from those bytes, so the NIC never builds the typed parse.
+Headers are dispatched on `type(x) is`, a drop is one shared record, and
+`Actions` is a slotted value. `open_knock` and `on_wire_receive` stay
+separate calls, as the benchmark's tracer wraps both.
 
 One instance is a single-threaded state machine; all cross-NIC traffic
 goes through the simulator.
@@ -337,21 +337,20 @@ class CloakingNic:
     # -- wire-facing operations --------------------------------------------
 
     def on_wire_receive(self, wire: Union[Wire, bytes], now: int) -> Actions:
-        """Verdict on one received frame; plain bytes are wrapped here. An
-        IPv4 frame is read by its header, any other frame by its parse."""
+        """Verdict on one received frame, read by its header; plain bytes
+        are wrapped here."""
         if not isinstance(wire, Wire):
             wire = Wire(wire)
         actions = Actions()
         try:
             header = wire.header
-            if header is None:
-                payload = wire.frame.payload
         except frames.FrameError as exc:
             return actions.drop(DropReason.MALFORMED, 1, type(exc).__name__)
-        if header is not None:
+        kind = type(header)
+        if kind is Ipv4Header:
             return self._receive_ipv4(actions, wire, header, now)
-        if type(payload) is ArpPacket:
-            return self._receive_arp(actions, payload, now)
+        if kind is ArpPacket:
+            return self._receive_arp(actions, header, now)
         return actions.drop(DropReason.NO_FILTER_MATCH, 1, "non-ip ethertype")
 
     def _receive_arp(self, actions: Actions, arp: ArpPacket, now: int) -> Actions:
@@ -404,5 +403,5 @@ class CloakingNic:
             self.filter.insert(result.client_ip, result.client_port, now)
         except TableFull:
             return actions.drop(DropReason.BAD_KNOCK, 2, "TableFull")
-        actions.host_events.append(ArpCacheUpdate(result.client_ip, wire.frame.src))
+        actions.host_events.append(ArpCacheUpdate(result.client_ip, MacAddress(wire.data[6:12])))
         return actions

@@ -13,7 +13,6 @@ from cloaknic.frames import (
     PROTO_TCP,
     PROTO_UDP,
     ETH_HEADER_LEN,
-    MAX_FRAME,
     ArpPacket,
     BadTotalLength,
     EthernetFrame,
@@ -32,7 +31,7 @@ from cloaknic.frames import (
     make_icmp_echo,
     make_ipv4_frame,
     parse_frame,
-    read_ipv4_header,
+    read_header,
     serialize_frame,
     tcp_segment,
     udp_datagram,
@@ -277,23 +276,24 @@ any_wire = st.one_of(mutated_wires(), any_frame.map(serialize_frame), st.binary(
 
 
 @given(any_wire)
-def test_header_reader_accepts_what_the_parse_accepts_as_ipv4(wire):
-    """`read_ipv4_header` is the parse's IPv4 validator: it refuses a frame
-    with the parse's error class where the parse would refuse it for its
-    length or its IPv4 part, and gives the values the parse reads."""
+def test_header_reader_accepts_what_the_parse_accepts(wire):
+    """`read_header` is the parse's one reader, for every ethertype: it
+    refuses a frame with the parse's error class wherever the parse refuses
+    it, and gives the values the parse reads. A frame of any ethertype but
+    IPv4 has its payload as its header."""
     try:
         frame = parse_frame(wire)
     except frames.FrameError as exc:
-        if len(wire) < ETH_HEADER_LEN or len(wire) > MAX_FRAME or wire[12:14] == b"\x08\x00":
-            with pytest.raises(type(exc)):
-                read_ipv4_header(wire)
-        else:  # an ARP body the parse refuses
-            assert read_ipv4_header(wire) is None
+        with pytest.raises(type(exc)):
+            read_header(wire)
+        with pytest.raises(type(exc)):
+            Wire(wire).header
         return
-    header = read_ipv4_header(wire)
+    header = read_header(wire)
     pkt = frame.payload
     if type(pkt) is not Ipv4Packet:
-        assert header is None
+        assert type(header) is type(pkt) and header == pkt
+        assert Wire(wire).header == header
         return
     body = pkt.payload
     body_len = 8 + len(body.payload) if type(body) is IcmpMessage else len(body)
@@ -313,7 +313,7 @@ def test_a_built_frames_header_is_the_one_its_bytes_give(frame):
     """`Wire.from_frame` takes the header from the frame it was built from,
     with no checksum computed; it is the header its bytes are read as."""
     wire = Wire.from_frame(frame)
-    assert wire.header == read_ipv4_header(wire.data)
+    assert wire.header == read_header(wire.data)
 
 
 def golden_wires():

@@ -1,9 +1,10 @@
-"""Each wire frame is parsed at most once, and the frame it carries is its parse.
+"""Each wire frame is read and parsed at most once, and the frame it carries is its parse.
 
-A frame enters the segment as one `Wire` value (bytes, IPv4 header, parse),
-with its description beside it, that the segment hands to every receiver,
-so no layer parses it again. A cloaked NIC and the trace read an IPv4 frame
-from its header, so the frames a cloaked server rejects are never parsed.
+A frame enters the segment as one `Wire` value (bytes, header, parse), with
+its description beside it, that the segment hands to every receiver, so no
+layer reads or parses it again. A cloaked NIC, the trace and an attacker's
+tap read every frame from its header, so the frames they handle are never
+parsed.
 """
 
 import sys
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 from cloaknic import frames
 from cloaknic.demos import DEMOS, TEST_KEY_HEX
 from cloaknic.frames import (
+    ARP_REPLY,
     ARP_REQUEST,
+    MAC_BROADCAST,
     MAC_ZERO,
     PROTO_ICMP,
     PROTO_TCP,
@@ -23,6 +26,7 @@ from cloaknic.frames import (
     FrameError,
     IcmpMessage,
     Ipv4Address,
+    EthernetFrame,
     MacAddress,
     Oversize,
     Wire,
@@ -44,20 +48,30 @@ IP_A = Ipv4Address.from_str("192.168.0.1")
 IP_B = Ipv4Address.from_str("192.168.0.2")
 
 
-@pytest.fixture
-def parse_count(monkeypatch):
-    """Counts `parse_frame` calls made through any cloaknic module."""
+def count_calls(monkeypatch, function):
+    """Counts calls of the `frames` function named `function` made through
+    any cloaknic module."""
     calls = [0]
-    original = frames.parse_frame
+    original = getattr(frames, function)
 
     def counting(*args):
         calls[0] += 1
         return original(*args)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "cloaknic" and getattr(module, "parse_frame", None) is original:
-            monkeypatch.setattr(module, "parse_frame", counting)
+        if name.split(".")[0] == "cloaknic" and getattr(module, function, None) is original:
+            monkeypatch.setattr(module, function, counting)
     return calls
+
+
+@pytest.fixture
+def parse_count(monkeypatch):
+    return count_calls(monkeypatch, "parse_frame")
+
+
+@pytest.fixture
+def read_count(monkeypatch):
+    return count_calls(monkeypatch, "read_header")
 
 
 def run_demo(name):
@@ -138,16 +152,36 @@ def server_verdicts(wires):
     return [(r.time, r.event) for r in seg.trace if r.node == "server"]
 
 
-def test_a_cloaked_server_rejects_bytes_from_their_header_alone(parse_count):
+def test_a_cloaked_server_rejects_bytes_from_their_header_alone(parse_count, read_count):
     forged = knock(MALLORY_MAC, CLIENT_IP, b"KNCK\x01\x00" + bytes(40))
     unkeyed = knock(MALLORY_MAC, MALLORY_IP, seal_knock(KEY, bytes(8),
                                                          KnockFields(MALLORY_IP, 40000, 3)))
     probe = syn(MALLORY_MAC, MALLORY_IP, 50000)
     echo = serialize_frame(make_icmp_echo(MALLORY_MAC, SERVER_MAC, MALLORY_IP, SERVER_IP, b"hi"))
+    arp_reply = serialize_frame(make_arp(ARP_REPLY, MALLORY_MAC, CLIENT_IP, SERVER_MAC, SERVER_IP))
+    arp_other = serialize_frame(make_arp(ARP_REQUEST, MALLORY_MAC, MALLORY_IP, MAC_ZERO,
+                                         Ipv4Address.from_str("10.0.0.9")))
+    spoof = serialize_frame(EthernetFrame(MAC_BROADCAST, CLIENT_MAC, 0x88B5, b"spoof"))
     bad_tag = DropRecord(DropReason.BAD_KNOCK, 2, "BadTag")
     no_match = DropRecord(DropReason.NO_FILTER_MATCH, 1)
-    assert server_verdicts([forged, unkeyed, probe, echo]) == \
-        [(1, bad_tag), (2, bad_tag), (3, no_match), (4, no_match)]
+    wires = [forged, unkeyed, probe, echo, arp_reply, arp_other, spoof]
+    assert server_verdicts(wires) == \
+        [(1, bad_tag), (2, bad_tag), (3, no_match), (4, no_match),
+         (5, DropRecord(DropReason.UNSOLICITED_ARP_REPLY, 1)),
+         (6, DropRecord(DropReason.NO_FILTER_MATCH, 1, "arp-other-ip")),
+         (7, DropRecord(DropReason.NO_FILTER_MATCH, 1, "non-ip ethertype"))]
+    assert parse_count[0] == 0
+    # one read per frame, shared by its description and every receiver
+    assert read_count[0] == len(wires)
+
+
+def test_an_attackers_tap_captures_a_knock_from_its_header(parse_count):
+    genuine = knock(CLIENT_MAC, CLIENT_IP, seal_knock(KEY, bytes(8),
+                                                      KnockFields(CLIENT_IP, 40000, 1)))
+    seg = build_segment(parse_scenario(CLOAKED.format(key=TEST_KEY_HEX)))
+    seg.inject(1, genuine, "client")
+    seg.run()
+    assert seg.node("mallory").last_knock.data is genuine
     assert parse_count[0] == 0
 
 
@@ -158,12 +192,14 @@ def test_bytes_that_pass_the_filter_are_admitted():
         [(1, ArpCacheUpdate(CLIENT_IP, CLIENT_MAC)), (2, Delivered())]
 
 
-def test_malformed_wire_parses_once_and_raises_on_every_access(parse_count):
+def test_malformed_wire_is_read_once_and_raises_on_every_access(read_count):
     wire = Wire(b"\x00" * 13)
     for _ in range(3):
         with pytest.raises(frames.TooShort):
             wire.frame
-    assert parse_count[0] == 1
+        with pytest.raises(frames.TooShort):
+            wire.header
+    assert read_count[0] == 1
 
 
 icmp_bodies = st.one_of(
