@@ -2,7 +2,7 @@
 
 Subcommands: `run`, `check`, `vectors`, `demo`. Diagnostics go to stderr,
 data to files or stdout. Exit codes: 0 ok, 1 validation error, 2 runtime
-error, 3 I/O error.
+error, 3 I/O error. No scenario that `check` accepts exits 2.
 """
 
 from __future__ import annotations

@@ -2,9 +2,11 @@
 
 Everything here is a pure function over immutable values: parse, build,
 serialize. The one exception, `Wire`, memoises only a frame's header and
-its parse. Big-endian; no FCS or minimum-size padding (there is no
-medium). Unknown ethertypes and IP protocols decode to opaque bytes on
-purpose -- rejecting them is the packet filter's job, not the parser's.
+its parse, which it builds from that header, so a bad frame's error is
+raised from `Wire.header` alone. Big-endian; no FCS or minimum-size
+padding (there is no medium). Unknown ethertypes and IP protocols decode
+to opaque bytes on purpose -- rejecting them is the packet filter's job,
+not the parser's.
 
 A frame value is its bytes: values hold only the fields the model keeps,
 and checksums are computed by serialize and checked by parse, never stored.
@@ -411,13 +413,15 @@ class Wire:
     `make_*` builders return frames equal to their own round trip, and the
     header is taken from that frame, with no checksum computed. Of a frame
     given as bytes, `header` reads the header and checks it, and `frame`
-    builds the typed values from that header.
+    builds the typed values from that header. So `header` is the one place
+    a bad frame's `FrameError` is raised, on every access to either.
     """
 
     __slots__ = ("data", "_parsed", "_header")
 
     def __init__(self, data: bytes, parsed: Optional[EthernetFrame] = None):
         self.data = data
+        # the parse; or, of bytes that are not a frame, the error they raise
         self._parsed: Union[EthernetFrame, FrameError, None] = parsed
         self._header: Optional[Header] = None
 
@@ -425,23 +429,12 @@ class Wire:
     def from_frame(cls, frame: EthernetFrame) -> "Wire":
         return cls(serialize_frame(frame), frame)
 
-    @classmethod
-    def wrap(cls, wire: Union["Wire", bytes]) -> "Wire":
-        return wire if isinstance(wire, Wire) else cls(wire)
-
     @property
     def frame(self) -> EthernetFrame:
         """The parsed frame; raises the parse's `FrameError` on every access."""
         parsed = self._parsed
-        if type(parsed) is EthernetFrame:
-            return parsed
-        if parsed is None:
-            try:
-                parsed = self._parsed = parse_frame(self.data, self._header)
-            except FrameError as exc:
-                parsed = self._parsed = exc
-        if isinstance(parsed, FrameError):
-            raise parsed.with_traceback(None)
+        if type(parsed) is not EthernetFrame:
+            parsed = self._parsed = parse_frame(self.data, self.header)
         return parsed
 
     @property
@@ -472,10 +465,9 @@ class Wire:
         if parsed is None:
             try:
                 header = self._header = read_header(self.data)
+                return header
             except FrameError as exc:
                 parsed = self._parsed = exc
-            else:
-                return header
         raise parsed.with_traceback(None)
 
 

@@ -121,10 +121,6 @@ class DuplicateHandle(SimError):
     """Two nodes with the same name (duplicate MAC/IP is deliberately legal)."""
 
 
-class NothingCaptured(SimError):
-    """Knock replay requested before any knock was observed on the wire."""
-
-
 class FrameEvent(Enum):
     """A frame's fate where no node gives a verdict: (direction, summary prefix, stage)."""
 
@@ -542,7 +538,8 @@ class AttackerNode(Node):
             self.mac, target.mac, self.ip, target.ip, b"probe"))]
 
     def frames_for(self, program: AttackProgram) -> List[Wire]:
-        """Wire frames for one firing of a program."""
+        """Wire frames for one firing of a program: none for a replay before
+        any knock is captured."""
         if isinstance(program, ArpPoison):
             victim = self.lookup(program.victim)
             forged = frames.make_arp(ARP_REPLY, program.claimed_mac,
@@ -554,19 +551,16 @@ class AttackerNode(Node):
             spoofed = EthernetFrame(MAC_BROADCAST, victim.mac, 0x88B5, b"spoof")
             return [Wire.from_frame(spoofed)]
         if isinstance(program, KnockReplay):
-            if self.last_knock is None:
-                raise NothingCaptured(f"{self.name} has observed no knock to replay")
-            return [self.last_knock]
-        if isinstance(program, PortScan):
-            target = self.lookup(program.victim)
-            out = []
-            for i, port in enumerate(range(program.port_lo, program.port_hi + 1)):
-                seg = frames.tcp_segment(50000 + (i % 10000), port, TCP_FLAG_SYN)
-                out.append(Wire.from_frame(frames.make_ipv4_frame(
-                    self.mac, target.mac, self.ip, target.ip, PROTO_TCP, seg,
-                    identification=i & 0xFFFF)))
-            return out
-        raise SimError(f"unknown attack program {program!r}")
+            # the last knock captured, or nothing: an empty firing logs no line
+            return [] if self.last_knock is None else [self.last_knock]
+        target = self.lookup(program.victim)  # a `PortScan`
+        out = []
+        for i, port in enumerate(range(program.port_lo, program.port_hi + 1)):
+            seg = frames.tcp_segment(50000 + (i % 10000), port, TCP_FLAG_SYN)
+            out.append(Wire.from_frame(frames.make_ipv4_frame(
+                self.mac, target.mac, self.ip, target.ip, PROTO_TCP, seg,
+                identification=i & 0xFFFF)))
+        return out
 
 
 # --------------------------------------------------------------------------
@@ -675,7 +669,7 @@ class Segment:
         time, seq, wire, origin, arg = heappop(self._queue)
         self.clock = time
         if wire is not None:  # a frame; `arg` is its description, if already made
-            if not isinstance(wire, Wire):  # `Wire.wrap`, without its call
+            if not isinstance(wire, Wire):  # an injected frame's bytes
                 wire = Wire(wire)
             described = arg or describe_frame(wire)
             data = wire.data

@@ -13,14 +13,16 @@ bytes. The knock freshness bound and the replay window are `knock`'s.
 
 State is bounded however long a run lasts: a filter insert, a replay-cache
 record, a client knock and a resolver write each first drop their table's
-expired entries, so those tables hold only live entries. Parked frames are
-kept per target IP: parking drops that IP's expired frames and every IP
-whose frames have all expired, so they were all parked in the last
-2 * ARP_TIMEOUT_TICKS + 1 ticks, and an ARP reply takes only its sender's
-frames. The client's resolver table keeps, for FILTER_TTL_SECONDS, the MAC
-of an ARP reply that released parked frames, that is, one that answered
-this NIC's own request; no other reply writes it. It holds at most
-RESOLVER_TABLE_CAP (64) peers, and a write at capacity evicts the oldest.
+expired entries, so those tables hold only live entries. A full filter
+refuses a new admission: `FilterTable.insert` returns False, and the knock
+is dropped as `BadKnock TableFull`. Parked frames are kept per target IP:
+parking drops that IP's expired frames and every IP whose frames have all
+expired, so they were all parked in the last 2 * ARP_TIMEOUT_TICKS + 1
+ticks, and an ARP reply takes only its sender's frames. The client's
+resolver table keeps, for FILTER_TTL_SECONDS, the MAC of an ARP reply that
+released parked frames, that is, one that answered this NIC's own request;
+no other reply writes it. It holds at most RESOLVER_TABLE_CAP (64) peers,
+and a write at capacity evicts the oldest.
 
 Each verdict is one immutable value that owns its stage count (a `DropRecord`,
 `Delivered` or `ArpCacheUpdate`), and `netsim` records it as it is returned.
@@ -85,10 +87,6 @@ class NicError(Exception):
 
 class UnknownPeerKey(NicError):
     """Transmit to a protected peer with no shared key configured."""
-
-
-class TableFull(NicError):
-    """Filter table at capacity; new knocks are rejected, never evicted."""
 
 
 class DropReason(Enum):
@@ -169,7 +167,8 @@ class FilterTable:
     """Exact-match <src ip, src port> admissions with an idle TTL; default drop.
 
     An insert first drops the expired entries, so only live admissions
-    count against the capacity.
+    count against the capacity. At capacity a new admission is refused,
+    never evicted: `insert` returns False and writes nothing.
     """
 
     def __init__(self):
@@ -183,12 +182,14 @@ class FilterTable:
         self.entries.put(key, now + FILTER_TTL_SECONDS)
         return True
 
-    def insert(self, src_ip: Ipv4Address, src_port: int, now: int) -> None:
+    def insert(self, src_ip: Ipv4Address, src_port: int, now: int) -> bool:
+        """Admit, or refresh, the pair; False if the table is full."""
         key = (src_ip, src_port)
         self.entries.drop_expired(now)
         if key not in self.entries and len(self.entries) >= FILTER_TABLE_CAP:
-            raise TableFull(f"filter table at capacity {FILTER_TABLE_CAP}")
+            return False
         self.entries.put(key, now + FILTER_TTL_SECONDS)
+        return True
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -399,9 +400,7 @@ class CloakingNic:
         if result.client_ip != src:
             # a key holder may only open the filter for the address it sends from
             return actions.drop(DropReason.BAD_KNOCK, 2, "IpMismatch")
-        try:
-            self.filter.insert(result.client_ip, result.client_port, now)
-        except TableFull:
+        if not self.filter.insert(result.client_ip, result.client_port, now):
             return actions.drop(DropReason.BAD_KNOCK, 2, "TableFull")
         actions.host_events.append(ArpCacheUpdate(result.client_ip, MacAddress(wire.data[6:12])))
         return actions

@@ -12,7 +12,7 @@
     T attack ATTACKER portscan VICTIM LO-HI
     T attack ATTACKER arppoison VICTIM IP MAC [period=N] [count=N]
     T attack ATTACKER macspoof VICTIM [count=N] [period=N]
-    T attack ATTACKER knockreplay
+    T attack ATTACKER knockreplay      # the last knock captured, or nothing
     T attack ATTACKER ping VICTIM      # the same step as `ping ATTACKER VICTIM`
     [horizon]
     TICKS
@@ -31,7 +31,9 @@ ranges, addresses, key length, option names) and raises `ParseError` naming
 the line. `validate_scenario` checks what lines say of each other: names are
 nodes, protected pairs have keys, actors are of a kind that may perform the
 step. `check` runs both; `run` parses and `build_segment` validates, so the
-two commands accept exactly the same inputs.
+two commands accept exactly the same inputs, and every input `check`
+accepts runs to its horizon: what a step cannot do (a replay with no knock
+captured) it does not do, and logs no line.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ cloaking NIC runs fewer lines of cloaknic than the plain software stack it
 replaces. Each frame arrives as bytes and is described first, as
 `Segment.step` does, so each receiver runs only what it runs in a segment.
 Line counts differ between Python versions, so only the inequality is
-asserted.
+asserted. Nor does any such frame cost the cloaked NIC more than one HMAC.
 """
 
 import os
@@ -14,6 +14,7 @@ import sys
 import pytest
 
 import cloaknic
+from cloaknic import knock
 from cloaknic.demos import TEST_KEY_HEX
 from cloaknic.frames import (
     ARP_REPLY,
@@ -92,10 +93,29 @@ def lines_run(receiver, data):
     return count
 
 
+def cloaked_server():
+    return CloakedServerNode("server", HOST_MAC, HOST_IP, CloakingNic(
+        NicConfig(HOST_MAC, HOST_IP, role_keys={CLIENT_IP: KEY})))
+
+
 @pytest.mark.parametrize("name", sorted(UNAUTHENTICATED))
 def test_the_cloaked_nic_runs_fewer_lines_than_the_plain_stack(name):
     data = UNAUTHENTICATED[name]
-    cloaked = CloakedServerNode("server", HOST_MAC, HOST_IP, CloakingNic(
-        NicConfig(HOST_MAC, HOST_IP, role_keys={CLIENT_IP: KEY})))
     plain = PlainHostNode("server", HOST_MAC, HOST_IP, {22})
-    assert lines_run(cloaked, data) < lines_run(plain, data)
+    assert lines_run(cloaked_server(), data) < lines_run(plain, data)
+
+
+@pytest.mark.parametrize("name", sorted(UNAUTHENTICATED))
+def test_the_cloaked_nic_runs_at_most_one_hmac(name, monkeypatch):
+    """Only a knock from a keyed IP reaches the tag check, and a forged tag
+    stops there, before the keystream is derived."""
+    calls = []
+    prf = knock.prf
+
+    def counted(key, message):
+        calls.append(message)
+        return prf(key, message)
+
+    monkeypatch.setattr(knock, "prf", counted)
+    cloaked_server().receive(Wire(UNAUTHENTICATED[name]), NOW)
+    assert len(calls) <= 1

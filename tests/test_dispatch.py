@@ -59,7 +59,8 @@ class HubSegment(Segment):
     def step(self):
         time, _seq, wire, origin, described = heapq.heappop(self._queue)
         self.clock = time
-        wire = Wire.wrap(wire)
+        if not isinstance(wire, Wire):  # an injected frame's bytes, as `Segment.step` wraps them
+            wire = Wire(wire)
         described = described or describe_frame(wire)
         dst = wire.data[:6] if len(wire.data) >= 6 else None
         for node in self.nodes:

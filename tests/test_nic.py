@@ -46,7 +46,6 @@ from cloaknic.nic import (
     FilterTable,
     NicConfig,
     NicError,
-    TableFull,
     UnknownPeerKey,
 )
 from cloaknic.scenario import build_segment, parse_scenario
@@ -143,10 +142,13 @@ class TestFilterTable:
         t = FilterTable()
         for i in range(1024):
             t.insert(Ipv4Address(bytes([10, 1, i >> 8, i & 0xFF])), 1, now=0)
-        with pytest.raises(TableFull):
-            t.insert(Ipv4Address(bytes([10, 2, 0, 0])), 1, now=60)
+        # a new key at capacity is refused and writes nothing
+        assert t.insert(Ipv4Address(bytes([10, 2, 0, 0])), 1, now=60) is False
+        assert len(t) == 1024
+        assert not t.lookup(Ipv4Address(bytes([10, 2, 0, 0])), 1, now=60)
         # refreshing an existing key is still allowed at capacity
-        t.insert(Ipv4Address(bytes([10, 1, 0, 0])), 1, now=10)
+        assert t.insert(Ipv4Address(bytes([10, 1, 0, 0])), 1, now=10) is True
+        assert len(t) == 1024
 
     def test_expired_entries_do_not_count_against_capacity(self):
         t = FilterTable()

@@ -31,6 +31,17 @@ WITH_STEPS = GOOD + ("[nodes]\nplain plainhost 10.0.0.3 aa:00:00:00:00:03\n"
                      "m attacker 10.0.0.66 aa:00:00:00:00:66\n[steps]\n")
 STEP_LINE = len(WITH_STEPS.splitlines()) + 1
 
+# An attacker told to replay a knock before any was sent: it sends nothing.
+NOTHING_CAPTURED = """\
+[nodes]
+server cloaked 10.0.0.2 aa:00:00:00:00:02
+mallory attacker 10.0.0.66 aa:00:00:00:00:66
+[steps]
+5 attack mallory knockreplay
+[horizon]
+60
+"""
+
 # Inputs that `check` once accepted although `run` crashed on them or ran
 # them wrongly, or that crashed both; each with the line at fault.
 DEFECTS = {step: (WITH_STEPS + step + "\n", STEP_LINE) for step in (
@@ -167,6 +178,17 @@ class TestCli:
         assert main(["check", "--scenario", str(path)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "ghost" in err
+
+    def test_knock_replay_with_nothing_captured_runs(self, tmp_path, capsys):
+        """A scenario `check` accepts runs to completion."""
+        path, metrics = tmp_path / "sc.txt", tmp_path / "metrics.txt"
+        path.write_text(NOTHING_CAPTURED)
+        assert main(["check", "--scenario", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == "ok\n"
+        assert main(["run", "--scenario", str(path), "--quiet",
+                     "--metrics", str(metrics)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert "node mallory\n  delivered 0\n  tx 0\n" in metrics.read_text()
 
     def test_missing_file_exit_3(self):
         assert main(["check", "--scenario", "/nonexistent/sc.txt"]) == EXIT_IO
