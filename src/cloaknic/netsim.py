@@ -11,10 +11,17 @@ is one `FrameEvent.IGNORED` entry with no bytes whose `node` is the plan's
 tuple of their names, one name or many, read back as one
 `ignored (other dst)` line per name.
 
-The event queue is a heap of flat tuples ordered by (time, seq): a frame is
-`(time, seq, wire, origin, description or None)`, its wire a `Wire` or the
-bytes it was injected as, wrapped when it is delivered; a step is
-`(time, seq, None, node, step)`.
+Events run in (time, seq) order, seq counting every event queued. The
+queue keeps one flat list per pending tick, each event in `QUEUE_SLOTS`
+consecutive slots in seq order, and a heap of those ticks: a frame is
+`seq, wire, origin, description or None`, its wire a `Wire` or the bytes it
+was injected as, wrapped when it is delivered; a step is `seq, None, node,
+step`. A fresh event's seq is the largest yet, so it is appended to its
+tick's list; a repeated program's next firing keeps its seq and is placed
+among its tick's events by bisection. A tick's list is taken whole when its
+first event runs, and an event queued for that tick while it runs starts a
+new list, taken once the first is done. An event before the clock is
+refused with a `ValueError`.
 
 Node kinds: cloaked servers and clients (backed by `CloakingNic`), a plain
 software-stack baseline host (answers ARP and pings, RSTs closed ports,
@@ -48,6 +55,11 @@ these rules:
 - a frame is described, and a tap finds a knock, from its checked header
   (`Wire.header`) and fixed offsets of its bytes, so a frame that arrives
   as bytes is parsed only by a node that needs its values (the plain host);
+- a TCP frame whose typed values no one reads (a scan's probe, the plain
+  host's answer) is built as bytes and header at once (`frames.tcp_wire`);
+- queueing an event is an append to its tick's list, or a bisection for a
+  repeated firing, so its cost does not grow with the events in flight, and
+  a queued event is its slots, with no tuple of its own;
 - the benchmark's tracer wraps `describe_frame`, `Segment.step`,
   `Segment.run` (which calls `self.step()`), the nodes' `receive`,
   `observe`, `perform` and `frames_for`, `TraceRecord.format_line` and
@@ -64,6 +76,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache, partial
+from bisect import bisect
 from heapq import heappop, heappush
 from itertools import groupby, islice
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple,
@@ -216,6 +229,7 @@ FIELDS = len(TraceRecord._fields)  # the log's slots per entry
 _IGNORED = FrameEvent.IGNORED
 _PROCESSED_ONLY = (FrameEvent.PROCESSED,)  # the events of a receiver that gave no verdict
 _TX = FrameEvent.TX
+QUEUE_SLOTS = 4  # a queued event's slots: (seq, wire or None, origin, description or step)
 
 
 class TraceView:
@@ -501,9 +515,8 @@ class PlainHostNode(Node):
         if view.kind == "tcp" and view.is_syn:
             flags = TCP_FLAG_SYN | TCP_FLAG_ACK if view.dst_port in self.services \
                 else TCP_FLAG_RST | TCP_FLAG_ACK
-            seg = frames.tcp_segment(view.dst_port, view.src_port, flags)
-            actions.tx_frames.append(frames.make_ipv4_frame(
-                self.mac, frame.src, self.ip, p.src, PROTO_TCP, seg))
+            actions.tx_frames.append(frames.tcp_wire(
+                self.mac, frame.src, self.ip, p.src, view.dst_port, view.src_port, flags))
             actions.host_events.append(_PLAIN_DELIVERED)
             return actions
         return actions.drop(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_TRANSPORT,
@@ -554,13 +567,10 @@ class AttackerNode(Node):
             # the last knock captured, or nothing: an empty firing logs no line
             return [] if self.last_knock is None else [self.last_knock]
         target = self.lookup(program.victim)  # a `PortScan`
-        out = []
-        for i, port in enumerate(range(program.port_lo, program.port_hi + 1)):
-            seg = frames.tcp_segment(50000 + (i % 10000), port, TCP_FLAG_SYN)
-            out.append(Wire.from_frame(frames.make_ipv4_frame(
-                self.mac, target.mac, self.ip, target.ip, PROTO_TCP, seg,
-                identification=i & 0xFFFF)))
-        return out
+        mac, ip, tcp_wire = self.mac, self.ip, frames.tcp_wire
+        return [tcp_wire(mac, target.mac, ip, target.ip, 50000 + (i % 10000), port,
+                         TCP_FLAG_SYN, i & 0xFFFF)
+                for i, port in enumerate(range(program.port_lo, program.port_hi + 1))]
 
 
 # --------------------------------------------------------------------------
@@ -582,9 +592,11 @@ class Segment:
         self._macs: Set[bytes] = set()  # the attached nodes' MAC octets
         self._plans: Dict[Tuple[str, Union[bytes, str]], Plan] = {}  # (origin, dst MAC) -> plan
         self.clock = 0
-        # (time, seq, wire, origin, description or None) for a frame, and
-        # (time, seq, None, node, step) for a step
-        self._queue: List[tuple] = []
+        # tick -> its events' slots in seq order: seq, wire, origin and
+        # description or None for a frame; seq, None, node and step for a step
+        self._queue: Dict[int, list] = {}
+        self._ticks: List[int] = []  # a heap of the keys of `_queue`
+        self._now: list = []  # the running tick's slots still to run, reversed
         self._seq = 0
         # each entry's (time, node, event, frame, raw) in `FIELDS` consecutive
         # slots; `trace` builds a `TraceRecord` from them per read
@@ -636,11 +648,33 @@ class Segment:
             self._plans[key] = plan
         return plan
 
+    @property
+    def pending(self) -> int:
+        """The number of queued events not yet run."""
+        return (len(self._now) + sum(map(len, self._queue.values()))) // QUEUE_SLOTS
+
+    def _add(self, time: int, slots: list) -> None:
+        """Queue for tick `time` the events whose slots are `slots`, in seq
+        order: after every event queued for it, or, for a repeated firing's
+        one event, by its seq; a ValueError for a time before the clock. A
+        tick's first slots become its list."""
+        queued = self._queue.get(time)
+        if queued is None:
+            if time < self.clock:
+                raise ValueError(f"time {time} is before the clock, {self.clock}")
+            self._queue[time] = slots
+            heappush(self._ticks, time)
+        elif queued[-QUEUE_SLOTS] < slots[0]:
+            queued += slots
+        else:  # a firing keeps its program's seq, older than some queued here
+            at = QUEUE_SLOTS * bisect(queued[::QUEUE_SLOTS], slots[0])
+            queued[at:at] = slots
+
     def inject(self, time: int, wire: Union[Wire, bytes], origin: str,
                described: Optional[str] = None) -> None:
         """Queue a frame as given, a `Wire` or its bytes; `described` is its
         description, if already made."""
-        heappush(self._queue, (time, self._seq, wire, origin, described))
+        self._add(time, [self._seq, wire, origin, described])
         self._seq += 1
 
     def schedule(self, time: int, node: str, step: Step) -> None:
@@ -650,24 +684,45 @@ class Segment:
         if period < 1:
             raise ValueError(f"attack period must be >= 1, got {period}")
         if getattr(step, "count", 1) > 0:
-            heappush(self._queue, (time, self._seq, None, node, step))
+            self._add(time, [self._seq, None, node, step])
             self._seq += 1
 
     # -- the event loop ------------------------------------------------------
 
-    def _transmit(self, origin: Node, wires: Iterable[Wire], now: int) -> None:
+    def _transmit(self, origin: Node, wires: List[Wire], now: int) -> None:
+        """Log each frame's `tx` line and queue it for the next tick."""
+        if not wires:
+            return
+        name = origin.name
+        extend = self._log.extend
+        slots = []
+        put = slots.extend
+        seq = self._seq
         for wire in wires:
             described = describe_frame(wire)
-            self._log.extend((now, origin.name, _TX, described, wire.data))
-            self.inject(now + 1, wire, origin.name, described)
+            extend((now, name, _TX, described, wire.data))
+            put((seq, wire, name, described))
+            seq += 1
+        self._seq = seq
+        self._add(now + 1, slots)
 
     def step(self) -> None:
         """Process the next event, if any; `trace` reads what it logged."""
-        if not self._queue:
-            return
+        now = self._now
+        if not now:
+            ticks = self._ticks
+            if not ticks:
+                return
+            self.clock = tick = heappop(ticks)
+            now = self._now = self._queue.pop(tick)
+            now.reverse()
         log = self._log
-        time, seq, wire, origin, arg = heappop(self._queue)
-        self.clock = time
+        pop = now.pop
+        seq = pop()
+        wire = pop()
+        origin = pop()
+        arg = pop()
+        time = self.clock
         if wire is not None:  # a frame; `arg` is its description, if already made
             if not isinstance(wire, Wire):  # an injected frame's bytes
                 wire = Wire(wire)
@@ -691,22 +746,23 @@ class Segment:
                     name = item.name
                     for event in events or _PROCESSED_ONLY:
                         extend((time, name, event, described, data))
-                    if actions.tx_frames:
-                        self._transmit(item, map(Wire.from_frame, actions.tx_frames), time)
+                    if actions.tx_frames:  # each a `Wire`, or typed values to wrap
+                        self._transmit(item, [f if type(f) is Wire else Wire.from_frame(f)
+                                              for f in actions.tx_frames], time)
         else:  # a step: the node `origin` performs `arg`
             step = arg
             # a program's remaining firings keep its seq, so they order among
             # equal times as if every firing had been queued up front
             rest = getattr(step, "count", 1) - 1
             if rest > 0:
-                heappush(self._queue, (time + step.period, seq, None, origin,
-                                       replace(step, count=rest)))
+                self._add(time + step.period, [seq, None, origin, replace(step, count=rest)])
             node = self._by_name[origin]
             self._transmit(node, node.perform(step, time), time)
 
     def run(self, horizon: Optional[int] = None) -> None:
-        queue = self._queue
-        while queue:
-            if horizon is not None and queue[0][0] > horizon:
+        """Run every event up to `horizon`, or every event."""
+        ticks = self._ticks
+        while self._now or ticks:
+            if horizon is not None and (self.clock if self._now else ticks[0]) > horizon:
                 break
             self.step()

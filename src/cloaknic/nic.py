@@ -136,13 +136,14 @@ HostEvent = Union[ArpCacheUpdate, Delivered]
 
 @dataclass(init=False, slots=True)
 class Actions:
-    """Per-call outcome: every input frame lands in exactly one bucket."""
+    """Per-call outcome: every input frame lands in exactly one bucket.
+    A frame to send is its typed values, or a `Wire` built as bytes."""
 
-    tx_frames: List[EthernetFrame]
+    tx_frames: List[Union[EthernetFrame, Wire]]
     host_events: List[HostEvent]
     drops: List[DropRecord]
 
-    def __init__(self, tx_frames: Optional[List[EthernetFrame]] = None,
+    def __init__(self, tx_frames: Optional[List[Union[EthernetFrame, Wire]]] = None,
                  host_events: Optional[List[HostEvent]] = None,
                  drops: Optional[List[DropRecord]] = None):
         self.tx_frames = [] if tx_frames is None else tx_frames

@@ -98,7 +98,7 @@ def test_criterion_4_replay_immunity():
     seg = build_segment(sc)
     server = seg.node("server")
     snapshot = None
-    while seg._queue:
+    while seg.pending:
         seg.step()
         if snapshot is None and len(server.nic.filter) == 1:
             snapshot = dict(server.nic.filter.entries)

@@ -1,17 +1,21 @@
-"""The segment's indexed dispatch is the hub it models.
+"""The segment's indexed dispatch is the hub it models, and its queue the heap.
 
 `HubSegment` below is the literal hub: it offers every frame to every node
 but its origin, in attach order, and logs one ignored entry per node the
-frame passes by. On generated segments with colliding MACs and a
-promiscuous attacker, `Segment` must render the same `--hex` lines and
-metrics, count the same trace lines, and show its taps the same frames,
-both after each step and at the end of the run.
+frame passes by. It queues events on its own heap ordered by (time, seq),
+and a repeated program's next firing keeps its seq. On generated segments
+with colliding MACs and a promiscuous attacker, given frames and repeated
+programs that share ticks, and frames injected at the current tick part-way
+through it, `Segment` must render the same `--hex` lines and metrics, count
+the same trace lines, and show its taps the same frames, both after each
+step and at the end of the run.
 Frames to unknown MACs must not grow its plan cache, a run of nodes a
 frame passes by must be one log entry, and the log must hold each entry's
 fields, never a record object.
 """
 
 import heapq
+from dataclasses import replace
 
 import pytest
 
@@ -38,10 +42,12 @@ from cloaknic.frames import (
     udp_datagram,
 )
 from cloaknic.netsim import (
+    ArpPoison,
     AttackerNode,
     CloakedServerNode,
     FIELDS,
     FrameEvent,
+    MacSpoof,
     PlainHostNode,
     Segment,
     TraceRecord,
@@ -54,11 +60,49 @@ UNKNOWN_MAC = MacAddress.from_str("02:00:00:00:00:99")
 
 
 class HubSegment(Segment):
-    """Offers each frame to every node but its origin, in attach order."""
+    """Offers each frame to every node but its origin, in attach order, and
+    runs events in (time, seq) order from one heap."""
+
+    def __init__(self):
+        super().__init__()
+        # (time, seq, wire, origin, description or None) for a frame, and
+        # (time, seq, None, node, step) for a step
+        self._heap = []
+
+    def inject(self, time, wire, origin, described=None):
+        heapq.heappush(self._heap, (time, self._seq, wire, origin, described))
+        self._seq += 1
+
+    def schedule(self, time, node, step):
+        if step.count > 0:  # the steps drawn here are repeated programs
+            heapq.heappush(self._heap, (time, self._seq, None, node, step))
+            self._seq += 1
+
+    @property
+    def pending(self):
+        return len(self._heap)
+
+    def run(self):
+        while self._heap:
+            self.step()
+
+    def _transmit(self, origin, wires, now):
+        for wire in wires:
+            described = describe_frame(wire)
+            self._log.extend((now, origin.name, FrameEvent.TX, described, wire.data))
+            self.inject(now + 1, wire, origin.name, described)
 
     def step(self):
-        time, _seq, wire, origin, described = heapq.heappop(self._queue)
+        time, seq, wire, origin, described = heapq.heappop(self._heap)
         self.clock = time
+        if wire is None:  # a program's firing; its next keeps its seq
+            program = described
+            if program.count > 1:
+                heapq.heappush(self._heap, (time + program.period, seq, None, origin,
+                                            replace(program, count=program.count - 1)))
+            node = self.node(origin)
+            self._transmit(node, node.perform(program, time), time)
+            return
         if not isinstance(wire, Wire):  # an injected frame's bytes, as `Segment.step` wraps them
             wire = Wire(wire)
         described = described or describe_frame(wire)
@@ -74,7 +118,8 @@ class HubSegment(Segment):
             actions = node.receive(wire, time)
             for event in actions.drops + actions.host_events or [FrameEvent.PROCESSED]:
                 self._log.extend((time, node.name, event, described, wire.data))
-            self._transmit(node, map(Wire.from_frame, actions.tx_frames), time)
+            self._transmit(node, [f if isinstance(f, Wire) else Wire.from_frame(f)
+                                  for f in actions.tx_frames], time)
 
 
 class Tap(AttackerNode):
@@ -110,6 +155,11 @@ def offered_frames(draw, n_nodes):
     """(time, origin, bytes): to broadcast, to a known or an unknown MAC, or too short."""
     time = draw(st.integers(0, 6))
     origin = draw(st.sampled_from([f"n{i}" for i in range(n_nodes)] + ["outside"]))
+    return time, origin, draw(frame_bytes())
+
+
+@st.composite
+def frame_bytes(draw):
     src = draw(st.sampled_from(MACS))
     src_ip = Ipv4Address(bytes([10, 0, 0, draw(st.integers(1, 9))]))
     dst_ip = Ipv4Address(bytes([10, 0, 0, draw(st.integers(1, 9))]))
@@ -117,7 +167,7 @@ def offered_frames(draw, n_nodes):
     kind = draw(st.sampled_from(["arp-request", "arp-reply", "ping", "syn", "udp", "raw",
                                  "short"]))
     if kind == "short":
-        return time, origin, draw(st.binary(max_size=5))
+        return draw(st.binary(max_size=5))
     if kind == "arp-request":
         frame = make_arp(ARP_REQUEST, src, src_ip, MAC_ZERO, dst_ip)
         frame = EthernetFrame(dst, frame.src, frame.ethertype, frame.payload)
@@ -132,7 +182,36 @@ def offered_frames(draw, n_nodes):
         frame = make_ipv4_frame(src, dst, src_ip, dst_ip, PROTO_UDP, udp_datagram(5000, 53))
     else:
         frame = EthernetFrame(dst, src, 0x88B5, b"raw")
-    return time, origin, serialize_frame(frame)
+    return serialize_frame(frame)
+
+
+@st.composite
+def scheduled_programs(draw, n_nodes):
+    """(time, attacker, program): a repeated forged ARP reply or spoofed frame,
+    its firings on the ticks the offered frames use."""
+    time = draw(st.integers(0, 6))
+    victim = f"n{draw(st.integers(0, n_nodes - 1))}"
+    count, period = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        program = ArpPoison(victim, Ipv4Address(bytes([10, 0, 0, draw(st.integers(1, 9))])),
+                            draw(st.sampled_from(MACS)), period=period, count=count)
+    else:
+        program = MacSpoof(victim, count=count, period=period)
+    return time, f"n{n_nodes - 1}", program  # the last node is an attacker
+
+
+def offered_events(n_nodes):
+    """Frames and programs, queued in the order drawn."""
+    return st.lists(st.one_of(offered_frames(n_nodes), scheduled_programs(n_nodes)),
+                    min_size=1, max_size=12)
+
+
+def queue(seg, offers):
+    for time, origin, offer in offers:
+        if isinstance(offer, bytes):
+            seg.inject(time, offer, origin)
+        else:
+            seg.schedule(time, origin, offer)
 
 
 def entries(seg):
@@ -142,18 +221,18 @@ def entries(seg):
 
 
 def outputs(seg, offers):
-    for time, origin, data in offers:
-        seg.inject(time, data, origin)
+    queue(seg, offers)
     seg.run()
     lines = [record.format_line(with_hex=True) for record in seg.trace]
     return lines, seg.metrics.to_text(), len(seg.trace), seg.observed
 
 
-@settings(max_examples=150, deadline=None)
+# half again the loaded profile's examples: 150, or 3,000 under `deep`
+@settings(max_examples=settings.default.max_examples * 3 // 2, deadline=None)
 @given(st.data())
 def test_indexed_dispatch_renders_what_the_hub_renders(data):
     specs = data.draw(node_specs)
-    offers = data.draw(st.lists(offered_frames(len(specs)), min_size=1, max_size=12))
+    offers = data.draw(offered_events(len(specs)))
     indexed = outputs(build(Segment, specs), offers)
     hub = outputs(build(HubSegment, specs), offers)
     assert indexed == hub
@@ -165,22 +244,52 @@ def lines_so_far(seg):
     return lines, len(seg.trace)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 @given(st.data())
 def test_every_step_leaves_the_trace_the_hub_leaves(data):
     specs = data.draw(node_specs)
-    offers = data.draw(st.lists(offered_frames(len(specs)), min_size=1, max_size=12))
+    offers = data.draw(offered_events(len(specs)))
+    # frames injected at the current tick, each after the step it names
+    origins = [f"n{i}" for i in range(len(specs))] + ["outside"]
+    midway = dict(data.draw(st.lists(st.tuples(st.integers(1, 30), st.tuples(
+        st.sampled_from(origins), frame_bytes())), max_size=4)))
     indexed, hub = build(Segment, specs), build(HubSegment, specs)
     for seg in (indexed, hub):
-        for time, origin, frame in offers:
-            seg.inject(time, frame, origin)
-    while hub._queue:
+        queue(seg, offers)
+    steps = 0
+    while hub.pending:
         assert indexed.step() is None
         hub.step()
+        steps += 1
+        assert indexed.clock == hub.clock
+        if steps in midway:
+            origin, frame = midway[steps]
+            for seg in (indexed, hub):
+                seg.inject(seg.clock, frame, origin)
+        assert indexed.pending == hub.pending
         lines, count = lines_so_far(indexed)
         assert (lines, count) == lines_so_far(hub)
         assert count == len(lines)
-    assert not indexed._queue
+    assert not indexed.pending
+    indexed.step()  # a step with nothing queued does nothing
+    assert lines_so_far(indexed) == lines_so_far(hub)
+
+
+def test_an_event_before_the_clock_is_refused():
+    specs = [("plain", MACS[0]), ("attacker", MACS[1])]
+    seg = build(Segment, specs)
+    frame = serialize_frame(EthernetFrame(MACS[0], MACS[1], 0x88B5, b"x"))
+    seg.inject(3, frame, "n1")
+    seg.step()
+    assert seg.clock == 3 and not seg.pending
+    for queue_one in (lambda: seg.inject(2, frame, "n1"),
+                      lambda: seg.schedule(2, "n1", MacSpoof("n0"))):
+        with pytest.raises(ValueError, match="before the clock"):
+            queue_one()
+    assert not seg.pending
+    seg.inject(3, frame, "n1")  # at the clock: it runs next
+    seg.run()
+    assert [r.time for r in seg.trace] == [3, 3]
 
 
 def test_frames_to_unknown_macs_do_not_grow_the_plan_cache():

@@ -34,6 +34,7 @@ from cloaknic.frames import (
     read_header,
     serialize_frame,
     tcp_segment,
+    tcp_wire,
     udp_datagram,
 )
 
@@ -314,6 +315,20 @@ def test_a_built_frames_header_is_the_one_its_bytes_give(frame):
     with no checksum computed; it is the header its bytes are read as."""
     wire = Wire.from_frame(frame)
     assert wire.header == read_header(wire.data)
+
+
+@given(macs, macs, ips, ips, st.integers(0, 0xFFFF), st.integers(0, 0xFFFF),
+       st.integers(0, 0xFF), st.integers(0, 0xFFFF))
+def test_tcp_wire_is_the_typed_tcp_frame(src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port,
+                                         flags, identification):
+    """`tcp_wire` packs the bytes the typed TCP frame serializes to, and
+    carries the header and parse those bytes give."""
+    wire = tcp_wire(src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port, flags, identification)
+    assert wire.data == serialize_frame(make_ipv4_frame(
+        src_mac, dst_mac, src_ip, dst_ip, PROTO_TCP, tcp_segment(src_port, dst_port, flags),
+        identification))
+    assert wire.header == read_header(wire.data)
+    assert wire.frame == parse_frame(wire.data)
 
 
 def golden_wires():

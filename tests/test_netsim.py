@@ -37,6 +37,7 @@ from cloaknic.netsim import (
     Ping,
     PlainHostNode,
     PortScan,
+    QUEUE_SLOTS,
     Segment,
     TraceRecord,
     describe_frame,
@@ -107,8 +108,7 @@ class TestStep:
         seg.inject(0, wire, "mallory")
         seg.step()
         assert seg.metrics.node("server").tx == 1
-        remaining = [e for e in seg._queue]
-        assert len(remaining) == 1  # exactly one ARP reply pending
+        assert seg.pending == 1  # exactly one ARP reply pending
 
     def test_deterministic_trace(self):
         def run_once():
@@ -198,21 +198,24 @@ class TestAttackPrograms:
         sc = parse_scenario(DEMOS["replay"].replace(
             "20 attack mallory knockreplay", "0 attack mallory macspoof server count=200000"))
         seg = build_segment(sc)
-        assert len(seg._queue) == 2  # the client's send and the program's first firing
+        assert seg.pending == 2  # the client's send and the program's first firing
         seg.run(sc.horizon)
         assert seg.metrics.node("mallory").tx == sc.horizon + 1
-        # one queued firing, and the last firing's frame still in flight
-        (firing,) = [entry for entry in seg._queue if entry[2] is None]
-        (frame,) = [entry for entry in seg._queue if entry[2] is not None]
-        assert firing[3:] == ("mallory", MacSpoof("server", count=200000 - sc.horizon - 1))
-        assert isinstance(frame[2], Wire) and frame[3] == "mallory"
+        # the next tick holds the next firing, and then, queued after it but
+        # with a later seq, the last firing's frame still in flight
+        assert seg.pending == 2 and list(seg._queue) == [sc.horizon + 1]
+        queued = seg._queue[sc.horizon + 1]
+        firing, frame = queued[:QUEUE_SLOTS], queued[QUEUE_SLOTS:]
+        assert firing[1:] == [None, "mallory", MacSpoof("server", count=200000 - sc.horizon - 1)]
+        assert isinstance(frame[1], Wire) and frame[2] == "mallory"
+        assert firing[0] < frame[0]
 
     def test_zero_count_fires_nothing(self):
         seg = Segment()
         seg.attach(plain("victim", "10.0.0.3", "aa:00:00:00:00:03"))
         mal = seg.attach(attacker())
         seg.schedule(0, mal.name, MacSpoof("victim", count=0))
-        assert seg._queue == []
+        assert seg.pending == 0
         seg.run()
         assert list(seg.trace) == []
 
@@ -221,7 +224,7 @@ class TestAttackPrograms:
         mal = seg.attach(attacker())
         with pytest.raises(ValueError, match="period"):
             seg.schedule(0, mal.name, MacSpoof("victim", count=10**8, period=0))
-        assert seg._queue == []
+        assert seg.pending == 0
 
     def test_repeated_firings_keep_their_order_at_equal_times(self):
         seg = Segment()
@@ -287,7 +290,7 @@ class TestEndToEnd:
         seg = build_segment(sc)
         server = seg.node("server")
         expiry_after_knock = None
-        while seg._queue:
+        while seg.pending:
             seg.step()
             if expiry_after_knock is None and len(server.nic.filter) == 1:
                 expiry_after_knock = dict(server.nic.filter.entries)

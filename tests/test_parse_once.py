@@ -34,6 +34,7 @@ from cloaknic.frames import (
     make_icmp_echo,
     make_ipv4_frame,
     parse_frame,
+    read_header,
     serialize_frame,
     tcp_segment,
 )
@@ -103,22 +104,23 @@ def test_injected_bytes_are_parsed_once_for_all_receivers(parse_count):
 
 @pytest.mark.parametrize("name", sorted(DEMOS))
 def test_carried_frame_equals_its_parse(name, monkeypatch):
+    """Every frame a node sends carries the header and parse its bytes give,
+    and is described as its bytes are."""
     carried = []
-    inject = Segment.inject
+    transmit = Segment._transmit
 
-    def recording(self, time, wire, origin, described=None):
-        if not isinstance(wire, Wire):  # as `Segment.step` wraps an injected frame's bytes
-            wire = Wire(wire)
-        carried.append((wire, described))
-        inject(self, time, wire, origin, described)
+    def recording(self, origin, wires, now):
+        carried.extend(wires)
+        transmit(self, origin, wires, now)
 
-    monkeypatch.setattr(Segment, "inject", recording)
+    monkeypatch.setattr(Segment, "_transmit", recording)
     run_demo(name)
     assert carried
-    for wire, described in carried:
+    for wire in carried:
         assert isinstance(wire, Wire)
+        assert wire.header == read_header(wire.data)
         assert wire.frame == parse_frame(wire.data)
-        assert described in (None, describe_frame(wire.data))
+        assert describe_frame(wire) == describe_frame(wire.data)
 
 
 CLOAKED = """\
