@@ -1,12 +1,12 @@
 """Byte-exact Ethernet II / ARP / IPv4 / ICMP / TCP-UDP-view codec.
 
 Everything here is a pure function over immutable values: parse, build,
-serialize. The one exception, `Wire`, memoises only a frame's header and
-its parse, which it builds from that header, so a bad frame's error is
-raised from `Wire.header` alone. Big-endian; no FCS or minimum-size
-padding (there is no medium). Unknown ethertypes and IP protocols decode
-to opaque bytes on purpose -- rejecting them is the packet filter's job,
-not the parser's.
+serialize. The one exception, `Wire`, the one value a node transmits and
+receives, memoises only a frame's header and its parse, which it builds
+from that header, so a bad frame's error is raised from `Wire.header`
+alone. Big-endian; no FCS or minimum-size padding (there is no medium).
+Unknown ethertypes and IP protocols decode to opaque bytes on purpose --
+rejecting them is the packet filter's job, not the parser's.
 
 A frame value is its bytes: values hold only the fields the model keeps,
 and checksums are computed by serialize and checked by parse, never stored.
@@ -33,10 +33,12 @@ The codec is on every frame's path, so it keeps to these rules:
   without building the typed parse;
 - the benchmark's tracer wraps `parse_frame`, `serialize_frame`,
   `internet_checksum` and `make_ipv4_frame`, so each is called through its
-  module global and never inlined. A frame built as typed values costs one
-  `make_ipv4_frame` and one `serialize_frame`; one built by `tcp_wire`, as
-  bytes and header at once, costs neither, and every IPv4 frame built costs
-  one `internet_checksum`;
+  module global and never inlined. A TCP frame is built by `tcp_wire`, as
+  bytes and header at once, and costs one `internet_checksum`. Any other
+  frame is built as typed values, serialized by `Wire.from_frame` and read
+  back by `read_header`: an IPv4 one costs one `make_ipv4_frame`, one
+  `serialize_frame` and two `internet_checksum`s, or four with an ICMP
+  message: each checksum is computed once and checked once;
 - a cache is bounded, since attackers choose the addresses, and holds only
   text: an address's dotted quad. No parse is cached by its bytes.
 """
@@ -413,28 +415,25 @@ class Wire:
     its parse built at most once.
 
     `data` is kept as given, and every trace record of the frame holds that
-    one object. `from_frame` keeps the frame it serializes as the parse: the
-    `make_*` builders return frames equal to their own round trip, and the
-    header is taken from that frame, with no checksum computed. A builder
-    that packs the bytes itself (`tcp_wire`) passes the header they are read
-    as. Of a frame given as bytes alone, `header` reads the header and
-    checks it, and `frame` builds the typed values from that header. So
-    `header` is the one place a bad frame's `FrameError` is raised, on every
-    access to either.
+    one object. A builder that packs the bytes itself (`tcp_wire`) passes
+    the header they are read as. Of any other frame, a typed one serialized
+    by `from_frame` as much as one that arrives as bytes, `header` reads the
+    header from the bytes and checks it, and `frame` builds the typed values
+    from that header. So `header` is the one place a bad frame's
+    `FrameError` is raised, on every access to either.
     """
 
     __slots__ = ("data", "_parsed", "_header")
 
-    def __init__(self, data: bytes, parsed: Optional[EthernetFrame] = None,
-                 header: Optional[Header] = None):
+    def __init__(self, data: bytes, header: Optional[Header] = None):
         self.data = data
         # the parse; or, of bytes that are not a frame, the error they raise
-        self._parsed: Union[EthernetFrame, FrameError, None] = parsed
+        self._parsed: Union[EthernetFrame, FrameError, None] = None
         self._header = header
 
     @classmethod
     def from_frame(cls, frame: EthernetFrame) -> "Wire":
-        return cls(serialize_frame(frame), frame)
+        return cls(serialize_frame(frame))
 
     @property
     def frame(self) -> EthernetFrame:
@@ -451,31 +450,14 @@ class Wire:
         header = self._header
         if header is not None:
             return header
-        parsed = self._parsed
-        if type(parsed) is EthernetFrame:
-            # what `read_header` reads from these bytes, taken from the frame's
-            # values (built by a node, or already parsed): an `Ipv4Packet`
-            # gives an `Ipv4Header`, and any other payload is its own header
-            pkt = self._header = parsed.payload
-            if type(pkt) is not Ipv4Packet:
-                return pkt
-            src, dst, protocol, body, ttl, ident = pkt
-            if type(body) is IcmpMessage:
-                icmp = body.payload
-                header = (src, dst, protocol, ICMP_DATA_AT + len(icmp), ttl, ident, icmp, None)
-            else:
-                size = len(body)
-                header = (src, dst, protocol, IPV4_BODY_AT + size, ttl, ident, None,
-                          _transport_view(protocol, body, 0, size))
-            header = self._header = _tuple_new(Ipv4Header, header)
-            return header
-        if parsed is None:
+        error = self._parsed
+        if error is None:
             try:
                 header = self._header = read_header(self.data)
                 return header
             except FrameError as exc:
-                parsed = self._parsed = exc
-        raise parsed.with_traceback(None)
+                error = self._parsed = exc
+        raise error.with_traceback(None)
 
 
 def make_arp(
@@ -534,8 +516,8 @@ def tcp_wire(src_mac: MacAddress, dst_mac: MacAddress,
                               0x45, 0, total, identification, 0, DEFAULT_TTL, PROTO_TCP, checksum,
                               src, dst, src_port, dst_port, 0, 0, 5 << 4, flags, 0xFFFF, 0, 0)
     view = _tuple_new(TransportView, (src_port, dst_port, "tcp", flags & TCP_FLAG_SYN != 0))
-    return Wire(data, None, _tuple_new(Ipv4Header, (src_ip, dst_ip, PROTO_TCP, IPV4_BODY_AT + 20,
-                                                    DEFAULT_TTL, identification, None, view)))
+    return Wire(data, _tuple_new(Ipv4Header, (src_ip, dst_ip, PROTO_TCP, IPV4_BODY_AT + 20,
+                                              DEFAULT_TTL, identification, None, view)))
 
 
 def make_icmp_echo(src_mac: MacAddress, dst_mac: MacAddress,

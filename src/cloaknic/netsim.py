@@ -55,8 +55,10 @@ these rules:
 - a frame is described, and a tap finds a knock, from its checked header
   (`Wire.header`) and fixed offsets of its bytes, so a frame that arrives
   as bytes is parsed only by a node that needs its values (the plain host);
-- a TCP frame whose typed values no one reads (a scan's probe, the plain
-  host's answer) is built as bytes and header at once (`frames.tcp_wire`);
+- every frame a node sends is a `Wire`: a TCP one (a client's SYN, a
+  scan's probe, the plain host's answer) is built as bytes and header at
+  once (`frames.tcp_wire`), and any other is serialized from its typed
+  values and read, like an arriving frame, from its bytes;
 - queueing an event is an append to its tick's list, or a bisection for a
   repeated firing, so its cost does not grow with the events in flight, and
   a queued event is its slots, with no tuple of its own;
@@ -89,7 +91,6 @@ from .frames import (
     ICMP_ECHO_REQUEST,
     MAC_BROADCAST,
     MAC_ZERO,
-    PROTO_TCP,
     PROTO_UDP,
     TCP_FLAG_ACK,
     TCP_FLAG_RST,
@@ -447,19 +448,19 @@ class ClientNode(CloakedServerNode):
     def perform(self, step: Union[Send, Ping], now: int) -> List[Wire]:
         dst = self.lookup(step.dst)
         if isinstance(step, Ping):
-            frame = frames.make_icmp_echo(self.mac, dst.mac, self.ip, dst.ip, b"ping")
+            wire = Wire.from_frame(frames.make_icmp_echo(self.mac, dst.mac, self.ip, dst.ip,
+                                                         b"ping"))
         else:
-            if step.proto == "tcp":
-                payload = frames.tcp_segment(step.src_port, step.dst_port, TCP_FLAG_SYN)
-                proto_num = PROTO_TCP
-            else:
-                payload = frames.udp_datagram(step.src_port, step.dst_port)
-                proto_num = PROTO_UDP
-            self._ident = (self._ident + 1) & 0xFFFF
+            self._ident = ident = (self._ident + 1) & 0xFFFF
             # dst MAC left zero: the NIC resolves it from its table, or parks the frame and asks ARP
-            frame = frames.make_ipv4_frame(self.mac, MAC_ZERO, self.ip, dst.ip, proto_num,
-                                           payload, identification=self._ident)
-        return [Wire.from_frame(f) for f in self.nic.on_host_transmit(frame, now).tx_frames]
+            if step.proto == "tcp":
+                wire = frames.tcp_wire(self.mac, MAC_ZERO, self.ip, dst.ip, step.src_port,
+                                       step.dst_port, TCP_FLAG_SYN, ident)
+            else:
+                wire = Wire.from_frame(frames.make_ipv4_frame(
+                    self.mac, MAC_ZERO, self.ip, dst.ip, PROTO_UDP,
+                    frames.udp_datagram(step.src_port, step.dst_port), ident))
+        return self.nic.on_host_transmit(wire, now).tx_frames
 
 
 class PlainHostNode(Node):
@@ -486,8 +487,8 @@ class PlainHostNode(Node):
             return self._receive_ipv4(actions, frame, p, wire.header.view)
         if kind is ArpPacket:
             if p.operation == ARP_REQUEST and p.target_ip == self.ip:
-                actions.tx_frames.append(frames.make_arp(
-                    ARP_REPLY, self.mac, self.ip, p.sender_mac, p.sender_ip))
+                actions.tx_frames.append(Wire.from_frame(frames.make_arp(
+                    ARP_REPLY, self.mac, self.ip, p.sender_mac, p.sender_ip)))
             elif p.operation == ARP_REPLY:
                 # no request/reply matching: the classic poisonable cache
                 self.arp_cache[p.sender_ip] = p.sender_mac
@@ -503,9 +504,9 @@ class PlainHostNode(Node):
         icmp = p.payload
         if type(icmp) is IcmpMessage:
             if icmp.icmp_type == ICMP_ECHO_REQUEST:
-                actions.tx_frames.append(frames.make_icmp_echo(
+                actions.tx_frames.append(Wire.from_frame(frames.make_icmp_echo(
                     self.mac, frame.src, self.ip, p.src, icmp.payload,
-                    icmp.identifier, icmp.sequence, reply=True))
+                    icmp.identifier, icmp.sequence, reply=True)))
                 actions.host_events.append(_PLAIN_DELIVERED)
             else:
                 actions.drop(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_TRANSPORT, "icmp-other")
@@ -670,11 +671,9 @@ class Segment:
             at = QUEUE_SLOTS * bisect(queued[::QUEUE_SLOTS], slots[0])
             queued[at:at] = slots
 
-    def inject(self, time: int, wire: Union[Wire, bytes], origin: str,
-               described: Optional[str] = None) -> None:
-        """Queue a frame as given, a `Wire` or its bytes; `described` is its
-        description, if already made."""
-        self._add(time, [self._seq, wire, origin, described])
+    def inject(self, time: int, wire: Union[Wire, bytes], origin: str) -> None:
+        """Queue a frame as given, a `Wire` or its bytes."""
+        self._add(time, [self._seq, wire, origin, None])
         self._seq += 1
 
     def schedule(self, time: int, node: str, step: Step) -> None:
@@ -746,9 +745,8 @@ class Segment:
                     name = item.name
                     for event in events or _PROCESSED_ONLY:
                         extend((time, name, event, described, data))
-                    if actions.tx_frames:  # each a `Wire`, or typed values to wrap
-                        self._transmit(item, [f if type(f) is Wire else Wire.from_frame(f)
-                                              for f in actions.tx_frames], time)
+                    if actions.tx_frames:
+                        self._transmit(item, actions.tx_frames, time)
         else:  # a step: the node `origin` performs `arg`
             step = arg
             # a program's remaining firings keep its seq, so they order among

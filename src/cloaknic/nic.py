@@ -31,9 +31,12 @@ filter reads a few fields at fixed offsets: every frame is judged from its
 checked header (`Wire.header`), an IPv4 frame with the knock magic, ports
 and payload at fixed offsets of its bytes, and an admitted knock takes the
 sender's MAC from those bytes, so the NIC never builds the typed parse.
-Headers are dispatched on `type(x) is`, a drop is one shared record, and
-`Actions` is a slotted value. `open_knock` and `on_wire_receive` stay
-separate calls, as the benchmark's tracer wraps both.
+A host's frame, an IPv4 `Wire` from the NIC's MAC, is read the same way,
+and every frame the NIC sends or parks is a `Wire`: one it resolves keeps
+its header, which holds no MAC, behind the resolved MAC. Headers are
+dispatched on `type(x) is`, a drop is one shared record, and `Actions` is
+a slotted value. `open_knock` and `on_wire_receive` stay separate calls,
+as the benchmark's tracer wraps both.
 
 One instance is a single-threaded state machine; all cross-NIC traffic
 goes through the simulator.
@@ -54,10 +57,8 @@ from .frames import (
     ARP_REQUEST,
     MAC_ZERO,
     ArpPacket,
-    EthernetFrame,
     Ipv4Address,
     Ipv4Header,
-    Ipv4Packet,
     MacAddress,
     Wire,
 )
@@ -137,13 +138,13 @@ HostEvent = Union[ArpCacheUpdate, Delivered]
 @dataclass(init=False, slots=True)
 class Actions:
     """Per-call outcome: every input frame lands in exactly one bucket.
-    A frame to send is its typed values, or a `Wire` built as bytes."""
+    A frame to send is a `Wire`, its bytes and header."""
 
-    tx_frames: List[Union[EthernetFrame, Wire]]
+    tx_frames: List[Wire]
     host_events: List[HostEvent]
     drops: List[DropRecord]
 
-    def __init__(self, tx_frames: Optional[List[Union[EthernetFrame, Wire]]] = None,
+    def __init__(self, tx_frames: Optional[List[Wire]] = None,
                  host_events: Optional[List[HostEvent]] = None,
                  drops: Optional[List[DropRecord]] = None):
         self.tx_frames = [] if tx_frames is None else tx_frames
@@ -263,8 +264,7 @@ class CloakingNic:
         # client side: target ip -> its (last live tick, frame) awaiting an ARP
         # reply, oldest first. Frames park at non-decreasing ticks for one
         # lifetime, so the IPs are in the order of their newest frame's expiry.
-        self._pending_arp: OrderedDict[Ipv4Address, Deque[Tuple[int, EthernetFrame]]] = \
-            OrderedDict()
+        self._pending_arp: OrderedDict[Ipv4Address, Deque[Tuple[int, Wire]]] = OrderedDict()
         self.resolver = ResolverTable()  # client side
         self._nonce_counter = 0
 
@@ -275,7 +275,7 @@ class CloakingNic:
         self._nonce_counter += 1
         return nonce
 
-    def _park(self, now: int, ip: Ipv4Address, frame: EthernetFrame) -> None:
+    def _park(self, now: int, ip: Ipv4Address, frame: Wire) -> None:
         """Forget the IPs whose every frame has expired and the expired frames
         of `ip`, then park `frame` until an ARP reply from `ip` releases it."""
         pending = self._pending_arp
@@ -287,53 +287,53 @@ class CloakingNic:
         parked.append((now + ARP_TIMEOUT_TICKS, frame))
         pending[ip] = parked
 
-    def _unpark(self, now: int, ip: Ipv4Address) -> List[EthernetFrame]:
+    def _unpark(self, now: int, ip: Ipv4Address) -> List[Wire]:
         """Take the frames parked for `ip`, releasing those still live."""
         parked = self._pending_arp.pop(ip, ())
         return [frame for expires, frame in parked if now <= expires]
 
     def _knock_frame(self, peer_ip: Ipv4Address, dst_mac: MacAddress,
-                     local_port: int, now: int) -> EthernetFrame:
+                     local_port: int, now: int) -> Wire:
         key = self.config.role_keys.get(peer_ip)
         if key is None:
             raise UnknownPeerKey(f"no shared key configured for {peer_ip}")
         fields = KnockFields(self.ip, local_port, now)
         payload = seal_knock(key, self._next_nonce(), fields)
-        return frames.make_icmp_echo(self.mac, dst_mac, self.ip, peer_ip, payload)
+        return Wire.from_frame(frames.make_icmp_echo(self.mac, dst_mac, self.ip, peer_ip, payload))
 
-    def _emit_with_knock(self, actions: Actions, frame: EthernetFrame,
-                         pkt: Ipv4Packet, now: int) -> None:
+    def _emit_with_knock(self, actions: Actions, wire: Wire, now: int) -> None:
         """Prefix the frame with a knock if the peer is protected and unknocked."""
-        view = pkt.transport_view()
-        if view is not None and pkt.dst in self.config.protected_peers:
-            state_key = (view.src_port, pkt.dst)
+        header = wire.header
+        view, dst = header.view, header.dst
+        if view is not None and dst in self.config.protected_peers:
+            state_key = (view.src_port, dst)
             if now > self._knocked.get(state_key, -1):
-                actions.tx_frames.append(
-                    self._knock_frame(pkt.dst, frame.dst, view.src_port, now))
+                actions.tx_frames.append(self._knock_frame(
+                    dst, MacAddress(wire.data[:6]), view.src_port, now))
                 self._knocked.drop_expired(now)
                 self._knocked.put(state_key, now + FILTER_TTL_SECONDS)
-        actions.tx_frames.append(frame)
+        actions.tx_frames.append(wire)
 
     # -- host-facing operations --------------------------------------------
 
-    def on_host_transmit(self, frame: EthernetFrame, now: int) -> Actions:
-        if frame.src != self.mac:
-            raise NicError("host frame source MAC must match the NIC MAC")
+    def on_host_transmit(self, wire: Wire, now: int) -> Actions:
+        """Send one host frame, an IPv4 frame from the NIC's MAC; a
+        destination MAC left zero is resolved here."""
+        data, header = wire.data, wire.header
+        if data[6:12] != self.mac.octets or type(header) is not Ipv4Header:
+            raise NicError("host frames must be IPv4 from the NIC MAC")
         actions = Actions()
-        pkt = frame.payload
-        if type(pkt) is not Ipv4Packet:
-            actions.tx_frames.append(frame)
-            return actions
-        if frame.dst == MAC_ZERO:
-            mac = self.resolver.lookup(pkt.dst, now)
+        if data[:6] == MAC_ZERO.octets:
+            mac = self.resolver.lookup(header.dst, now)
             if mac is None:
                 # MAC unresolved: park the frame and resolve
-                self._park(now, pkt.dst, frame)
-                actions.tx_frames.append(frames.make_arp(
-                    ARP_REQUEST, self.mac, self.ip, MAC_ZERO, pkt.dst))
+                self._park(now, header.dst, wire)
+                actions.tx_frames.append(Wire.from_frame(frames.make_arp(
+                    ARP_REQUEST, self.mac, self.ip, MAC_ZERO, header.dst)))
                 return actions
-            frame = EthernetFrame(mac, frame.src, frame.ethertype, pkt)
-        self._emit_with_knock(actions, frame, pkt, now)
+            # an `Ipv4Header` holds no MAC, so the header is the resolved frame's
+            wire = Wire(mac.octets + data[6:], header)
+        self._emit_with_knock(actions, wire, now)
         return actions
 
     # -- wire-facing operations --------------------------------------------
@@ -358,8 +358,8 @@ class CloakingNic:
     def _receive_arp(self, actions: Actions, arp: ArpPacket, now: int) -> Actions:
         # stateless: a request for our IP is answered from the NIC's own addresses
         if arp.operation == ARP_REQUEST and arp.target_ip == self.ip:
-            actions.tx_frames.append(frames.make_arp(
-                ARP_REPLY, self.mac, self.ip, arp.sender_mac, arp.sender_ip))
+            actions.tx_frames.append(Wire.from_frame(frames.make_arp(
+                ARP_REPLY, self.mac, self.ip, arp.sender_mac, arp.sender_ip)))
             return actions
         # Replies never reach the host ARP cache. A reply answering our own
         # outstanding request does complete parked transmissions (the NIC is
@@ -369,10 +369,9 @@ class CloakingNic:
         if parked:
             self.resolver.learn(arp.sender_ip, arp.sender_mac, now)
             actions.drop(DropReason.UNSOLICITED_ARP_REPLY, 1, "consumed by resolver")
-            for frame in parked:
-                resolved = EthernetFrame(arp.sender_mac, frame.src, frame.ethertype, frame.payload)
-                assert isinstance(resolved.payload, Ipv4Packet)
-                self._emit_with_knock(actions, resolved, resolved.payload, now)
+            mac = arp.sender_mac.octets
+            for wire in parked:
+                self._emit_with_knock(actions, Wire(mac + wire.data[6:], wire.header), now)
             return actions
         if arp.operation == ARP_REQUEST:
             return actions.drop(DropReason.NO_FILTER_MATCH, 1, "arp-other-ip")

@@ -65,12 +65,12 @@ class HubSegment(Segment):
 
     def __init__(self):
         super().__init__()
-        # (time, seq, wire, origin, description or None) for a frame, and
+        # (time, seq, wire, origin, None) for a frame, and
         # (time, seq, None, node, step) for a step
         self._heap = []
 
-    def inject(self, time, wire, origin, described=None):
-        heapq.heappush(self._heap, (time, self._seq, wire, origin, described))
+    def inject(self, time, wire, origin):
+        heapq.heappush(self._heap, (time, self._seq, wire, origin, None))
         self._seq += 1
 
     def schedule(self, time, node, step):
@@ -88,15 +88,13 @@ class HubSegment(Segment):
 
     def _transmit(self, origin, wires, now):
         for wire in wires:
-            described = describe_frame(wire)
-            self._log.extend((now, origin.name, FrameEvent.TX, described, wire.data))
-            self.inject(now + 1, wire, origin.name, described)
+            self._log.extend((now, origin.name, FrameEvent.TX, describe_frame(wire), wire.data))
+            self.inject(now + 1, wire, origin.name)
 
     def step(self):
-        time, seq, wire, origin, described = heapq.heappop(self._heap)
+        time, seq, wire, origin, program = heapq.heappop(self._heap)
         self.clock = time
         if wire is None:  # a program's firing; its next keeps its seq
-            program = described
             if program.count > 1:
                 heapq.heappush(self._heap, (time + program.period, seq, None, origin,
                                             replace(program, count=program.count - 1)))
@@ -105,7 +103,7 @@ class HubSegment(Segment):
             return
         if not isinstance(wire, Wire):  # an injected frame's bytes, as `Segment.step` wraps them
             wire = Wire(wire)
-        described = described or describe_frame(wire)
+        described = describe_frame(wire)
         dst = wire.data[:6] if len(wire.data) >= 6 else None
         for node in self.nodes:
             if node.name == origin:
@@ -118,8 +116,7 @@ class HubSegment(Segment):
             actions = node.receive(wire, time)
             for event in actions.drops + actions.host_events or [FrameEvent.PROCESSED]:
                 self._log.extend((time, node.name, event, described, wire.data))
-            self._transmit(node, [f if isinstance(f, Wire) else Wire.from_frame(f)
-                                  for f in actions.tx_frames], time)
+            self._transmit(node, actions.tx_frames, time)
 
 
 class Tap(AttackerNode):

@@ -309,14 +309,6 @@ def test_header_reader_accepts_what_the_parse_accepts(wire):
     assert read_first.frame == frame
 
 
-@given(any_frame)
-def test_a_built_frames_header_is_the_one_its_bytes_give(frame):
-    """`Wire.from_frame` takes the header from the frame it was built from,
-    with no checksum computed; it is the header its bytes are read as."""
-    wire = Wire.from_frame(frame)
-    assert wire.header == read_header(wire.data)
-
-
 @given(macs, macs, ips, ips, st.integers(0, 0xFFFF), st.integers(0, 0xFFFF),
        st.integers(0, 0xFF), st.integers(0, 0xFFFF))
 def test_tcp_wire_is_the_typed_tcp_frame(src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port,

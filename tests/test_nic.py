@@ -13,6 +13,7 @@ from cloaknic.frames import (
     Ipv4Address,
     Ipv4Packet,
     MacAddress,
+    Wire,
     internet_checksum,
     make_arp,
     make_icmp_echo,
@@ -191,12 +192,12 @@ class TestArpProcessing:
         wire = serialize_frame(make_arp(ARP_REQUEST, CLIENT_MAC, CLIENT_IP, MAC_ZERO, SERVER_IP))
         actions = nic.on_wire_receive(wire, now=0)
         assert len(actions.tx_frames) == 1
-        reply = actions.tx_frames[0].payload
+        reply = actions.tx_frames[0].frame.payload
         assert isinstance(reply, ArpPacket)
         assert reply.operation == ARP_REPLY
         assert reply.sender_mac == SERVER_MAC
         assert reply.sender_ip == SERVER_IP
-        assert actions.tx_frames[0].dst == CLIENT_MAC  # unicast
+        assert actions.tx_frames[0].frame.dst == CLIENT_MAC  # unicast
         assert actions.host_events == [] and actions.drops == []
 
     def test_request_for_other_ip_silently_dropped(self):
@@ -228,7 +229,9 @@ class TestArpProcessing:
         request = serialize_frame(make_arp(ARP_REQUEST, CLIENT_MAC, CLIENT_IP, MAC_ZERO, SERVER_IP))
         first = nic.on_wire_receive(request, now=0)
         assert first.tx_frames
-        assert nic.on_wire_receive(request, now=1) == first
+        second = nic.on_wire_receive(request, now=1)
+        assert [w.data for w in second.tx_frames] == [w.data for w in first.tx_frames]
+        assert (second.host_events, second.drops) == (first.host_events, first.drops)
         reply = serialize_frame(make_arp(ARP_REPLY, CLIENT_MAC, CLIENT_IP, SERVER_MAC, SERVER_IP))
         assert nic.on_wire_receive(reply, now=2).tx_frames == []
 
@@ -388,19 +391,19 @@ class TestCloakingSweep:
 
 class TestHostTransmit:
     def syn_frame(self, nic, dst_mac=SERVER_MAC, dst_ip=SERVER_IP, src_port=40000):
-        return make_ipv4_frame(nic.mac, dst_mac, nic.ip, dst_ip, PROTO_TCP,
-                               tcp_segment(src_port, 22))
+        return Wire.from_frame(make_ipv4_frame(nic.mac, dst_mac, nic.ip, dst_ip, PROTO_TCP,
+                                               tcp_segment(src_port, 22)))
 
     def test_knock_precedes_first_transport_frame(self):
         nic = client_nic()
         actions = nic.on_host_transmit(self.syn_frame(nic), now=5)
         assert len(actions.tx_frames) == 2
         knock, syn = actions.tx_frames
-        pkt = knock.payload
+        pkt = knock.frame.payload
         assert isinstance(pkt, Ipv4Packet) and isinstance(pkt.payload, IcmpMessage)
         assert pkt.payload.payload[:4] == b"KNCK"
         assert len(pkt.payload.payload) == 46
-        assert syn.payload.transport_view().is_syn
+        assert syn.frame.payload.transport_view().is_syn
 
     def test_second_segment_has_no_knock(self):
         nic = client_nic()
@@ -417,10 +420,10 @@ class TestHostTransmit:
     def test_unprotected_peer_passthrough(self):
         nic = client_nic()
         other_ip = Ipv4Address.from_str("10.0.0.7")
-        frame = make_ipv4_frame(nic.mac, ATTACKER_MAC, nic.ip, other_ip,
-                                PROTO_TCP, tcp_segment(1, 2))
-        actions = nic.on_host_transmit(frame, now=0)
-        assert actions.tx_frames == [frame]
+        wire = Wire.from_frame(make_ipv4_frame(nic.mac, ATTACKER_MAC, nic.ip, other_ip,
+                                               PROTO_TCP, tcp_segment(1, 2)))
+        actions = nic.on_host_transmit(wire, now=0)
+        assert actions.tx_frames == [wire]  # the host's frame itself
 
     def test_unknown_peer_key(self):
         cfg = NicConfig(mac=CLIENT_MAC, ip=CLIENT_IP, protected_peers={SERVER_IP})
@@ -429,30 +432,32 @@ class TestHostTransmit:
             nic.on_host_transmit(self.syn_frame(nic), now=0)
 
     def test_wrong_source_mac_rejected(self):
+        # the host sends only IPv4 frames from the NIC's MAC: not another MAC's, and not ARP
         nic = client_nic()
-        frame = make_ipv4_frame(ATTACKER_MAC, SERVER_MAC, nic.ip, SERVER_IP,
-                                PROTO_TCP, tcp_segment(1, 2))
-        with pytest.raises(NicError):
-            nic.on_host_transmit(frame, now=0)
+        for frame in (make_ipv4_frame(ATTACKER_MAC, SERVER_MAC, nic.ip, SERVER_IP,
+                                      PROTO_TCP, tcp_segment(1, 2)),
+                      make_arp(ARP_REQUEST, nic.mac, nic.ip, MAC_ZERO, SERVER_IP)):
+            with pytest.raises(NicError):
+                nic.on_host_transmit(Wire.from_frame(frame), now=0)
 
     def test_unresolved_mac_triggers_arp_then_knock(self):
         nic = client_nic()
         actions = nic.on_host_transmit(self.syn_frame(nic, dst_mac=MAC_ZERO), now=5)
         assert len(actions.tx_frames) == 1
-        assert isinstance(actions.tx_frames[0].payload, ArpPacket)
+        assert isinstance(actions.tx_frames[0].frame.payload, ArpPacket)
         reply = serialize_frame(make_arp(ARP_REPLY, SERVER_MAC, SERVER_IP,
                                          CLIENT_MAC, CLIENT_IP))
         actions = nic.on_wire_receive(reply, now=7)
         assert actions.host_events == []  # wire ARP never reaches the host
-        kinds = [type(f.payload).__name__ for f in actions.tx_frames]
-        assert len(actions.tx_frames) == 2  # knock then SYN, now resolved
-        assert all(f.dst == SERVER_MAC for f in actions.tx_frames)
+        kinds = [type(f.frame.payload.payload).__name__ for f in actions.tx_frames]
+        assert kinds == ["IcmpMessage", "bytes"]  # knock then SYN, now resolved
+        assert all(f.frame.dst == SERVER_MAC for f in actions.tx_frames)
 
 
 def send_unresolved(nic: CloakingNic, now: int, port: int = 40000):
     """The frames the client NIC sends for a SYN to the server whose MAC the host left zero."""
-    return nic.on_host_transmit(make_ipv4_frame(CLIENT_MAC, MAC_ZERO, CLIENT_IP, SERVER_IP,
-                                                PROTO_TCP, tcp_segment(port, 22)), now).tx_frames
+    return nic.on_host_transmit(Wire.from_frame(make_ipv4_frame(
+        CLIENT_MAC, MAC_ZERO, CLIENT_IP, SERVER_IP, PROTO_TCP, tcp_segment(port, 22))), now).tx_frames
 
 
 def arp_reply_to_client(sender_ip: Ipv4Address, sender_mac: MacAddress) -> bytes:
@@ -460,7 +465,7 @@ def arp_reply_to_client(sender_ip: Ipv4Address, sender_mac: MacAddress) -> bytes
 
 
 def is_arp_request_for_server(tx) -> bool:
-    arp = tx[0].payload if len(tx) == 1 else None
+    arp = tx[0].frame.payload if len(tx) == 1 else None
     return isinstance(arp, ArpPacket) and (arp.operation, arp.target_ip) == (ARP_REQUEST, SERVER_IP)
 
 
@@ -483,7 +488,7 @@ class TestResolverTable:
         assert is_arp_request_for_server(send_unresolved(nic, now=0))
         actions = nic.on_wire_receive(arp_reply_to_client(SERVER_IP, SERVER_MAC), now=2)
         assert actions.drops == [CONSUMED]
-        assert [f.dst for f in actions.tx_frames] == [SERVER_MAC, SERVER_MAC]  # knock, SYN
+        assert [f.frame.dst for f in actions.tx_frames] == [SERVER_MAC, SERVER_MAC]  # knock, SYN
         assert dict(nic.resolver.entries) == {SERVER_IP: (2 + FILTER_TTL_SECONDS, SERVER_MAC)}
         return nic
 
@@ -502,7 +507,7 @@ class TestResolverTable:
             actions = nic.on_wire_receive(arp_reply_to_client(forged_ip, ATTACKER_MAC), now=3)
             assert actions == Actions(drops=[UNSOLICITED])
         assert dict(nic.resolver.entries) == entries
-        assert [f.dst for f in send_unresolved(nic, now=4)] == [SERVER_MAC]
+        assert [f.frame.dst for f in send_unresolved(nic, now=4)] == [SERVER_MAC]
 
     def test_reply_after_the_parked_frames_expired_never_writes(self):
         nic = client_nic()
@@ -517,7 +522,7 @@ class TestResolverTable:
         # a duplicate reply a tick later answers nothing, so it does not extend the entry
         nic.on_wire_receive(arp_reply_to_client(SERVER_IP, SERVER_MAC), now=3)
         last_live = 2 + FILTER_TTL_SECONDS
-        assert [f.dst for f in send_unresolved(nic, now=last_live)] == [SERVER_MAC]
+        assert [f.frame.dst for f in send_unresolved(nic, now=last_live)] == [SERVER_MAC]
         assert is_arp_request_for_server(send_unresolved(nic, now=last_live + 1))
         assert SERVER_IP in nic._pending_arp
 
@@ -526,11 +531,11 @@ class TestResolverTable:
         # a later reply claiming the server's IP changes nothing
         nic.on_wire_receive(arp_reply_to_client(SERVER_IP, ATTACKER_MAC), now=10)
         syn, = send_unresolved(nic, now=30)  # the port's knock is still live
-        assert syn.dst == SERVER_MAC and syn.payload.transport_view().is_syn
+        assert syn.frame.dst == SERVER_MAC and syn.frame.payload.transport_view().is_syn
         knock, syn = send_unresolved(nic, now=31, port=40001)
-        assert (knock.dst, syn.dst) == (SERVER_MAC, SERVER_MAC)
+        assert (knock.frame.dst, syn.frame.dst) == (SERVER_MAC, SERVER_MAC)
         # with no ARP round trip, the knock is sealed at the send tick
-        sealed = open_knock(KEY, knock.payload.payload.payload, 31, ReplayCache())
+        sealed = open_knock(KEY, knock.frame.payload.payload.payload, 31, ReplayCache())
         assert sealed == KnockFields(CLIENT_IP, 40001, 31)
         assert not nic._pending_arp
 
@@ -578,8 +583,8 @@ class TestExpiryOnWrite:
     def test_client_knock_map_drops_expired(self):
         nic = client_nic()
         for port, now in ((40000, 0), (40001, 60), (40002, 61)):
-            nic.on_host_transmit(make_ipv4_frame(nic.mac, SERVER_MAC, nic.ip, SERVER_IP,
-                                                 PROTO_TCP, tcp_segment(port, 22)), now)
+            nic.on_host_transmit(Wire.from_frame(make_ipv4_frame(
+                nic.mac, SERVER_MAC, nic.ip, SERVER_IP, PROTO_TCP, tcp_segment(port, 22))), now)
         assert dict(nic._knocked) == {(40001, SERVER_IP): 120, (40002, SERVER_IP): 121}
 
 

@@ -22,11 +22,11 @@ from cloaknic.frames import (
     PROTO_TCP,
     PROTO_UDP,
     ArpPacket,
-    EthernetFrame,
     FrameError,
     Ipv4Address,
     Ipv4Packet,
     MacAddress,
+    Wire,
     internet_checksum,
     make_arp,
     make_icmp_echo,
@@ -120,8 +120,7 @@ def test_a_burst_of_sends_in_one_tick_parks_in_linear_time():
     nic = CloakingNic(NicConfig(mac=client_mac, ip=client_ip))
 
     def send(dst_ip, now):
-        nic.on_host_transmit(make_ipv4_frame(client_mac, MAC_ZERO, client_ip, dst_ip,
-                                             PROTO_UDP, udp_datagram(5000, 53)), now)
+        nic.on_host_transmit(udp_to(dst_ip), now)
 
     send(STRANGER_IP, now=0)
     start = time.perf_counter()
@@ -136,7 +135,7 @@ def test_a_burst_of_sends_in_one_tick_parks_in_linear_time():
     # at tick 3 the burst is live until its last tick, the stranger's frame is not
     assert reply(STRANGER_IP, STRANGER_MAC, now=3).tx_frames == []
     released = reply(SERVER_IP, SERVER_MAC, now=3).tx_frames
-    assert len(released) == 10_000 and {f.dst for f in released} == {SERVER_MAC}
+    assert len(released) == 10_000 and {f.data[:6] for f in released} == {SERVER_MAC.octets}
     assert len(nic._pending_arp) == 0
 
 
@@ -148,8 +147,7 @@ def test_replies_with_frames_parked_cost_only_the_frames_they_release():
     nic = CloakingNic(NicConfig(mac=client_mac, ip=client_ip))
     n = 5_000
     for _ in range(n):
-        nic.on_host_transmit(make_ipv4_frame(client_mac, MAC_ZERO, client_ip, SERVER_IP,
-                                             PROTO_UDP, udp_datagram(5000, 53)), 1)
+        nic.on_host_transmit(udp_to(SERVER_IP), 1)
 
     def reply(ip, mac):
         return serialize_frame(make_arp(ARP_REPLY, mac, ip, client_mac, client_ip))
@@ -162,7 +160,7 @@ def test_replies_with_frames_parked_cost_only_the_frames_they_release():
     assert time.perf_counter() - start < 1.0
     assert parked_frames(nic) == n
     released = nic.on_wire_receive(reply(SERVER_IP, SERVER_MAC), 3).tx_frames
-    assert len(released) == n and {f.dst for f in released} == {SERVER_MAC}
+    assert len(released) == n and {f.data[:6] for f in released} == {SERVER_MAC.octets}
     assert parked_frames(nic) == 0
 
 
@@ -204,7 +202,7 @@ class NicMachine(RuleBasedStateMachine):
         actions = self.nic.on_wire_receive(wire, self.now)
         assert len(actions.tx_frames) + len(actions.host_events) + len(actions.drops) == 1
         for frame in actions.tx_frames:
-            arp = frame.payload
+            arp = frame.header  # an ARP frame's header is its packet
             assert isinstance(arp, ArpPacket)
             assert (arp.operation, arp.sender_ip) == (ARP_REPLY, SERVER_IP)
         return actions
@@ -318,8 +316,9 @@ class NicMachine(RuleBasedStateMachine):
         assert len(self.nic.filter) <= FILTER_TABLE_CAP
 
 
+# three fifths of the loaded profile's examples: 60, or 1,200 under `deep`
 NicMachine.TestCase.settings = settings(
-    max_examples=60, stateful_step_count=30, deadline=None,
+    max_examples=settings.default.max_examples * 3 // 5, stateful_step_count=30, deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
 TestNicMachine = NicMachine.TestCase
 
@@ -331,10 +330,11 @@ CONSUMED = DropRecord(DropReason.UNSOLICITED_ARP_REPLY, 1, "consumed by resolver
 UNSOLICITED = DropRecord(DropReason.UNSOLICITED_ARP_REPLY, 1)
 
 
-def udp_to(ip: Ipv4Address) -> EthernetFrame:
+def udp_to(ip: Ipv4Address) -> Wire:
     """A client host's datagram to `ip`, whose MAC it leaves to the NIC."""
     client_ip, client_mac = CLIENTS[0][:2]
-    return make_ipv4_frame(client_mac, MAC_ZERO, client_ip, ip, PROTO_UDP, udp_datagram(5000, 53))
+    return Wire.from_frame(make_ipv4_frame(client_mac, MAC_ZERO, client_ip, ip, PROTO_UDP,
+                                           udp_datagram(5000, 53)))
 
 
 def reply_to_client(ip: Ipv4Address, mac: MacAddress) -> bytes:
@@ -366,14 +366,15 @@ class ResolverMachine(RuleBasedStateMachine):
 
     @rule(peer=st.sampled_from(PEERS))
     def send(self, peer):
-        frame = udp_to(peer[0])
-        tx = self.nic.on_host_transmit(frame, self.now).tx_frames
+        wire = udp_to(peer[0])
+        tx = self.nic.on_host_transmit(wire, self.now).tx_frames
         expires, mac = self.resolved.get(peer[0], (-1, None))
         if self.now <= expires:
-            assert tx == [EthernetFrame(mac, frame.src, frame.ethertype, frame.payload)]
+            assert [f.data for f in tx] == [mac.octets + wire.data[6:]]
             return
         request, = tx
-        assert (request.payload.operation, request.payload.target_ip) == (ARP_REQUEST, peer[0])
+        arp = request.frame.payload
+        assert (arp.operation, arp.target_ip) == (ARP_REQUEST, peer[0])
         self.asked[peer[0]] = self.now + ARP_TIMEOUT_TICKS
 
     @rule(peer=st.sampled_from(PEERS), forged=st.booleans())
@@ -384,7 +385,8 @@ class ResolverMachine(RuleBasedStateMachine):
         if self.now > self.asked.pop(ip, -1):
             assert actions == Actions(drops=[UNSOLICITED])
             return
-        assert actions.drops == [CONSUMED] and {f.dst for f in actions.tx_frames} == {mac}
+        assert actions.drops == [CONSUMED]
+        assert {f.frame.dst for f in actions.tx_frames} == {mac}
         self.resolved.pop(ip, None)
         for key in [k for k, (expires, _) in self.resolved.items() if self.now > expires]:
             del self.resolved[key]
@@ -406,7 +408,7 @@ class ResolverMachine(RuleBasedStateMachine):
 
 
 ResolverMachine.TestCase.settings = settings(
-    max_examples=60, stateful_step_count=30, deadline=None,
+    max_examples=settings.default.max_examples * 3 // 5, stateful_step_count=30, deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
 TestResolverMachine = ResolverMachine.TestCase
 
@@ -424,8 +426,10 @@ def test_a_resolver_write_at_capacity_evicts_the_oldest_peer():
     assert list(nic.resolver.entries) == [ip for ip, _ in peers[1:]]
     (oldest, _), (second, second_mac) = peers[:2]
     request, = nic.on_host_transmit(udp_to(oldest), 1).tx_frames
-    assert (request.payload.operation, request.payload.target_ip) == (ARP_REQUEST, oldest)
-    assert [f.dst for f in nic.on_host_transmit(udp_to(second), 1).tx_frames] == [second_mac]
+    arp = request.frame.payload
+    assert (arp.operation, arp.target_ip) == (ARP_REQUEST, oldest)
+    assert [f.frame.dst for f in nic.on_host_transmit(udp_to(second), 1).tx_frames] == \
+        [second_mac]
 
 
 LIVE_PAIR = (CLIENTS[0][0], CLIENT_PORTS[0])

@@ -55,9 +55,9 @@ def count_calls(monkeypatch, function):
     calls = [0]
     original = getattr(frames, function)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls[0] += 1
-        return original(*args)
+        return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "cloaknic" and getattr(module, function, None) is original:
@@ -76,10 +76,30 @@ def read_count(monkeypatch):
 
 
 def run_demo(name):
-    sc = parse_scenario(DEMOS[name])
+    sc = parse_scenario(SCENARIOS[name])
     seg = build_segment(sc)
     seg.run(sc.horizon)
     return seg
+
+
+# The frames a client sends that no demo does: a UDP send, a ping, and a
+# send to a plain host, which answers the client NIC's ARP request itself.
+SCENARIOS = {**DEMOS, "client-sends": f"""\
+[nodes]
+server cloaked 10.0.0.2 aa:00:00:00:00:02 services=22
+plain plainhost 10.0.0.3 aa:00:00:00:00:03 services=22
+client client 10.0.0.5 aa:00:00:00:00:05
+[keys]
+client server {TEST_KEY_HEX}
+[protected]
+client server
+[steps]
+5 send client server udp 40000 53
+10 ping client plain
+15 send client plain tcp 40001 22
+[horizon]
+40
+"""}
 
 
 @pytest.mark.parametrize("name", ["port-scan", "baseline-comparison"])
@@ -102,7 +122,7 @@ def test_injected_bytes_are_parsed_once_for_all_receivers(parse_count):
     assert parse_count[0] == 1
 
 
-@pytest.mark.parametrize("name", sorted(DEMOS))
+@pytest.mark.parametrize("name", sorted(DEMOS) + ["client-sends"])
 def test_carried_frame_equals_its_parse(name, monkeypatch):
     """Every frame a node sends carries the header and parse its bytes give,
     and is described as its bytes are."""
@@ -121,6 +141,18 @@ def test_carried_frame_equals_its_parse(name, monkeypatch):
         assert wire.header == read_header(wire.data)
         assert wire.frame == parse_frame(wire.data)
         assert describe_frame(wire) == describe_frame(wire.data)
+
+
+def test_a_clients_syn_builds_no_typed_values(monkeypatch):
+    """In the happy path the client's SYN is packed as bytes and header, so
+    typed values are built only for the ARP request, the ARP reply and the
+    knock, the one IPv4 frame among them. Each of those is serialized once
+    and its header read from its bytes once, and no frame is parsed."""
+    counts = {name: count_calls(monkeypatch, name)
+              for name in ("make_ipv4_frame", "serialize_frame", "read_header", "parse_frame")}
+    run_demo("happy-path")
+    assert {name: calls[0] for name, calls in counts.items()} == \
+        {"make_ipv4_frame": 1, "serialize_frame": 3, "read_header": 3, "parse_frame": 0}
 
 
 CLOAKED = """\
