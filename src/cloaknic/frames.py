@@ -9,7 +9,8 @@ Unknown ethertypes and IP protocols decode to opaque bytes on purpose --
 rejecting them is the packet filter's job, not the parser's.
 
 A frame value is its bytes: values hold only the fields the model keeps,
-and checksums are computed by serialize and checked by parse, never stored.
+and checksums are computed when a frame is built and checked by parse,
+never stored.
 A typed `FrameError` is raised for an ARP or IPv4 body that cannot be read
 as one, for a checksum other than the one serialize writes, and for a
 header the model does not represent: an IPv4 fragment, TOS, DF or reserved
@@ -33,12 +34,15 @@ The codec is on every frame's path, so it keeps to these rules:
   without building the typed parse;
 - the benchmark's tracer wraps `parse_frame`, `serialize_frame`,
   `internet_checksum` and `make_ipv4_frame`, so each is called through its
-  module global and never inlined. A TCP frame is built by `tcp_wire`, as
-  bytes and header at once, and costs one `internet_checksum`. Any other
-  frame is built as typed values, serialized by `Wire.from_frame` and read
-  back by `read_header`: an IPv4 one costs one `make_ipv4_frame`, one
-  `serialize_frame` and two `internet_checksum`s, or four with an ICMP
-  message: each checksum is computed once and checked once;
+  module global and never inlined;
+- every frame a node sends is packed with its header in one step, by
+  `tcp_wire`, `udp_wire`, `icmp_echo_wire`, `arp_wire` or `opaque_wire`,
+  and builds no typed value but that header. So it is never serialized
+  from typed values nor read back: it costs no `make_ipv4_frame`,
+  `serialize_frame` or `read_header`, and one `internet_checksum` per
+  checksum it carries, the IPv4 header's and an ICMP message's. The typed
+  builders and `serialize_frame` are the codec's API, against which the
+  packed builders are tested;
 - a cache is bounded, since attackers choose the addresses, and holds only
   text: an address's dotted quad. No parse is cached by its bytes.
 """
@@ -47,7 +51,7 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_ARP = 0x0806
@@ -215,6 +219,26 @@ def internet_checksum(data: bytes) -> int:
     return 0xFFFF - rest if rest or not total else 0
 
 
+def _ipv4_checksum(total: int, identification: int, ttl: int, protocol: int,
+                   src: bytes, dst: bytes) -> int:
+    """The checksum of the one IPv4 header the codec writes: IHL 5, and TOS,
+    flags and offset zero."""
+    return internet_checksum(_IPV4.pack(0x45, 0, total, identification, 0, ttl, protocol, 0,
+                                        src, dst))
+
+
+def _icmp_bytes(icmp_type: int, code: int, ident: int, seq: int, payload: bytes) -> bytes:
+    """An ICMP message with its checksum."""
+    checksum = internet_checksum(_ICMP.pack(icmp_type, code, 0, ident, seq) + payload)
+    return _ICMP.pack(icmp_type, code, checksum, ident, seq) + payload
+
+
+def _check_payload(size: int) -> None:
+    """Raise `Oversize` for an Ethernet payload of `size` bytes, if above 1500."""
+    if size > MAX_PAYLOAD:
+        raise Oversize(f"payload is {size} bytes, max {MAX_PAYLOAD}")
+
+
 class IcmpMessage(NamedTuple):
     icmp_type: int
     code: int
@@ -223,9 +247,7 @@ class IcmpMessage(NamedTuple):
     payload: bytes = b""
 
     def to_bytes(self) -> bytes:
-        icmp_type, code, ident, seq, payload = self
-        checksum = internet_checksum(_ICMP.pack(icmp_type, code, 0, ident, seq) + payload)
-        return _ICMP.pack(icmp_type, code, checksum, ident, seq) + payload
+        return _icmp_bytes(*self)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "IcmpMessage":
@@ -289,11 +311,11 @@ class Ipv4Packet(NamedTuple):
         src, dst, protocol, body, ttl, ident = self
         if type(body) is IcmpMessage:
             body = body.to_bytes()
-        total = 20 + len(body)
-        checksum = internet_checksum(_IPV4.pack(0x45, 0, total, ident, 0, ttl, protocol, 0,
-                                                src.octets, dst.octets))
+        src, dst = src.octets, dst.octets
+        total = IPV4_HEADER_LEN + len(body)
+        checksum = _ipv4_checksum(total, ident, ttl, protocol, src, dst)
         return layout.pack(*ahead, 0x45, 0, total, ident, 0, ttl, protocol, checksum,
-                           src.octets, dst.octets) + body
+                           src, dst) + body
 
     def transport_view(self) -> Optional[TransportView]:
         raw = self.payload
@@ -338,8 +360,7 @@ def serialize_frame(frame: EthernetFrame) -> bytes:
     else:
         body = payload.to_bytes() if kind is ArpPacket else payload
         data = _ETH.pack(dst.octets, src.octets, ethertype) + body
-    if len(data) > MAX_FRAME:
-        raise Oversize(f"payload is {len(data) - ETH_HEADER_LEN} bytes, max {MAX_PAYLOAD}")
+    _check_payload(len(data) - ETH_HEADER_LEN)
     return data
 
 
@@ -415,12 +436,12 @@ class Wire:
     its parse built at most once.
 
     `data` is kept as given, and every trace record of the frame holds that
-    one object. A builder that packs the bytes itself (`tcp_wire`) passes
-    the header they are read as. Of any other frame, a typed one serialized
-    by `from_frame` as much as one that arrives as bytes, `header` reads the
-    header from the bytes and checks it, and `frame` builds the typed values
-    from that header. So `header` is the one place a bad frame's
-    `FrameError` is raised, on every access to either.
+    one object. The builders of sent frames (`tcp_wire`, `udp_wire`,
+    `icmp_echo_wire`, `arp_wire`, `opaque_wire`) pack the bytes and pass the
+    header they are read as. Of a frame that arrives as bytes, `header`
+    reads the header from the bytes and checks it. Of either, `frame` builds
+    the typed values from that header. So `header` is the one place a bad
+    frame's `FrameError` is raised, on every access to either.
     """
 
     __slots__ = ("data", "_parsed", "_header")
@@ -430,10 +451,6 @@ class Wire:
         # the parse; or, of bytes that are not a frame, the error they raise
         self._parsed: Union[EthernetFrame, FrameError, None] = None
         self._header = header
-
-    @classmethod
-    def from_frame(cls, frame: EthernetFrame) -> "Wire":
-        return cls(serialize_frame(frame))
 
     @property
     def frame(self) -> EthernetFrame:
@@ -460,6 +477,16 @@ class Wire:
         raise error.with_traceback(None)
 
 
+def _arp(operation: int, sender_mac: MacAddress, sender_ip: Ipv4Address,
+         target_mac: MacAddress, target_ip: Ipv4Address) -> Tuple[MacAddress, ArpPacket]:
+    """The destination MAC and the packet of `make_arp`'s frame."""
+    if operation == ARP_REQUEST:
+        target_mac, eth_dst = MAC_ZERO, MAC_BROADCAST
+    else:
+        eth_dst = target_mac
+    return eth_dst, _tuple_new(ArpPacket, (operation, sender_mac, sender_ip, target_mac, target_ip))
+
+
 def make_arp(
     operation: int,
     sender_mac: MacAddress,
@@ -468,11 +495,7 @@ def make_arp(
     target_ip: Ipv4Address,
 ) -> EthernetFrame:
     """ARP request frames are broadcast; replies go unicast to the requester."""
-    if operation == ARP_REQUEST:
-        target_mac, eth_dst = MAC_ZERO, MAC_BROADCAST
-    else:
-        eth_dst = target_mac
-    arp = _tuple_new(ArpPacket, (operation, sender_mac, sender_ip, target_mac, target_ip))
+    eth_dst, arp = _arp(operation, sender_mac, sender_ip, target_mac, target_ip)
     return _tuple_new(EthernetFrame, (eth_dst, sender_mac, ETHERTYPE_ARP, arp))
 
 
@@ -502,24 +525,6 @@ def make_ipv4_frame(src_mac: MacAddress, dst_mac: MacAddress,
     return _tuple_new(EthernetFrame, (dst_mac, src_mac, ETHERTYPE_IPV4, pkt))
 
 
-def tcp_wire(src_mac: MacAddress, dst_mac: MacAddress,
-             src_ip: Ipv4Address, dst_ip: Ipv4Address,
-             src_port: int, dst_port: int, flags: int, identification: int = 0) -> Wire:
-    """The TCP frame of `tcp_segment(src_port, dst_port, flags)` in
-    `make_ipv4_frame`, packed as bytes with the header they are read as, and
-    no typed values: its `frame` is parsed from them when it is read."""
-    src, dst = src_ip.octets, dst_ip.octets
-    total = IPV4_HEADER_LEN + 20
-    checksum = internet_checksum(_IPV4.pack(0x45, 0, total, identification, 0, DEFAULT_TTL,
-                                            PROTO_TCP, 0, src, dst))
-    data = _ETH_IPV4_TCP.pack(dst_mac.octets, src_mac.octets, ETHERTYPE_IPV4,
-                              0x45, 0, total, identification, 0, DEFAULT_TTL, PROTO_TCP, checksum,
-                              src, dst, src_port, dst_port, 0, 0, 5 << 4, flags, 0xFFFF, 0, 0)
-    view = _tuple_new(TransportView, (src_port, dst_port, "tcp", flags & TCP_FLAG_SYN != 0))
-    return Wire(data, _tuple_new(Ipv4Header, (src_ip, dst_ip, PROTO_TCP, IPV4_BODY_AT + 20,
-                                              DEFAULT_TTL, identification, None, view)))
-
-
 def make_icmp_echo(src_mac: MacAddress, dst_mac: MacAddress,
                    src_ip: Ipv4Address, dst_ip: Ipv4Address,
                    payload: bytes = b"", identifier: int = 0, sequence: int = 0,
@@ -527,3 +532,77 @@ def make_icmp_echo(src_mac: MacAddress, dst_mac: MacAddress,
     icmp = _tuple_new(IcmpMessage, (ICMP_ECHO_REPLY if reply else ICMP_ECHO_REQUEST, 0,
                                     identifier, sequence, payload))
     return make_ipv4_frame(src_mac, dst_mac, src_ip, dst_ip, PROTO_ICMP, icmp)
+
+
+# The packed builders: each gives the `Wire` of the frame its typed
+# counterpart serializes to, with the header those bytes are read as, and
+# builds no typed value but that header.
+
+def tcp_wire(src_mac: MacAddress, dst_mac: MacAddress,
+             src_ip: Ipv4Address, dst_ip: Ipv4Address,
+             src_port: int, dst_port: int, flags: int, identification: int = 0) -> Wire:
+    """The TCP frame of `tcp_segment(src_port, dst_port, flags)` in
+    `make_ipv4_frame`, its three headers packed at once."""
+    src, dst = src_ip.octets, dst_ip.octets
+    total = IPV4_HEADER_LEN + 20
+    checksum = _ipv4_checksum(total, identification, DEFAULT_TTL, PROTO_TCP, src, dst)
+    data = _ETH_IPV4_TCP.pack(dst_mac.octets, src_mac.octets, ETHERTYPE_IPV4,
+                              0x45, 0, total, identification, 0, DEFAULT_TTL, PROTO_TCP, checksum,
+                              src, dst, src_port, dst_port, 0, 0, 5 << 4, flags, 0xFFFF, 0, 0)
+    view = _tuple_new(TransportView, (src_port, dst_port, "tcp", flags & TCP_FLAG_SYN != 0))
+    return Wire(data, _tuple_new(Ipv4Header, (src_ip, dst_ip, PROTO_TCP, ETH_HEADER_LEN + total,
+                                              DEFAULT_TTL, identification, None, view)))
+
+
+def _ipv4_wire(src_mac: MacAddress, dst_mac: MacAddress,
+               src_ip: Ipv4Address, dst_ip: Ipv4Address, protocol: int, body: bytes,
+               identification: int, icmp: Optional[bytes],
+               view: Optional[TransportView]) -> Wire:
+    """The IPv4 frame of `body`, whose header holds `icmp` and `view` as
+    `read_header` reads them from `body`."""
+    src, dst = src_ip.octets, dst_ip.octets
+    total = IPV4_HEADER_LEN + len(body)
+    _check_payload(total)
+    checksum = _ipv4_checksum(total, identification, DEFAULT_TTL, protocol, src, dst)
+    data = _ETH_IPV4.pack(dst_mac.octets, src_mac.octets, ETHERTYPE_IPV4, 0x45, 0, total,
+                          identification, 0, DEFAULT_TTL, protocol, checksum, src, dst) + body
+    return Wire(data, _tuple_new(Ipv4Header, (src_ip, dst_ip, protocol, ETH_HEADER_LEN + total,
+                                              DEFAULT_TTL, identification, icmp, view)))
+
+
+def udp_wire(src_mac: MacAddress, dst_mac: MacAddress,
+             src_ip: Ipv4Address, dst_ip: Ipv4Address,
+             src_port: int, dst_port: int, identification: int = 0) -> Wire:
+    """The UDP frame of `udp_datagram(src_port, dst_port)` in `make_ipv4_frame`."""
+    view = _tuple_new(TransportView, (src_port, dst_port, "udp", False))
+    return _ipv4_wire(src_mac, dst_mac, src_ip, dst_ip, PROTO_UDP,
+                      udp_datagram(src_port, dst_port), identification, None, view)
+
+
+def icmp_echo_wire(src_mac: MacAddress, dst_mac: MacAddress,
+                   src_ip: Ipv4Address, dst_ip: Ipv4Address,
+                   payload: bytes = b"", identifier: int = 0, sequence: int = 0,
+                   reply: bool = False) -> Wire:
+    """The frame of `make_icmp_echo` with these arguments: a knock, a ping
+    or its answer."""
+    message = _icmp_bytes(ICMP_ECHO_REPLY if reply else ICMP_ECHO_REQUEST, 0,
+                          identifier, sequence, payload)
+    return _ipv4_wire(src_mac, dst_mac, src_ip, dst_ip, PROTO_ICMP, message, 0, payload, None)
+
+
+def arp_wire(operation: int, sender_mac: MacAddress, sender_ip: Ipv4Address,
+             target_mac: MacAddress, target_ip: Ipv4Address) -> Wire:
+    """The frame of `make_arp` with these arguments; its header is its packet."""
+    eth_dst, arp = _arp(operation, sender_mac, sender_ip, target_mac, target_ip)
+    return Wire(_ETH.pack(eth_dst.octets, sender_mac.octets, ETHERTYPE_ARP) + arp.to_bytes(), arp)
+
+
+def opaque_wire(dst_mac: MacAddress, src_mac: MacAddress, ethertype: int,
+                payload: bytes) -> Wire:
+    """The frame `EthernetFrame(dst_mac, src_mac, ethertype, payload)` of an
+    ethertype the codec keeps opaque, neither IPv4 nor ARP; its header is its
+    payload."""
+    if ethertype in (ETHERTYPE_IPV4, ETHERTYPE_ARP):
+        raise ValueError(f"ethertype 0x{ethertype:04x} is not opaque")
+    _check_payload(len(payload))
+    return Wire(_ETH.pack(dst_mac.octets, src_mac.octets, ethertype) + payload, payload)

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from typing import NamedTuple, Union
 
 from .frames import Ipv4Address
 
@@ -43,6 +44,9 @@ FRESHNESS_SECONDS = 30
 # was fresh until at most accept + 2 * freshness, so with this window a
 # forgotten nonce can only come back stale.
 REPLAY_WINDOW_SECONDS = 2 * FRESHNESS_SECONDS
+
+_PLAINTEXT = struct.Struct(">4sHHQ")  # client_ip, client_port, reserved, timestamp
+_tuple_new = tuple.__new__  # builds a value without its constructor's checks
 
 
 class RejectReason(Enum):
@@ -76,33 +80,29 @@ class SharedKey:
         return cls(bytes.fromhex(text))
 
 
-@dataclass(frozen=True)
-class KnockFields:
-    client_ip: Ipv4Address
-    client_port: int
-    timestamp: int
+class KnockFields(NamedTuple("KnockFields", [("client_ip", Ipv4Address), ("client_port", int),
+                                               ("timestamp", int)])):
+    """A knock's plaintext fields. The constructor checks the port and the
+    timestamp; `open_knock` builds the fields it has checked itself with
+    `tuple.__new__`."""
 
-    def __post_init__(self):
-        if not 1 <= self.client_port <= 0xFFFF:
+    __slots__ = ()
+
+    def __new__(cls, client_ip: Ipv4Address, client_port: int, timestamp: int) -> "KnockFields":
+        if not 1 <= client_port <= 0xFFFF:
             raise ValueError("client_port must be in [1, 65535]")
-        if not 0 <= self.timestamp < 1 << 64:
+        if not 0 <= timestamp < 1 << 64:
             raise ValueError("timestamp must fit in 64 bits")
+        return _tuple_new(cls, (client_ip, client_port, timestamp))
 
     def to_plaintext(self) -> bytes:
-        return (
-            self.client_ip.octets
-            + self.client_port.to_bytes(2, "big")
-            + b"\x00\x00"
-            + self.timestamp.to_bytes(8, "big")
-        )
+        ip, port, timestamp = self
+        return _PLAINTEXT.pack(ip.octets, port, 0, timestamp)
 
     @classmethod
     def from_plaintext(cls, block: bytes) -> "KnockFields":
-        return cls(
-            client_ip=Ipv4Address(block[:4]),
-            client_port=int.from_bytes(block[4:6], "big"),
-            timestamp=int.from_bytes(block[8:16], "big"),
-        )
+        ip, port, _, timestamp = _PLAINTEXT.unpack(block)
+        return cls(_tuple_new(Ipv4Address, (ip,)), port, timestamp)
 
 
 class ExpiryMap(OrderedDict):
@@ -185,17 +185,17 @@ def open_knock(key: SharedKey, payload: bytes, now: int,
     # a forged tag, the common rejection, stops before the fields are sliced
     nonce = payload[6:6 + NONCE_LEN]
     keystream = prf(key, nonce + b"\x01")[:CIPHERTEXT_LEN]
-    plaintext = _xor(payload[14:14 + CIPHERTEXT_LEN], keystream)
-    if payload[5] != KNOCK_FLAGS or plaintext[4:6] == b"\x00\x00" \
-            or plaintext[6:8] != b"\x00\x00":
+    ip, port, reserved, timestamp = _PLAINTEXT.unpack(
+        _xor(payload[14:14 + CIPHERTEXT_LEN], keystream))
+    if payload[5] != KNOCK_FLAGS or not port or reserved:
         return RejectReason.NON_CANONICAL
-    fields = KnockFields.from_plaintext(plaintext)
-    if abs(now - fields.timestamp) > FRESHNESS_SECONDS:
+    if abs(now - timestamp) > FRESHNESS_SECONDS:
         return RejectReason.STALE
     if cache.contains(nonce):
         return RejectReason.REPLAYED
     cache.record(nonce, now)
-    return fields
+    # every field is checked: a port of 1 to 65535, a timestamp of 64 bits
+    return _tuple_new(KnockFields, (_tuple_new(Ipv4Address, (ip,)), port, timestamp))
 
 
 def is_knock_payload(data: bytes) -> bool:

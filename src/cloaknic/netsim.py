@@ -55,10 +55,12 @@ these rules:
 - a frame is described, and a tap finds a knock, from its checked header
   (`Wire.header`) and fixed offsets of its bytes, so a frame that arrives
   as bytes is parsed only by a node that needs its values (the plain host);
-- every frame a node sends is a `Wire`: a TCP one (a client's SYN, a
-  scan's probe, the plain host's answer) is built as bytes and header at
-  once (`frames.tcp_wire`), and any other is serialized from its typed
-  values and read, like an arriving frame, from its bytes;
+- every frame a node sends is a `Wire` packed as bytes and header in one
+  step by a `frames` builder: a TCP one (a client's SYN, a scan's probe,
+  the plain host's answer) by `tcp_wire`, and a client's UDP send, a knock,
+  a ping or its answer, an ARP frame and a spoofed frame by `udp_wire`,
+  `icmp_echo_wire`, `arp_wire` and `opaque_wire`. None is serialized from
+  typed values, and none has its header read back from its bytes;
 - queueing an event is an append to its tick's list, or a bisection for a
   repeated firing, so its cost does not grow with the events in flight, and
   a queued event is its slots, with no tuple of its own;
@@ -91,7 +93,6 @@ from .frames import (
     ICMP_ECHO_REQUEST,
     MAC_BROADCAST,
     MAC_ZERO,
-    PROTO_UDP,
     TCP_FLAG_ACK,
     TCP_FLAG_RST,
     TCP_FLAG_SYN,
@@ -448,8 +449,7 @@ class ClientNode(CloakedServerNode):
     def perform(self, step: Union[Send, Ping], now: int) -> List[Wire]:
         dst = self.lookup(step.dst)
         if isinstance(step, Ping):
-            wire = Wire.from_frame(frames.make_icmp_echo(self.mac, dst.mac, self.ip, dst.ip,
-                                                         b"ping"))
+            wire = frames.icmp_echo_wire(self.mac, dst.mac, self.ip, dst.ip, b"ping")
         else:
             self._ident = ident = (self._ident + 1) & 0xFFFF
             # dst MAC left zero: the NIC resolves it from its table, or parks the frame and asks ARP
@@ -457,9 +457,8 @@ class ClientNode(CloakedServerNode):
                 wire = frames.tcp_wire(self.mac, MAC_ZERO, self.ip, dst.ip, step.src_port,
                                        step.dst_port, TCP_FLAG_SYN, ident)
             else:
-                wire = Wire.from_frame(frames.make_ipv4_frame(
-                    self.mac, MAC_ZERO, self.ip, dst.ip, PROTO_UDP,
-                    frames.udp_datagram(step.src_port, step.dst_port), ident))
+                wire = frames.udp_wire(self.mac, MAC_ZERO, self.ip, dst.ip, step.src_port,
+                                       step.dst_port, ident)
         return self.nic.on_host_transmit(wire, now).tx_frames
 
 
@@ -487,8 +486,8 @@ class PlainHostNode(Node):
             return self._receive_ipv4(actions, frame, p, wire.header.view)
         if kind is ArpPacket:
             if p.operation == ARP_REQUEST and p.target_ip == self.ip:
-                actions.tx_frames.append(Wire.from_frame(frames.make_arp(
-                    ARP_REPLY, self.mac, self.ip, p.sender_mac, p.sender_ip)))
+                actions.tx_frames.append(frames.arp_wire(
+                    ARP_REPLY, self.mac, self.ip, p.sender_mac, p.sender_ip))
             elif p.operation == ARP_REPLY:
                 # no request/reply matching: the classic poisonable cache
                 self.arp_cache[p.sender_ip] = p.sender_mac
@@ -504,9 +503,9 @@ class PlainHostNode(Node):
         icmp = p.payload
         if type(icmp) is IcmpMessage:
             if icmp.icmp_type == ICMP_ECHO_REQUEST:
-                actions.tx_frames.append(Wire.from_frame(frames.make_icmp_echo(
+                actions.tx_frames.append(frames.icmp_echo_wire(
                     self.mac, frame.src, self.ip, p.src, icmp.payload,
-                    icmp.identifier, icmp.sequence, reply=True)))
+                    icmp.identifier, icmp.sequence, reply=True))
                 actions.host_events.append(_PLAIN_DELIVERED)
             else:
                 actions.drop(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_TRANSPORT, "icmp-other")
@@ -548,22 +547,19 @@ class AttackerNode(Node):
         if type(step) is not Ping:
             return self.frames_for(step)
         target = self.lookup(step.dst)
-        return [Wire.from_frame(frames.make_icmp_echo(
-            self.mac, target.mac, self.ip, target.ip, b"probe"))]
+        return [frames.icmp_echo_wire(self.mac, target.mac, self.ip, target.ip, b"probe")]
 
     def frames_for(self, program: AttackProgram) -> List[Wire]:
         """Wire frames for one firing of a program: none for a replay before
         any knock is captured."""
         if isinstance(program, ArpPoison):
             victim = self.lookup(program.victim)
-            forged = frames.make_arp(ARP_REPLY, program.claimed_mac,
-                                     program.claimed_ip, victim.mac, victim.ip)
-            return [Wire.from_frame(forged)]
+            return [frames.arp_wire(ARP_REPLY, program.claimed_mac, program.claimed_ip,
+                                    victim.mac, victim.ip)]
         if isinstance(program, MacSpoof):
             victim = self.lookup(program.victim)
             # the victim's MAC as source; a hub has no switch to fool, so each receiver drops it
-            spoofed = EthernetFrame(MAC_BROADCAST, victim.mac, 0x88B5, b"spoof")
-            return [Wire.from_frame(spoofed)]
+            return [frames.opaque_wire(MAC_BROADCAST, victim.mac, 0x88B5, b"spoof")]
         if isinstance(program, KnockReplay):
             # the last knock captured, or nothing: an empty firing logs no line
             return [] if self.last_knock is None else [self.last_knock]

@@ -33,10 +33,13 @@ and payload at fixed offsets of its bytes, and an admitted knock takes the
 sender's MAC from those bytes, so the NIC never builds the typed parse.
 A host's frame, an IPv4 `Wire` from the NIC's MAC, is read the same way,
 and every frame the NIC sends or parks is a `Wire`: one it resolves keeps
-its header, which holds no MAC, behind the resolved MAC. Headers are
-dispatched on `type(x) is`, a drop is one shared record, and `Actions` is
-a slotted value. `open_knock` and `on_wire_receive` stay separate calls,
-as the benchmark's tracer wraps both.
+its header, which holds no MAC, behind the resolved MAC, and a knock or an
+ARP frame it makes is packed with its header (`frames.icmp_echo_wire`,
+`frames.arp_wire`), so the NIC never serializes typed values nor reads back
+the checksums it has just computed. Headers are dispatched on `type(x) is`,
+a drop is one shared record, and `Actions` is a slotted value. `open_knock`
+and `on_wire_receive` stay separate calls, as the benchmark's tracer wraps
+both.
 
 One instance is a single-threaded state machine; all cross-NIC traffic
 goes through the simulator.
@@ -299,7 +302,7 @@ class CloakingNic:
             raise UnknownPeerKey(f"no shared key configured for {peer_ip}")
         fields = KnockFields(self.ip, local_port, now)
         payload = seal_knock(key, self._next_nonce(), fields)
-        return Wire.from_frame(frames.make_icmp_echo(self.mac, dst_mac, self.ip, peer_ip, payload))
+        return frames.icmp_echo_wire(self.mac, dst_mac, self.ip, peer_ip, payload)
 
     def _emit_with_knock(self, actions: Actions, wire: Wire, now: int) -> None:
         """Prefix the frame with a knock if the peer is protected and unknocked."""
@@ -328,8 +331,8 @@ class CloakingNic:
             if mac is None:
                 # MAC unresolved: park the frame and resolve
                 self._park(now, header.dst, wire)
-                actions.tx_frames.append(Wire.from_frame(frames.make_arp(
-                    ARP_REQUEST, self.mac, self.ip, MAC_ZERO, header.dst)))
+                actions.tx_frames.append(frames.arp_wire(
+                    ARP_REQUEST, self.mac, self.ip, MAC_ZERO, header.dst))
                 return actions
             # an `Ipv4Header` holds no MAC, so the header is the resolved frame's
             wire = Wire(mac.octets + data[6:], header)
@@ -358,8 +361,8 @@ class CloakingNic:
     def _receive_arp(self, actions: Actions, arp: ArpPacket, now: int) -> Actions:
         # stateless: a request for our IP is answered from the NIC's own addresses
         if arp.operation == ARP_REQUEST and arp.target_ip == self.ip:
-            actions.tx_frames.append(Wire.from_frame(frames.make_arp(
-                ARP_REPLY, self.mac, self.ip, arp.sender_mac, arp.sender_ip)))
+            actions.tx_frames.append(frames.arp_wire(
+                ARP_REPLY, self.mac, self.ip, arp.sender_mac, arp.sender_ip))
             return actions
         # Replies never reach the host ARP cache. A reply answering our own
         # outstanding request does complete parked transmissions (the NIC is

@@ -26,16 +26,20 @@ from cloaknic.frames import (
     UnsupportedArp,
     UnsupportedIpHeader,
     Wire,
+    arp_wire,
+    icmp_echo_wire,
     internet_checksum,
     make_arp,
     make_icmp_echo,
     make_ipv4_frame,
+    opaque_wire,
     parse_frame,
     read_header,
     serialize_frame,
     tcp_segment,
     tcp_wire,
     udp_datagram,
+    udp_wire,
 )
 
 MAC_A = MacAddress.from_str("aa:00:00:00:00:01")
@@ -316,11 +320,75 @@ def test_tcp_wire_is_the_typed_tcp_frame(src_mac, dst_mac, src_ip, dst_ip, src_p
     """`tcp_wire` packs the bytes the typed TCP frame serializes to, and
     carries the header and parse those bytes give."""
     wire = tcp_wire(src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port, flags, identification)
-    assert wire.data == serialize_frame(make_ipv4_frame(
+    assert_packed_as_typed(wire, make_ipv4_frame(
         src_mac, dst_mac, src_ip, dst_ip, PROTO_TCP, tcp_segment(src_port, dst_port, flags),
         identification))
-    assert wire.header == read_header(wire.data)
-    assert wire.frame == parse_frame(wire.data)
+
+
+def assert_packed_as_typed(wire: Wire, frame: EthernetFrame) -> None:
+    """`wire` holds the bytes `frame` serializes to, and the header and
+    parse those bytes give."""
+    data = serialize_frame(frame)
+    assert wire.data == data
+    header = read_header(data)
+    assert type(wire.header) is type(header) and wire.header == header
+    assert wire.frame == parse_frame(data) == frame
+
+
+sixteen_bits = st.integers(0, 0xFFFF)
+
+
+@example(MAC_A, MAC_B, IP_A, IP_B, 0, 0xFFFF, 0xFFFF)
+@given(macs, macs, ips, ips, sixteen_bits, sixteen_bits, sixteen_bits)
+def test_udp_wire_is_the_typed_udp_frame(src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port,
+                                         identification):
+    wire = udp_wire(src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port, identification)
+    assert_packed_as_typed(wire, make_ipv4_frame(
+        src_mac, dst_mac, src_ip, dst_ip, PROTO_UDP, udp_datagram(src_port, dst_port),
+        identification))
+
+
+# an all-zero echo reply carries the checksum 0xFFFF, the one place serialize writes it
+@example(MAC_A, MAC_B, IP_A, IP_B, bytes(6), 0, 0, True)
+@example(MAC_A, MAC_B, IP_A, IP_B, b"", 0xFFFF, 0xFFFF, False)
+@example(MAC_A, MAC_B, IP_A, IP_B, b"odd", 0, 0xFFFF, True)
+@example(MAC_A, MAC_B, IP_A, IP_B, bytes(1472), 1, 2, False)  # a 1500-byte IPv4 packet
+@given(macs, macs, ips, ips, st.binary(max_size=200), sixteen_bits, sixteen_bits, st.booleans())
+def test_icmp_echo_wire_is_the_typed_echo_frame(src_mac, dst_mac, src_ip, dst_ip, payload,
+                                                identifier, sequence, reply):
+    wire = icmp_echo_wire(src_mac, dst_mac, src_ip, dst_ip, payload, identifier, sequence, reply)
+    assert_packed_as_typed(wire, make_icmp_echo(src_mac, dst_mac, src_ip, dst_ip, payload,
+                                                identifier, sequence, reply))
+
+
+@pytest.mark.parametrize("size", [1473, 1500, 4000])
+def test_an_oversize_echo_is_refused_as_serialize_refuses_it(size):
+    with pytest.raises(Oversize):
+        serialize_frame(make_icmp_echo(MAC_A, MAC_B, IP_A, IP_B, bytes(size)))
+    with pytest.raises(Oversize):
+        icmp_echo_wire(MAC_A, MAC_B, IP_A, IP_B, bytes(size))
+
+
+@given(st.sampled_from([ARP_REQUEST, ARP_REPLY]) | sixteen_bits, macs, ips, macs, ips)
+def test_arp_wire_is_the_typed_arp_frame(operation, sender_mac, sender_ip, target_mac, target_ip):
+    wire = arp_wire(operation, sender_mac, sender_ip, target_mac, target_ip)
+    assert_packed_as_typed(wire, make_arp(operation, sender_mac, sender_ip, target_mac, target_ip))
+
+
+@given(macs, macs, sixteen_bits.filter(lambda t: t not in (0x0800, 0x0806)),
+       st.binary(max_size=200))
+def test_opaque_wire_is_the_typed_opaque_frame(dst_mac, src_mac, ethertype, payload):
+    wire = opaque_wire(dst_mac, src_mac, ethertype, payload)
+    assert_packed_as_typed(wire, EthernetFrame(dst_mac, src_mac, ethertype, payload))
+
+
+def test_opaque_wire_refuses_what_the_codec_reads_and_what_is_oversize():
+    for ethertype in (frames.ETHERTYPE_IPV4, frames.ETHERTYPE_ARP):
+        with pytest.raises(ValueError):
+            opaque_wire(MAC_B, MAC_A, ethertype, b"spoof")
+    opaque_wire(MAC_B, MAC_A, 0x88B5, bytes(1500))
+    with pytest.raises(Oversize):
+        opaque_wire(MAC_B, MAC_A, 0x88B5, bytes(1501))
 
 
 def golden_wires():

@@ -129,6 +129,19 @@ class TestSeal:
         with pytest.raises(ValueError):
             KnockFields(Ipv4Address.from_str("10.0.0.5"), 0, 1000)
 
+    @pytest.mark.parametrize("port, timestamp", [(0, 1000), (65536, 1000), (40000, 2**64),
+                                                 (40000, -1)])
+    def test_the_checked_constructor_refuses_fields_out_of_range(self, port, timestamp):
+        with pytest.raises(ValueError):
+            KnockFields(Ipv4Address.from_str("10.0.0.5"), port, timestamp)
+
+    @pytest.mark.parametrize("port, timestamp", [(1, 0), (0xFFFF, 2**64 - 1)])
+    def test_fields_at_the_bounds_are_sealed_and_read_back(self, port, timestamp):
+        fields = KnockFields(Ipv4Address.from_str("10.0.0.5"), port, timestamp)
+        assert KnockFields.from_plaintext(fields.to_plaintext()) == fields
+        payload = seal_knock(KEY, NONCE0, fields)
+        assert open_knock(KEY, payload, now=timestamp, cache=ReplayCache()) == fields
+
 
 @st.composite
 def valid_fields(draw):

@@ -162,7 +162,7 @@ class TestPlainHost:
             "tcp-closed"])
     def test_each_drop_has_its_stage(self, frame, reason, stage, detail):
         host = plain("victim", "10.0.0.3", "aa:00:00:00:00:03", services={22})
-        wire = Wire(b"\x00" * 13) if frame is None else Wire.from_frame(frame)
+        wire = Wire(b"\x00" * 13) if frame is None else Wire(serialize_frame(frame))
         assert host.receive(wire, now=0) == Actions(drops=[DropRecord(reason, stage, detail)])
 
 
@@ -449,5 +449,5 @@ class TestExactText:
     def test_describe_frame(self, frame, text):
         data = b"\x00" * 13 if frame is None else serialize_frame(frame)
         assert describe_frame(data) == text
-        wire = Wire(data) if frame is None else Wire.from_frame(frame)
+        wire = Wire(data) if frame is None else Wire(serialize_frame(frame))
         assert describe_frame(wire) == text

@@ -391,8 +391,8 @@ class TestCloakingSweep:
 
 class TestHostTransmit:
     def syn_frame(self, nic, dst_mac=SERVER_MAC, dst_ip=SERVER_IP, src_port=40000):
-        return Wire.from_frame(make_ipv4_frame(nic.mac, dst_mac, nic.ip, dst_ip, PROTO_TCP,
-                                               tcp_segment(src_port, 22)))
+        return Wire(serialize_frame(make_ipv4_frame(nic.mac, dst_mac, nic.ip, dst_ip, PROTO_TCP,
+                                                    tcp_segment(src_port, 22))))
 
     def test_knock_precedes_first_transport_frame(self):
         nic = client_nic()
@@ -420,8 +420,8 @@ class TestHostTransmit:
     def test_unprotected_peer_passthrough(self):
         nic = client_nic()
         other_ip = Ipv4Address.from_str("10.0.0.7")
-        wire = Wire.from_frame(make_ipv4_frame(nic.mac, ATTACKER_MAC, nic.ip, other_ip,
-                                               PROTO_TCP, tcp_segment(1, 2)))
+        wire = Wire(serialize_frame(make_ipv4_frame(nic.mac, ATTACKER_MAC, nic.ip, other_ip,
+                                                    PROTO_TCP, tcp_segment(1, 2))))
         actions = nic.on_host_transmit(wire, now=0)
         assert actions.tx_frames == [wire]  # the host's frame itself
 
@@ -438,7 +438,7 @@ class TestHostTransmit:
                                       PROTO_TCP, tcp_segment(1, 2)),
                       make_arp(ARP_REQUEST, nic.mac, nic.ip, MAC_ZERO, SERVER_IP)):
             with pytest.raises(NicError):
-                nic.on_host_transmit(Wire.from_frame(frame), now=0)
+                nic.on_host_transmit(Wire(serialize_frame(frame)), now=0)
 
     def test_unresolved_mac_triggers_arp_then_knock(self):
         nic = client_nic()
@@ -456,8 +456,9 @@ class TestHostTransmit:
 
 def send_unresolved(nic: CloakingNic, now: int, port: int = 40000):
     """The frames the client NIC sends for a SYN to the server whose MAC the host left zero."""
-    return nic.on_host_transmit(Wire.from_frame(make_ipv4_frame(
-        CLIENT_MAC, MAC_ZERO, CLIENT_IP, SERVER_IP, PROTO_TCP, tcp_segment(port, 22))), now).tx_frames
+    syn = make_ipv4_frame(CLIENT_MAC, MAC_ZERO, CLIENT_IP, SERVER_IP, PROTO_TCP,
+                          tcp_segment(port, 22))
+    return nic.on_host_transmit(Wire(serialize_frame(syn)), now).tx_frames
 
 
 def arp_reply_to_client(sender_ip: Ipv4Address, sender_mac: MacAddress) -> bytes:
@@ -583,8 +584,8 @@ class TestExpiryOnWrite:
     def test_client_knock_map_drops_expired(self):
         nic = client_nic()
         for port, now in ((40000, 0), (40001, 60), (40002, 61)):
-            nic.on_host_transmit(Wire.from_frame(make_ipv4_frame(
-                nic.mac, SERVER_MAC, nic.ip, SERVER_IP, PROTO_TCP, tcp_segment(port, 22))), now)
+            nic.on_host_transmit(Wire(serialize_frame(make_ipv4_frame(
+                nic.mac, SERVER_MAC, nic.ip, SERVER_IP, PROTO_TCP, tcp_segment(port, 22)))), now)
         assert dict(nic._knocked) == {(40001, SERVER_IP): 120, (40002, SERVER_IP): 121}
 
 

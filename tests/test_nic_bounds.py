@@ -333,8 +333,8 @@ UNSOLICITED = DropRecord(DropReason.UNSOLICITED_ARP_REPLY, 1)
 def udp_to(ip: Ipv4Address) -> Wire:
     """A client host's datagram to `ip`, whose MAC it leaves to the NIC."""
     client_ip, client_mac = CLIENTS[0][:2]
-    return Wire.from_frame(make_ipv4_frame(client_mac, MAC_ZERO, client_ip, ip, PROTO_UDP,
-                                           udp_datagram(5000, 53)))
+    return Wire(serialize_frame(make_ipv4_frame(client_mac, MAC_ZERO, client_ip, ip, PROTO_UDP,
+                                                udp_datagram(5000, 53))))
 
 
 def reply_to_client(ip: Ipv4Address, mac: MacAddress) -> bytes:

@@ -23,12 +23,12 @@ from cloaknic.frames import (
     PROTO_ICMP,
     PROTO_TCP,
     PROTO_UDP,
+    TCP_FLAG_SYN,
     FrameError,
     IcmpMessage,
     Ipv4Address,
     EthernetFrame,
     MacAddress,
-    Oversize,
     Wire,
     make_arp,
     make_icmp_echo,
@@ -37,10 +37,12 @@ from cloaknic.frames import (
     read_header,
     serialize_frame,
     tcp_segment,
+    tcp_wire,
 )
 from cloaknic.knock import KnockFields, SharedKey, seal_knock
 from cloaknic.netsim import PlainHostNode, Segment, describe_frame
-from cloaknic.nic import ArpCacheUpdate, Delivered, DropReason, DropRecord
+from cloaknic.nic import (ArpCacheUpdate, CloakingNic, Delivered, DropReason, DropRecord,
+                          NicConfig)
 from cloaknic.scenario import build_segment, parse_scenario
 
 MAC_A = MacAddress.from_str("aa:00:00:00:00:01")
@@ -144,15 +146,15 @@ def test_carried_frame_equals_its_parse(name, monkeypatch):
 
 
 def test_a_clients_syn_builds_no_typed_values(monkeypatch):
-    """In the happy path the client's SYN is packed as bytes and header, so
-    typed values are built only for the ARP request, the ARP reply and the
-    knock, the one IPv4 frame among them. Each of those is serialized once
-    and its header read from its bytes once, and no frame is parsed."""
-    counts = {name: count_calls(monkeypatch, name)
-              for name in ("make_ipv4_frame", "serialize_frame", "read_header", "parse_frame")}
+    """In the happy path every frame is packed as bytes and header: the
+    client's ARP request, knock and SYN, and the server's ARP reply. So no
+    typed frame is built or serialized, no header is read back from bytes
+    the codec wrote, and no frame is parsed."""
+    names = ("make_arp", "make_icmp_echo", "make_ipv4_frame", "serialize_frame", "read_header",
+             "parse_frame")
+    counts = {name: count_calls(monkeypatch, name) for name in names}
     run_demo("happy-path")
-    assert {name: calls[0] for name, calls in counts.items()} == \
-        {"make_ipv4_frame": 1, "serialize_frame": 3, "read_header": 3, "parse_frame": 0}
+    assert {name: calls[0] for name, calls in counts.items()} == dict.fromkeys(names, 0)
 
 
 CLOAKED = """\
@@ -167,6 +169,22 @@ SERVER_MAC, CLIENT_MAC, MALLORY_MAC = (MacAddress.from_str(f"aa:00:00:00:00:{b}"
                                        for b in ("02", "05", "66"))
 SERVER_IP, CLIENT_IP, MALLORY_IP = (Ipv4Address.from_str(f"10.0.0.{b}") for b in (2, 5, 66))
 KEY = SharedKey.from_hex(TEST_KEY_HEX)
+
+
+def test_a_clients_knock_computes_each_checksum_once(monkeypatch):
+    """From the host's send to the knock's trace description, the knock's
+    IPv4 and ICMP checksums are each computed once and never checked again,
+    and no typed frame is built, serialized or parsed."""
+    nic = CloakingNic(NicConfig(CLIENT_MAC, CLIENT_IP, role_keys={SERVER_IP: KEY},
+                                protected_peers={SERVER_IP}))
+    host_syn = tcp_wire(CLIENT_MAC, SERVER_MAC, CLIENT_IP, SERVER_IP, 40000, 22, TCP_FLAG_SYN)
+    names = ("internet_checksum", "serialize_frame", "make_ipv4_frame", "parse_frame")
+    counts = {name: count_calls(monkeypatch, name) for name in names}
+    knock_wire, sent = nic.on_host_transmit(host_syn, now=1).tx_frames
+    assert describe_frame(knock_wire) == "icmp-knock 10.0.0.5->10.0.0.2"
+    assert sent is host_syn
+    assert {name: calls[0] for name, calls in counts.items()} == \
+        {"internet_checksum": 2, "serialize_frame": 0, "make_ipv4_frame": 0, "parse_frame": 0}
 
 
 def knock(src_mac, src_ip, payload):
@@ -262,9 +280,3 @@ def test_make_ipv4_frame_icmp_message_under_other_protocol():
     f = make_ipv4_frame(MAC_A, MAC_B, IP_A, IP_B, PROTO_UDP, icmp)
     assert f == parse_frame(serialize_frame(f))
     assert f.payload.payload == icmp.to_bytes()
-
-
-def test_oversize_ipv4_frame_fails_to_go_on_the_wire():
-    Wire.from_frame(make_ipv4_frame(MAC_A, MAC_B, IP_A, IP_B, PROTO_UDP, b"\x00" * 1480))
-    with pytest.raises(Oversize):
-        Wire.from_frame(make_ipv4_frame(MAC_A, MAC_B, IP_A, IP_B, PROTO_UDP, b"\x00" * 1481))

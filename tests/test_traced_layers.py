@@ -15,7 +15,7 @@ import pytest
 
 from cloaknic import frames, knock, netsim, nic, scenario
 from cloaknic.demos import TEST_KEY_HEX
-from cloaknic.frames import Ipv4Address, MacAddress, make_icmp_echo, serialize_frame
+from cloaknic.frames import Ipv4Address, MacAddress
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -104,13 +104,16 @@ def test_every_traced_layer_is_reached(calls):
     seg = scenario.build_segment(sc, seed=1)
     # frames that arrive as bytes, as the benchmark's forged knocks do: the
     # cloaked server rejects the forged knock from its header alone, and the
-    # plain host, the full software stack, parses the ping it answers
+    # plain host, the full software stack, parses the ping it answers. Every
+    # frame a node sends is packed with its header, so these typed frames,
+    # built and serialized through the names the tracer wraps, are the ones
+    # that reach `make_ipv4_frame` and `serialize_frame`.
     mallory = MacAddress.from_str("aa:00:00:00:00:66")
-    forged = serialize_frame(make_icmp_echo(
+    forged = frames.serialize_frame(frames.make_icmp_echo(
         mallory, MacAddress.from_str("aa:00:00:00:00:02"),
         Ipv4Address.from_str("10.0.0.5"), Ipv4Address.from_str("10.0.0.2"),
         b"KNCK\x01\x00" + bytes(40)))
-    ping = serialize_frame(make_icmp_echo(
+    ping = frames.serialize_frame(frames.make_icmp_echo(
         mallory, MacAddress.from_str("aa:00:00:00:00:03"), Ipv4Address.from_str("10.0.0.66"),
         Ipv4Address.from_str("10.0.0.3"), b"bytes"))
     seg.inject(50, forged, "mallory")
