@@ -302,21 +302,6 @@ class Ipv4Packet(NamedTuple):
     ttl: int = DEFAULT_TTL
     identification: int = 0
 
-    def to_bytes(self) -> bytes:
-        return self._pack(_IPV4)
-
-    def _pack(self, layout: struct.Struct, *ahead) -> bytes:
-        """`ahead`, then this packet's header, packed by `layout`, whose last
-        fields are the IPv4 header's; then the body."""
-        src, dst, protocol, body, ttl, ident = self
-        if type(body) is IcmpMessage:
-            body = body.to_bytes()
-        src, dst = src.octets, dst.octets
-        total = IPV4_HEADER_LEN + len(body)
-        checksum = _ipv4_checksum(total, ident, ttl, protocol, src, dst)
-        return layout.pack(*ahead, 0x45, 0, total, ident, 0, ttl, protocol, checksum,
-                           src, dst) + body
-
     def transport_view(self) -> Optional[TransportView]:
         raw = self.payload
         if type(raw) is IcmpMessage:
@@ -355,13 +340,19 @@ def serialize_frame(frame: EthernetFrame) -> bytes:
     """Canonical big-endian bytes; IPv4/ICMP checksums are recomputed."""
     dst, src, ethertype, payload = frame
     kind = type(payload)
-    if kind is Ipv4Packet:
-        data = payload._pack(_ETH_IPV4, dst.octets, src.octets, ethertype)
-    else:
+    if kind is not Ipv4Packet:
         body = payload.to_bytes() if kind is ArpPacket else payload
-        data = _ETH.pack(dst.octets, src.octets, ethertype) + body
-    _check_payload(len(data) - ETH_HEADER_LEN)
-    return data
+        _check_payload(len(body))
+        return _ETH.pack(dst.octets, src.octets, ethertype) + body
+    ip_src, ip_dst, protocol, body, ttl, ident = payload
+    if type(body) is IcmpMessage:
+        body = body.to_bytes()
+    total = IPV4_HEADER_LEN + len(body)
+    _check_payload(total)  # before its 16-bit total length is packed
+    ip_src, ip_dst = ip_src.octets, ip_dst.octets
+    checksum = _ipv4_checksum(total, ident, ttl, protocol, ip_src, ip_dst)
+    return _ETH_IPV4.pack(dst.octets, src.octets, ethertype, 0x45, 0, total, ident, 0, ttl,
+                          protocol, checksum, ip_src, ip_dst) + body
 
 
 def read_header(data: bytes) -> Header:

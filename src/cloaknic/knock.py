@@ -99,11 +99,6 @@ class KnockFields(NamedTuple("KnockFields", [("client_ip", Ipv4Address), ("clien
         ip, port, timestamp = self
         return _PLAINTEXT.pack(ip.octets, port, 0, timestamp)
 
-    @classmethod
-    def from_plaintext(cls, block: bytes) -> "KnockFields":
-        ip, port, _, timestamp = _PLAINTEXT.unpack(block)
-        return cls(_tuple_new(Ipv4Address, (ip,)), port, timestamp)
-
 
 class ExpiryMap(OrderedDict):
     """Key -> last tick it is live. Each owner gives its entries one lifetime

@@ -11,17 +11,17 @@ is one `FrameEvent.IGNORED` entry with no bytes whose `node` is the plan's
 tuple of their names, one name or many, read back as one
 `ignored (other dst)` line per name.
 
-Events run in (time, seq) order, seq counting every event queued. The
-queue keeps one flat list per pending tick, each event in `QUEUE_SLOTS`
-consecutive slots in seq order, and a heap of those ticks: a frame is
-`seq, wire, origin, description or None`, its wire a `Wire` or the bytes it
-was injected as, wrapped when it is delivered; a step is `seq, None, node,
-step`. A fresh event's seq is the largest yet, so it is appended to its
-tick's list; a repeated program's next firing keeps its seq and is placed
-among its tick's events by bisection. A tick's list is taken whole when its
-first event runs, and an event queued for that tick while it runs starts a
-new list, taken once the first is done. An event before the clock is
-refused with a `ValueError`.
+Events run in time order, and the events of one tick in the order they
+were queued, as in a discrete-event scheduler such as ns-3. The queue keeps
+one flat list per pending tick, each event in `QUEUE_SLOTS` consecutive
+slots appended in queueing order, and a heap of those ticks: a frame is
+`wire, origin, description or None`, its wire a `Wire` or the bytes it was
+injected as, wrapped when it is delivered; a step is `None, node, step`. A
+repeated program's next firing is queued when its previous firing runs, so
+it runs after every event already queued for its tick. A tick's list is
+taken whole when its first event runs, and an event queued for that tick
+while it runs starts a new list, taken once the first is done. An event
+before the clock is refused with a `ValueError`.
 
 Node kinds: cloaked servers and clients (backed by `CloakingNic`), a plain
 software-stack baseline host (answers ARP and pings, RSTs closed ports,
@@ -61,9 +61,9 @@ these rules:
   a ping or its answer, an ARP frame and a spoofed frame by `udp_wire`,
   `icmp_echo_wire`, `arp_wire` and `opaque_wire`. None is serialized from
   typed values, and none has its header read back from its bytes;
-- queueing an event is an append to its tick's list, or a bisection for a
-  repeated firing, so its cost does not grow with the events in flight, and
-  a queued event is its slots, with no tuple of its own;
+- queueing an event is an append to its tick's list, so its cost does not
+  grow with the events in flight, and a queued event is its slots, with no
+  tuple of its own;
 - the benchmark's tracer wraps `describe_frame`, `Segment.step`,
   `Segment.run` (which calls `self.step()`), the nodes' `receive`,
   `observe`, `perform` and `frames_for`, `TraceRecord.format_line` and
@@ -80,7 +80,6 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache, partial
-from bisect import bisect
 from heapq import heappop, heappush
 from itertools import groupby, islice
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple,
@@ -231,7 +230,7 @@ FIELDS = len(TraceRecord._fields)  # the log's slots per entry
 _IGNORED = FrameEvent.IGNORED
 _PROCESSED_ONLY = (FrameEvent.PROCESSED,)  # the events of a receiver that gave no verdict
 _TX = FrameEvent.TX
-QUEUE_SLOTS = 4  # a queued event's slots: (seq, wire or None, origin, description or step)
+QUEUE_SLOTS = 3  # a queued event's slots: (wire or None, origin, description or step)
 
 
 class TraceView:
@@ -589,12 +588,11 @@ class Segment:
         self._macs: Set[bytes] = set()  # the attached nodes' MAC octets
         self._plans: Dict[Tuple[str, Union[bytes, str]], Plan] = {}  # (origin, dst MAC) -> plan
         self.clock = 0
-        # tick -> its events' slots in seq order: seq, wire, origin and
-        # description or None for a frame; seq, None, node and step for a step
+        # tick -> its events' slots in queueing order: wire, origin and
+        # description or None for a frame; None, node and step for a step
         self._queue: Dict[int, list] = {}
         self._ticks: List[int] = []  # a heap of the keys of `_queue`
         self._now: list = []  # the running tick's slots still to run, reversed
-        self._seq = 0
         # each entry's (time, node, event, frame, raw) in `FIELDS` consecutive
         # slots; `trace` builds a `TraceRecord` from them per read
         self._log: list = []
@@ -651,36 +649,30 @@ class Segment:
         return (len(self._now) + sum(map(len, self._queue.values()))) // QUEUE_SLOTS
 
     def _add(self, time: int, slots: list) -> None:
-        """Queue for tick `time` the events whose slots are `slots`, in seq
-        order: after every event queued for it, or, for a repeated firing's
-        one event, by its seq; a ValueError for a time before the clock. A
-        tick's first slots become its list."""
+        """Queue for tick `time` the events whose slots are `slots`, after
+        every event queued for it; a ValueError for a time before the clock.
+        A tick's first slots become its list."""
         queued = self._queue.get(time)
         if queued is None:
             if time < self.clock:
                 raise ValueError(f"time {time} is before the clock, {self.clock}")
             self._queue[time] = slots
             heappush(self._ticks, time)
-        elif queued[-QUEUE_SLOTS] < slots[0]:
+        else:
             queued += slots
-        else:  # a firing keeps its program's seq, older than some queued here
-            at = QUEUE_SLOTS * bisect(queued[::QUEUE_SLOTS], slots[0])
-            queued[at:at] = slots
 
     def inject(self, time: int, wire: Union[Wire, bytes], origin: str) -> None:
         """Queue a frame as given, a `Wire` or its bytes."""
-        self._add(time, [self._seq, wire, origin, None])
-        self._seq += 1
+        self._add(time, [wire, origin, None])
 
     def schedule(self, time: int, node: str, step: Step) -> None:
         """Queue a step; a repeated program queues its first firing, and each
-        firing the next."""
+        firing queues the next when it runs."""
         period = getattr(step, "period", 1)
         if period < 1:
             raise ValueError(f"attack period must be >= 1, got {period}")
         if getattr(step, "count", 1) > 0:
-            self._add(time, [self._seq, None, node, step])
-            self._seq += 1
+            self._add(time, [None, node, step])
 
     # -- the event loop ------------------------------------------------------
 
@@ -692,13 +684,10 @@ class Segment:
         extend = self._log.extend
         slots = []
         put = slots.extend
-        seq = self._seq
         for wire in wires:
             described = describe_frame(wire)
             extend((now, name, _TX, described, wire.data))
-            put((seq, wire, name, described))
-            seq += 1
-        self._seq = seq
+            put((wire, name, described))
         self._add(now + 1, slots)
 
     def step(self) -> None:
@@ -713,7 +702,6 @@ class Segment:
             now.reverse()
         log = self._log
         pop = now.pop
-        seq = pop()
         wire = pop()
         origin = pop()
         arg = pop()
@@ -745,11 +733,9 @@ class Segment:
                         self._transmit(item, actions.tx_frames, time)
         else:  # a step: the node `origin` performs `arg`
             step = arg
-            # a program's remaining firings keep its seq, so they order among
-            # equal times as if every firing had been queued up front
             rest = getattr(step, "count", 1) - 1
             if rest > 0:
-                self._add(time + step.period, [seq, None, origin, replace(step, count=rest)])
+                self._add(time + step.period, [None, origin, replace(step, count=rest)])
             node = self._by_name[origin]
             self._transmit(node, node.perform(step, time), time)
 

@@ -3,12 +3,13 @@
 `HubSegment` below is the literal hub: it offers every frame to every node
 but its origin, in attach order, and logs one ignored entry per node the
 frame passes by. It queues events on its own heap ordered by (time, seq),
-and a repeated program's next firing keeps its seq. On generated segments
-with colliding MACs and a promiscuous attacker, given frames and repeated
-programs that share ticks, and frames injected at the current tick part-way
-through it, `Segment` must render the same `--hex` lines and metrics, count
-the same trace lines, and show its taps the same frames, both after each
-step and at the end of the run.
+seq counting every event it queues, and a repeated program's firing queues
+the next through `schedule` when it runs, with a fresh seq. On generated
+segments with colliding MACs and a promiscuous attacker, given frames and
+repeated programs that share ticks, and frames injected at the current tick
+part-way through it, `Segment` must render the same `--hex` lines and
+metrics, count the same trace lines, and show its taps the same frames, both
+after each step and at the end of the run.
 Frames to unknown MACs must not grow its plan cache, a run of nodes a
 frame passes by must be one log entry, and the log must hold each entry's
 fields, never a record object.
@@ -68,6 +69,7 @@ class HubSegment(Segment):
         # (time, seq, wire, origin, None) for a frame, and
         # (time, seq, None, node, step) for a step
         self._heap = []
+        self._seq = 0
 
     def inject(self, time, wire, origin):
         heapq.heappush(self._heap, (time, self._seq, wire, origin, None))
@@ -92,12 +94,10 @@ class HubSegment(Segment):
             self.inject(now + 1, wire, origin.name)
 
     def step(self):
-        time, seq, wire, origin, program = heapq.heappop(self._heap)
+        time, _, wire, origin, program = heapq.heappop(self._heap)
         self.clock = time
-        if wire is None:  # a program's firing; its next keeps its seq
-            if program.count > 1:
-                heapq.heappush(self._heap, (time + program.period, seq, None, origin,
-                                            replace(program, count=program.count - 1)))
+        if wire is None:  # a program's firing, which queues the next
+            self.schedule(time + program.period, origin, replace(program, count=program.count - 1))
             node = self.node(origin)
             self._transmit(node, node.perform(program, time), time)
             return

@@ -361,7 +361,7 @@ def test_icmp_echo_wire_is_the_typed_echo_frame(src_mac, dst_mac, src_ip, dst_ip
                                                 identifier, sequence, reply))
 
 
-@pytest.mark.parametrize("size", [1473, 1500, 4000])
+@pytest.mark.parametrize("size", [1473, 1500, 4000, 65516, 70000])
 def test_an_oversize_echo_is_refused_as_serialize_refuses_it(size):
     with pytest.raises(Oversize):
         serialize_frame(make_icmp_echo(MAC_A, MAC_B, IP_A, IP_B, bytes(size)))

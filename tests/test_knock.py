@@ -138,7 +138,6 @@ class TestSeal:
     @pytest.mark.parametrize("port, timestamp", [(1, 0), (0xFFFF, 2**64 - 1)])
     def test_fields_at_the_bounds_are_sealed_and_read_back(self, port, timestamp):
         fields = KnockFields(Ipv4Address.from_str("10.0.0.5"), port, timestamp)
-        assert KnockFields.from_plaintext(fields.to_plaintext()) == fields
         payload = seal_knock(KEY, NONCE0, fields)
         assert open_knock(KEY, payload, now=timestamp, cache=ReplayCache()) == fields
 

@@ -201,14 +201,14 @@ class TestAttackPrograms:
         assert seg.pending == 2  # the client's send and the program's first firing
         seg.run(sc.horizon)
         assert seg.metrics.node("mallory").tx == sc.horizon + 1
-        # the next tick holds the next firing, and then, queued after it but
-        # with a later seq, the last firing's frame still in flight
+        # the next tick holds the next firing, queued when the last one ran,
+        # and then the last firing's frame, which it transmitted after that
         assert seg.pending == 2 and list(seg._queue) == [sc.horizon + 1]
         queued = seg._queue[sc.horizon + 1]
+        assert QUEUE_SLOTS == 3 and len(queued) == 2 * QUEUE_SLOTS
         firing, frame = queued[:QUEUE_SLOTS], queued[QUEUE_SLOTS:]
-        assert firing[1:] == [None, "mallory", MacSpoof("server", count=200000 - sc.horizon - 1)]
-        assert isinstance(frame[1], Wire) and frame[2] == "mallory"
-        assert firing[0] < frame[0]
+        assert firing == [None, "mallory", MacSpoof("server", count=200000 - sc.horizon - 1)]
+        assert isinstance(frame[0], Wire) and frame[1] == "mallory"
 
     def test_zero_count_fires_nothing(self):
         seg = Segment()
@@ -230,15 +230,27 @@ class TestAttackPrograms:
         seg = Segment()
         victim = seg.attach(plain("victim", "10.0.0.3", "aa:00:00:00:00:03"))
         mal = seg.attach(attacker())
-        # the spoof's second firing is queued after the poison was injected,
-        # yet both fall at tick 1 and the program injected first goes first
+        # tick 0's first poison transmits its frame into tick 1 before the
+        # spoof's first firing runs and queues the second, and the second
+        # poison is scheduled at tick 1 before either: so at tick 1 the
+        # second poison runs first, then the first poison's frame arrives,
+        # and only then does the spoof fire again
+        seg.schedule(0, mal.name, ArpPoison("victim", IP("10.0.0.2"),
+                                            MAC("de:ad:be:ef:00:02")))
         seg.schedule(0, mal.name, MacSpoof("victim", count=2, period=1))
         seg.schedule(1, mal.name, ArpPoison("victim", IP("10.0.0.1"),
                                             MAC("de:ad:be:ef:00:01")))
         seg.run()
+        tick1 = [(r.node, r.direction, r.frame) for r in seg.trace if r.time == 1]
+        assert tick1 == [("mallory", "tx", "arp-reply 10.0.0.1 is-at de:ad:be:ef:00:01"),
+                         ("victim", "host_event", "arp-reply 10.0.0.2 is-at de:ad:be:ef:00:02"),
+                         ("mallory", "tx", "ethertype=0x88b5 (19 bytes)"),
+                         ("victim", "drop", "ethertype=0x88b5 (19 bytes)")]
         sent = [(r.time, r.summary.split(" ")[0]) for r in seg.trace if r.direction == "tx"]
-        assert sent == [(0, "ethertype=0x88b5"), (1, "ethertype=0x88b5"), (1, "arp-reply")]
+        assert sent == [(0, "arp-reply"), (0, "ethertype=0x88b5"), (1, "arp-reply"),
+                        (1, "ethertype=0x88b5")]
         assert victim.arp_cache[IP("10.0.0.1")] == MAC("de:ad:be:ef:00:01")
+        assert victim.arp_cache[IP("10.0.0.2")] == MAC("de:ad:be:ef:00:02")
 
     def test_portscan_covers_range(self):
         seg = Segment()

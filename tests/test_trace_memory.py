@@ -46,12 +46,13 @@ WRITE_PEAK = 1 << 20
 # with a plan, and a 1-tuple of names, built for each frame.
 BYTES_PER_UNKNOWN_MAC_FRAME = 45
 # A run's peak above what it retains, per probe of one firing that sweeps a
-# plain host, whose answers are all in flight at once (Python 3.11.7): about
-# 342 B when probes and answers are bytes and header, as `frames.tcp_wire`
-# builds them, each queued as four slots of its tick's list; 389 B when each
-# is queued as a tuple; 618 B when each also holds its typed values and
-# waits in a heap as a 5-tuple.
-IN_FLIGHT_BYTES_PER_PROBE = 480
+# plain host, whose answers are all in flight at once: 300.9 B on Python
+# 3.11-3.13 (292.8 B on 3.10) when probes and answers are bytes and header,
+# as `frames.tcp_wire` builds them, each queued as three slots of its tick's
+# list; 342.4 B (330.4 B on 3.10) with a fourth slot for a sequence number;
+# 389 B (3.11) when each is queued as a tuple; 618 B when each also holds its
+# typed values and waits in a heap as a 5-tuple.
+IN_FLIGHT_BYTES_PER_PROBE = 320
 
 SEGMENT = f"""\
 [nodes]
