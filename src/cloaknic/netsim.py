@@ -38,8 +38,8 @@ The trace is the run's one account. The log is one flat list that holds
 each entry's five fields, `(time, node, event, frame, raw)`, in consecutive
 slots, and no record objects: the event is typed, the frame is its
 description and raw its wire bytes, never the parsed frame, and a line
-renders the bytes as hex only when it is written. The event is a verdict
-exactly as a node returned it (a `DropRecord`, `Delivered` or
+renders the bytes as hex only when it is written. The event is one of a
+verdict's events as a node returned it (a `DropRecord`, `Delivered` or
 `ArpCacheUpdate`), or a `FrameEvent` where no node gives one; every event
 carries its own stage. `Segment.trace` is the one way to read a run: a
 read-only view of the whole log that builds one `TraceRecord` per line as
@@ -55,6 +55,8 @@ these rules:
 - a frame is described, and a tap finds a knock, from its checked header
   (`Wire.header`) and fixed offsets of its bytes, so a frame that arrives
   as bytes is parsed only by a node that needs its values (the plain host);
+- a node's verdict is an immutable `Actions`, one shared value when it
+  sends and reports nothing, else built at return with `tuple.__new__`;
 - every frame a node sends is a `Wire` packed as bytes and header in one
   step by a `frames` builder: a TCP one (a client's SYN, a scan's probe,
   the plain host's answer) by `tcp_wire`, and a client's UDP send, a knock,
@@ -82,8 +84,8 @@ from enum import Enum
 from functools import lru_cache, partial
 from heapq import heappop, heappush
 from itertools import groupby, islice
-from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple,
-                    Union)
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple, Union)
 
 from . import frames
 from .frames import (
@@ -113,6 +115,7 @@ from .nic import (
     Delivered,
     DropReason,
     DropRecord,
+    verdict,
 )
 
 # Distinct line heads `TraceRecord.format_line` keeps: those of the shared
@@ -124,7 +127,9 @@ DESCRIPTION_CACHE = 1024
 PLAIN_STAGE_LINK = 1
 PLAIN_STAGE_IP = 2
 PLAIN_STAGE_TRANSPORT = 3
-_PLAIN_DELIVERED = Delivered(PLAIN_STAGE_TRANSPORT)  # one value shared by the trace
+_PLAIN_DELIVERED = (Delivered(PLAIN_STAGE_TRANSPORT),)  # an answer's events, shared by the trace
+_NO_ACTIONS = Actions()  # an attacker's every verdict
+_actions = partial(tuple.__new__, Actions)  # (tx_frames, host_events, drops) -> Actions
 
 
 class SimError(Exception):
@@ -351,8 +356,10 @@ def describe_frame(wire: Union[Wire, bytes]) -> str:
         text = f"ethertype=0x{data[12:14].hex()} ({len(data)} bytes)"
     elif header.operation == ARP_REQUEST:
         text = f"arp-request who-has {header.target_ip} tell {header.sender_ip}"
-    else:
+    elif header.operation == ARP_REPLY:
         text = f"arp-reply {header.sender_ip} is-at {header.sender_mac}"
+    else:
+        text = f"arp op={header.operation} {header.sender_ip}->{header.target_ip}"
     return _shared_text(text)
 
 
@@ -410,7 +417,7 @@ Step = Union[Send, Ping, ArpPoison, MacSpoof, KnockReplay, PortScan]
 # nodes
 
 class Node:
-    """Base: owns a name/mac/ip; subclasses produce `Actions` per frame."""
+    """Base: owns a name/mac/ip; subclasses give one immutable `Actions` per frame."""
 
     promiscuous = False
     lookup: Callable[[str], "Node"]  # name -> attached node, set by `Segment.attach`
@@ -426,7 +433,7 @@ class Node:
     def observe(self, wire: Wire, now: int) -> None:
         """Promiscuous tap; called for every frame regardless of address."""
 
-    def perform(self, step: Step, now: int) -> List[Wire]:
+    def perform(self, step: Step, now: int) -> Sequence[Wire]:
         """The frames a scheduled scenario step transmits."""
         raise NotImplementedError
 
@@ -445,7 +452,7 @@ class ClientNode(CloakedServerNode):
 
     _ident = 0  # the IPv4 identification of its last send, a 16-bit field
 
-    def perform(self, step: Union[Send, Ping], now: int) -> List[Wire]:
+    def perform(self, step: Union[Send, Ping], now: int) -> Tuple[Wire, ...]:
         dst = self.lookup(step.dst)
         if isinstance(step, Ping):
             wire = frames.icmp_echo_wire(self.mac, dst.mac, self.ip, dst.ip, b"ping")
@@ -474,52 +481,46 @@ class PlainHostNode(Node):
         self.arp_cache: Dict[Ipv4Address, MacAddress] = {}
 
     def receive(self, wire: Wire, now: int) -> Actions:
-        actions = Actions()
         try:
             frame = wire.frame
         except FrameError as exc:
-            return actions.drop(DropReason.MALFORMED, PLAIN_STAGE_LINK, type(exc).__name__)
+            return verdict(DropReason.MALFORMED, PLAIN_STAGE_LINK, type(exc).__name__)
         p = frame.payload
         kind = type(p)
         if kind is Ipv4Packet:
-            return self._receive_ipv4(actions, frame, p, wire.header.view)
-        if kind is ArpPacket:
-            if p.operation == ARP_REQUEST and p.target_ip == self.ip:
-                actions.tx_frames.append(frames.arp_wire(
-                    ARP_REPLY, self.mac, self.ip, p.sender_mac, p.sender_ip))
-            elif p.operation == ARP_REPLY:
-                # no request/reply matching: the classic poisonable cache
-                self.arp_cache[p.sender_ip] = p.sender_mac
-                actions.host_events.append(ArpCacheUpdate(p.sender_ip, p.sender_mac))
-            else:
-                actions.drop(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_LINK, "arp-other-ip")
-            return actions
-        return actions.drop(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_LINK, "unknown-ethertype")
+            return self._receive_ipv4(frame, p, wire.header.view)
+        if kind is not ArpPacket:
+            return verdict(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_LINK, "unknown-ethertype")
+        if p.operation == ARP_REQUEST:
+            if p.target_ip != self.ip:
+                return verdict(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_LINK, "arp-other-ip")
+            return _actions(((frames.arp_wire(
+                ARP_REPLY, self.mac, self.ip, p.sender_mac, p.sender_ip),), (), ()))
+        if p.operation != ARP_REPLY:
+            return verdict(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_LINK, "arp-other-op")
+        # no request/reply matching: the classic poisonable cache
+        self.arp_cache[p.sender_ip] = p.sender_mac
+        return _actions(((), (ArpCacheUpdate(p.sender_ip, p.sender_mac),), ()))
 
-    def _receive_ipv4(self, actions: Actions, frame: EthernetFrame, p: Ipv4Packet,
+    def _receive_ipv4(self, frame: EthernetFrame, p: Ipv4Packet,
                       view: Optional[frames.TransportView]) -> Actions:
         """`view` is the packet's `transport_view`, as the wire's header holds it."""
         icmp = p.payload
         if type(icmp) is IcmpMessage:
-            if icmp.icmp_type == ICMP_ECHO_REQUEST:
-                actions.tx_frames.append(frames.icmp_echo_wire(
-                    self.mac, frame.src, self.ip, p.src, icmp.payload,
-                    icmp.identifier, icmp.sequence, reply=True))
-                actions.host_events.append(_PLAIN_DELIVERED)
-            else:
-                actions.drop(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_TRANSPORT, "icmp-other")
-            return actions
+            if icmp.icmp_type != ICMP_ECHO_REQUEST:
+                return verdict(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_TRANSPORT, "icmp-other")
+            return _actions(((frames.icmp_echo_wire(
+                self.mac, frame.src, self.ip, p.src, icmp.payload,
+                icmp.identifier, icmp.sequence, reply=True),), _PLAIN_DELIVERED, ()))
         if view is None:
-            return actions.drop(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_IP, "unknown-proto")
+            return verdict(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_IP, "unknown-proto")
         if view.kind == "tcp" and view.is_syn:
             flags = TCP_FLAG_SYN | TCP_FLAG_ACK if view.dst_port in self.services \
                 else TCP_FLAG_RST | TCP_FLAG_ACK
-            actions.tx_frames.append(frames.tcp_wire(
-                self.mac, frame.src, self.ip, p.src, view.dst_port, view.src_port, flags))
-            actions.host_events.append(_PLAIN_DELIVERED)
-            return actions
-        return actions.drop(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_TRANSPORT,
-                            f"{view.kind}-closed")
+            return _actions(((frames.tcp_wire(
+                self.mac, frame.src, self.ip, p.src, view.dst_port, view.src_port, flags),),
+                _PLAIN_DELIVERED, ()))
+        return verdict(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_TRANSPORT, f"{view.kind}-closed")
 
 
 class AttackerNode(Node):
@@ -540,7 +541,7 @@ class AttackerNode(Node):
             self.last_knock = wire
 
     def receive(self, wire: Wire, now: int) -> Actions:
-        return Actions()  # attackers never answer traffic aimed at them
+        return _NO_ACTIONS  # attackers never answer traffic aimed at them
 
     def perform(self, step: Union[Ping, AttackProgram], now: int) -> List[Wire]:
         if type(step) is not Ping:
@@ -676,7 +677,7 @@ class Segment:
 
     # -- the event loop ------------------------------------------------------
 
-    def _transmit(self, origin: Node, wires: List[Wire], now: int) -> None:
+    def _transmit(self, origin: Node, wires: Sequence[Wire], now: int) -> None:
         """Log each frame's `tx` line and queue it for the next tick."""
         if not wires:
             return

@@ -24,7 +24,7 @@ released parked frames, that is, one that answered this NIC's own request;
 no other reply writes it. It holds at most RESOLVER_TABLE_CAP (64) peers,
 and a write at capacity evicts the oldest.
 
-Each verdict is one immutable value that owns its stage count (a `DropRecord`,
+Each event is one immutable value that owns its stage count (a `DropRecord`,
 `Delivered` or `ArpCacheUpdate`), and `netsim` records it as it is returned.
 A verdict is reached with the least work the model allows, as a hardware
 filter reads a few fields at fixed offsets: every frame is judged from its
@@ -36,10 +36,11 @@ and every frame the NIC sends or parks is a `Wire`: one it resolves keeps
 its header, which holds no MAC, behind the resolved MAC, and a knock or an
 ARP frame it makes is packed with its header (`frames.icmp_echo_wire`,
 `frames.arp_wire`), so the NIC never serializes typed values nor reads back
-the checksums it has just computed. Headers are dispatched on `type(x) is`,
-a drop is one shared record, and `Actions` is a slotted value. `open_knock`
-and `on_wire_receive` stay separate calls, as the benchmark's tracer wraps
-both.
+the checksums it has just computed. Headers are dispatched on `type(x) is`.
+A verdict is an immutable `Actions` of tuples, built once at return; one
+that sends and reports nothing is one shared value (`verdict` gives a drop's),
+so judging such a frame allocates nothing. `open_knock` and
+`on_wire_receive` stay separate calls, as the benchmark's tracer wraps both.
 
 One instance is a single-threaded state machine; all cross-NIC traffic
 goes through the simulator.
@@ -51,7 +52,7 @@ import struct
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Deque, Dict, List, NamedTuple, Optional, Set, Tuple, Union
 
 from . import frames
@@ -101,7 +102,7 @@ class DropReason(Enum):
 
     # Members are singletons that compare by identity, so identity hashing
     # agrees with equality; `Enum.__hash__` is a Python-level call, made for
-    # every drop's `_drop_record` lookup.
+    # every `verdict` lookup.
     __hash__ = object.__hash__
 
 
@@ -109,13 +110,6 @@ class DropRecord(NamedTuple):
     reason: DropReason
     stage_count: int
     detail: Optional[str] = None
-
-
-@lru_cache(maxsize=None)
-def _drop_record(reason: DropReason, stage: int, detail: Optional[str]) -> DropRecord:
-    """The one shared record of a verdict. A record is immutable, and its reason,
-    stage and detail come from the code's few literals, so the cache stays small."""
-    return DropRecord(reason, stage, detail)
 
 
 class ArpCacheUpdate(NamedTuple):
@@ -132,31 +126,39 @@ class Delivered(NamedTuple):
     stage_count: int = 2
 
 
-_DELIVERED = Delivered()  # the trace keeps every verdict, so one value is shared
-
-
 HostEvent = Union[ArpCacheUpdate, Delivered]
 
 
-@dataclass(init=False, slots=True)
-class Actions:
+class Actions(NamedTuple):
     """Per-call outcome: every input frame lands in exactly one bucket.
     A frame to send is a `Wire`, its bytes and header."""
 
-    tx_frames: List[Wire]
-    host_events: List[HostEvent]
-    drops: List[DropRecord]
+    tx_frames: Tuple[Wire, ...] = ()
+    host_events: Tuple[HostEvent, ...] = ()
+    drops: Tuple[DropRecord, ...] = ()
 
-    def __init__(self, tx_frames: Optional[List[Wire]] = None,
-                 host_events: Optional[List[HostEvent]] = None,
-                 drops: Optional[List[DropRecord]] = None):
-        self.tx_frames = [] if tx_frames is None else tx_frames
-        self.host_events = [] if host_events is None else host_events
-        self.drops = [] if drops is None else drops
 
-    def drop(self, reason: DropReason, stage: int, detail: Optional[str] = None) -> "Actions":
-        self.drops.append(_drop_record(reason, stage, detail))
-        return self
+_new = tuple.__new__  # builds a named tuple with no Python frame
+_actions = partial(_new, Actions)  # (tx_frames, host_events, drops) -> Actions
+
+
+@lru_cache(maxsize=None)
+def verdict(reason: DropReason, stage: int, detail: Optional[str] = None) -> Actions:
+    """The one shared value of a drop, and so its one `DropRecord`. It is
+    immutable, and its reason, stage and detail come from the code's few
+    literals, so the cache stays small."""
+    return _actions(((), (), (DropRecord(reason, stage, detail),)))
+
+
+# the verdicts most frames get, each looked up once
+_NO_MATCH = verdict(DropReason.NO_FILTER_MATCH, 1)
+_ARP_OTHER_IP = verdict(DropReason.NO_FILTER_MATCH, 1, "arp-other-ip")
+_ARP_OTHER_OP = verdict(DropReason.NO_FILTER_MATCH, 1, "arp-other-op")
+_UNSOLICITED = verdict(DropReason.UNSOLICITED_ARP_REPLY, 1)
+_CONSUMED = verdict(DropReason.UNSOLICITED_ARP_REPLY, 1, "consumed by resolver").drops
+_BAD_KNOCK = {reason._value_: verdict(DropReason.BAD_KNOCK, 2, reason._value_)
+              for reason in RejectReason}
+_DELIVERED = _actions(((), (Delivered(),), ()))  # an admitted pair's every frame
 
 
 @dataclass
@@ -304,18 +306,17 @@ class CloakingNic:
         payload = seal_knock(key, self._next_nonce(), fields)
         return frames.icmp_echo_wire(self.mac, dst_mac, self.ip, peer_ip, payload)
 
-    def _emit_with_knock(self, actions: Actions, wire: Wire, now: int) -> None:
-        """Prefix the frame with a knock if the peer is protected and unknocked."""
+    def _emit_with_knock(self, tx: List[Wire], wire: Wire, now: int) -> None:
+        """Append `wire` to `tx`, after a knock if its peer is protected and unknocked."""
         header = wire.header
         view, dst = header.view, header.dst
         if view is not None and dst in self.config.protected_peers:
             state_key = (view.src_port, dst)
             if now > self._knocked.get(state_key, -1):
-                actions.tx_frames.append(self._knock_frame(
-                    dst, MacAddress(wire.data[:6]), view.src_port, now))
+                tx.append(self._knock_frame(dst, MacAddress(wire.data[:6]), view.src_port, now))
                 self._knocked.drop_expired(now)
                 self._knocked.put(state_key, now + FILTER_TTL_SECONDS)
-        actions.tx_frames.append(wire)
+        tx.append(wire)
 
     # -- host-facing operations --------------------------------------------
 
@@ -325,19 +326,18 @@ class CloakingNic:
         data, header = wire.data, wire.header
         if data[6:12] != self.mac.octets or type(header) is not Ipv4Header:
             raise NicError("host frames must be IPv4 from the NIC MAC")
-        actions = Actions()
         if data[:6] == MAC_ZERO.octets:
             mac = self.resolver.lookup(header.dst, now)
             if mac is None:
                 # MAC unresolved: park the frame and resolve
                 self._park(now, header.dst, wire)
-                actions.tx_frames.append(frames.arp_wire(
-                    ARP_REQUEST, self.mac, self.ip, MAC_ZERO, header.dst))
-                return actions
+                return _actions(((frames.arp_wire(
+                    ARP_REQUEST, self.mac, self.ip, MAC_ZERO, header.dst),), (), ()))
             # an `Ipv4Header` holds no MAC, so the header is the resolved frame's
             wire = Wire(mac.octets + data[6:], header)
-        self._emit_with_knock(actions, wire, now)
-        return actions
+        tx: List[Wire] = []
+        self._emit_with_knock(tx, wire, now)
+        return _actions((tuple(tx), (), ()))
 
     # -- wire-facing operations --------------------------------------------
 
@@ -346,64 +346,61 @@ class CloakingNic:
         are wrapped here."""
         if not isinstance(wire, Wire):
             wire = Wire(wire)
-        actions = Actions()
         try:
             header = wire.header
         except frames.FrameError as exc:
-            return actions.drop(DropReason.MALFORMED, 1, type(exc).__name__)
+            return verdict(DropReason.MALFORMED, 1, type(exc).__name__)
         kind = type(header)
         if kind is Ipv4Header:
-            return self._receive_ipv4(actions, wire, header, now)
+            return self._receive_ipv4(wire, header, now)
         if kind is ArpPacket:
-            return self._receive_arp(actions, header, now)
-        return actions.drop(DropReason.NO_FILTER_MATCH, 1, "non-ip ethertype")
+            return self._receive_arp(header, now)
+        return verdict(DropReason.NO_FILTER_MATCH, 1, "non-ip ethertype")
 
-    def _receive_arp(self, actions: Actions, arp: ArpPacket, now: int) -> Actions:
-        # stateless: a request for our IP is answered from the NIC's own addresses
-        if arp.operation == ARP_REQUEST and arp.target_ip == self.ip:
-            actions.tx_frames.append(frames.arp_wire(
-                ARP_REPLY, self.mac, self.ip, arp.sender_mac, arp.sender_ip))
-            return actions
+    def _receive_arp(self, arp: ArpPacket, now: int) -> Actions:
+        if arp.operation == ARP_REQUEST:
+            if arp.target_ip != self.ip:
+                return _ARP_OTHER_IP
+            # stateless: a request for our IP is answered from the NIC's own addresses
+            return _actions(((frames.arp_wire(
+                ARP_REPLY, self.mac, self.ip, arp.sender_mac, arp.sender_ip),), (), ()))
+        if arp.operation != ARP_REPLY:
+            return _ARP_OTHER_OP
         # Replies never reach the host ARP cache. A reply answering our own
         # outstanding request does complete parked transmissions (the NIC is
         # the resolver on the client side), and only such a reply writes the
         # resolver table, but it is still not delivered.
-        parked = self._unpark(now, arp.sender_ip) if arp.operation == ARP_REPLY else []
-        if parked:
-            self.resolver.learn(arp.sender_ip, arp.sender_mac, now)
-            actions.drop(DropReason.UNSOLICITED_ARP_REPLY, 1, "consumed by resolver")
-            mac = arp.sender_mac.octets
-            for wire in parked:
-                self._emit_with_knock(actions, Wire(mac + wire.data[6:], wire.header), now)
-            return actions
-        if arp.operation == ARP_REQUEST:
-            return actions.drop(DropReason.NO_FILTER_MATCH, 1, "arp-other-ip")
-        return actions.drop(DropReason.UNSOLICITED_ARP_REPLY, 1)
+        parked = self._unpark(now, arp.sender_ip)
+        if not parked:
+            return _UNSOLICITED
+        self.resolver.learn(arp.sender_ip, arp.sender_mac, now)
+        mac = arp.sender_mac.octets
+        tx: List[Wire] = []
+        for wire in parked:
+            self._emit_with_knock(tx, Wire(mac + wire.data[6:], wire.header), now)
+        return _actions((tuple(tx), (), _CONSUMED))
 
-    def _receive_ipv4(self, actions: Actions, wire: Wire, header: Ipv4Header,
-                      now: int) -> Actions:
+    def _receive_ipv4(self, wire: Wire, header: Ipv4Header, now: int) -> Actions:
         src, _, _, _, _, _, icmp, view = header
         if icmp is not None and is_knock_payload(icmp):
-            return self._receive_knock(actions, wire, src, icmp, now)
+            return self._receive_knock(wire, src, icmp, now)
         # plain ICMP and unknown IP protocols have no view: the default drop
         if view is not None and self.filter.lookup(src, view.src_port, now):
-            actions.host_events.append(_DELIVERED)
-            return actions
-        return actions.drop(DropReason.NO_FILTER_MATCH, 1)
+            return _DELIVERED
+        return _NO_MATCH
 
-    def _receive_knock(self, actions: Actions, wire: Wire, src: Ipv4Address,
-                       knock: bytes, now: int) -> Actions:
+    def _receive_knock(self, wire: Wire, src: Ipv4Address, knock: bytes, now: int) -> Actions:
         key = self.config.role_keys.get(src)
         if key is None:
             # unauthenticatable sender: indistinguishable from a forged tag
-            return actions.drop(DropReason.BAD_KNOCK, 2, RejectReason.BAD_TAG._value_)
+            return _BAD_KNOCK[RejectReason.BAD_TAG._value_]
         result = open_knock(key, knock, now, self.replay_cache)
         if type(result) is RejectReason:
-            return actions.drop(DropReason.BAD_KNOCK, 2, result._value_)
+            return _BAD_KNOCK[result._value_]
         if result.client_ip != src:
             # a key holder may only open the filter for the address it sends from
-            return actions.drop(DropReason.BAD_KNOCK, 2, "IpMismatch")
+            return verdict(DropReason.BAD_KNOCK, 2, "IpMismatch")
         if not self.filter.insert(result.client_ip, result.client_port, now):
-            return actions.drop(DropReason.BAD_KNOCK, 2, "TableFull")
-        actions.host_events.append(ArpCacheUpdate(result.client_ip, MacAddress(wire.data[6:12])))
-        return actions
+            return verdict(DropReason.BAD_KNOCK, 2, "TableFull")
+        mac = _new(MacAddress, (wire.data[6:12],))
+        return _actions(((), (_new(ArpCacheUpdate, (result.client_ip, mac)),), ()))

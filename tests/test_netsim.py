@@ -163,7 +163,7 @@ class TestPlainHost:
     def test_each_drop_has_its_stage(self, frame, reason, stage, detail):
         host = plain("victim", "10.0.0.3", "aa:00:00:00:00:03", services={22})
         wire = Wire(b"\x00" * 13) if frame is None else Wire(serialize_frame(frame))
-        assert host.receive(wire, now=0) == Actions(drops=[DropRecord(reason, stage, detail)])
+        assert host.receive(wire, now=0) == Actions(drops=(DropRecord(reason, stage, detail),))
 
 
 class TestAttackPrograms:
@@ -363,7 +363,9 @@ def _summary(data: bytes) -> str:
     if kind is ArpPacket:
         if p.operation == ARP_REQUEST:
             return f"arp-request who-has {p.target_ip} tell {p.sender_ip}"
-        return f"arp-reply {p.sender_ip} is-at {p.sender_mac}"
+        if p.operation == ARP_REPLY:
+            return f"arp-reply {p.sender_ip} is-at {p.sender_mac}"
+        return f"arp op={p.operation} {p.sender_ip}->{p.target_ip}"
     return f"ethertype=0x{frame.ethertype:04x} ({len(data)} bytes)"
 
 
@@ -376,6 +378,19 @@ def test_describe_frame_is_total():
     assert "malformed" in describe_frame(b"\x00")
     assert "arp-request" in describe_frame(serialize_frame(make_arp(
         ARP_REQUEST, MAC("aa:00:00:00:00:01"), IP("10.0.0.1"), MAC_ZERO, IP("10.0.0.2"))))
+
+
+@pytest.mark.parametrize("operation", [0, 3, 0xFFFF])
+def test_an_arp_operation_neither_request_nor_reply_is_named_as_it_is(operation):
+    data = serialize_frame(make_arp(operation, MAC("aa:00:00:00:00:66"), IP("10.0.0.66"),
+                                    MAC("aa:00:00:00:00:02"), IP("10.0.0.2")))
+    assert describe_frame(data) == f"arp op={operation} 10.0.0.66->10.0.0.2"
+    nic = CloakingNic(NicConfig(MAC("aa:00:00:00:00:02"), IP("10.0.0.2")))
+    cloaked = CloakedServerNode("server", nic.mac, nic.ip, nic).receive(Wire(data), now=0)
+    host = plain("server", "10.0.0.2", "aa:00:00:00:00:02")
+    assert cloaked.drops == (DropRecord(DropReason.NO_FILTER_MATCH, 1, "arp-other-op"),)
+    assert host.receive(Wire(data), now=0) is cloaked
+    assert host.arp_cache == {}
 
 
 class TestMetricsNode:

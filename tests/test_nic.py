@@ -198,21 +198,21 @@ class TestArpProcessing:
         assert reply.sender_mac == SERVER_MAC
         assert reply.sender_ip == SERVER_IP
         assert actions.tx_frames[0].frame.dst == CLIENT_MAC  # unicast
-        assert actions.host_events == [] and actions.drops == []
+        assert actions.host_events == () and actions.drops == ()
 
     def test_request_for_other_ip_silently_dropped(self):
         nic = server_nic()
         wire = serialize_frame(make_arp(ARP_REQUEST, CLIENT_MAC, CLIENT_IP, MAC_ZERO, ATTACKER_IP))
         actions = nic.on_wire_receive(wire, now=0)
-        assert actions.tx_frames == [] and actions.host_events == []
-        assert actions.drops == [DropRecord(DropReason.NO_FILTER_MATCH, 1, "arp-other-ip")]
+        assert actions.tx_frames == () and actions.host_events == ()
+        assert actions.drops == (DropRecord(DropReason.NO_FILTER_MATCH, 1, "arp-other-ip"),)
 
     def test_gratuitous_reply_never_reaches_host(self):
         nic = server_nic()
         forged = make_arp(ARP_REPLY, ATTACKER_MAC, Ipv4Address.from_str("10.0.0.1"),
                           SERVER_MAC, SERVER_IP)
         actions = nic.on_wire_receive(serialize_frame(forged), now=0)
-        assert actions.host_events == []
+        assert actions.host_events == ()
         assert actions.drops[0].reason is DropReason.UNSOLICITED_ARP_REPLY
 
     def test_non_ethernet_ipv4_arp_request_is_not_answered(self):
@@ -222,7 +222,7 @@ class TestArpProcessing:
             make_arp(ARP_REQUEST, CLIENT_MAC, CLIENT_IP, MAC_ZERO, SERVER_IP)))
         wire[14:20] = bytes.fromhex("000686dd0810")
         actions = server_nic().on_wire_receive(bytes(wire), now=0)
-        assert actions == Actions(drops=[DropRecord(DropReason.MALFORMED, 1, "UnsupportedArp")])
+        assert actions == Actions(drops=(DropRecord(DropReason.MALFORMED, 1, "UnsupportedArp"),))
 
     def test_arp_answers_are_stateless(self):
         nic = server_nic()
@@ -233,15 +233,15 @@ class TestArpProcessing:
         assert [w.data for w in second.tx_frames] == [w.data for w in first.tx_frames]
         assert (second.host_events, second.drops) == (first.host_events, first.drops)
         reply = serialize_frame(make_arp(ARP_REPLY, CLIENT_MAC, CLIENT_IP, SERVER_MAC, SERVER_IP))
-        assert nic.on_wire_receive(reply, now=2).tx_frames == []
+        assert nic.on_wire_receive(reply, now=2).tx_frames == ()
 
 
 class TestKnockAdmission:
     def test_valid_knock_then_syn(self):
         nic = server_nic()
         first = nic.on_wire_receive(knock_wire(now=100), now=100)
-        assert first.host_events == [ArpCacheUpdate(CLIENT_IP, CLIENT_MAC)]
-        assert first.tx_frames == [] and first.drops == []
+        assert first.host_events == (ArpCacheUpdate(CLIENT_IP, CLIENT_MAC),)
+        assert first.tx_frames == () and first.drops == ()
         second = nic.on_wire_receive(syn_wire(), now=101)
         assert len(second.host_events) == 1
         assert isinstance(second.host_events[0], Delivered)
@@ -255,19 +255,19 @@ class TestKnockAdmission:
         wire[24:26] = b"\x00\x00"
         wire[24:26] = internet_checksum(bytes(wire[14:34])).to_bytes(2, "big")
         actions = nic.on_wire_receive(bytes(wire), now=101)
-        assert actions == Actions(drops=[DropRecord(DropReason.MALFORMED, 1, "Fragment")])
+        assert actions == Actions(drops=(DropRecord(DropReason.MALFORMED, 1, "Fragment"),))
         assert nic.on_wire_receive(syn_wire(), now=102).host_events[0].stage_count == 2
 
     def test_arp_cache_update_uses_outer_source_mac(self):
         nic = server_nic()
         actions = nic.on_wire_receive(knock_wire(now=0, src_mac=ATTACKER_MAC), now=0)
-        assert actions.host_events == [ArpCacheUpdate(CLIENT_IP, ATTACKER_MAC)]
+        assert actions.host_events == (ArpCacheUpdate(CLIENT_IP, ATTACKER_MAC),)
 
     def test_syn_without_knock_is_silent(self):
         nic = server_nic()
         actions = nic.on_wire_receive(syn_wire(), now=0)
-        assert actions.tx_frames == [] and actions.host_events == []
-        assert actions.drops == [actions.drops[0]]
+        assert actions.tx_frames == () and actions.host_events == ()
+        assert actions.drops == (actions.drops[0],)
         assert actions.drops[0].reason is DropReason.NO_FILTER_MATCH
         assert actions.drops[0].stage_count == 1
 
@@ -275,7 +275,7 @@ class TestKnockAdmission:
         nic = server_nic()
         wire = knock_wire(now=0, key=SharedKey(bytes(32)))  # wrong key
         actions = nic.on_wire_receive(wire, now=0)
-        assert actions.tx_frames == [] and actions.host_events == []
+        assert actions.tx_frames == () and actions.host_events == ()
         assert actions.drops[0].reason is DropReason.BAD_KNOCK
         assert actions.drops[0].detail == RejectReason.BAD_TAG.value
         assert len(nic.filter) == 0
@@ -301,7 +301,7 @@ class TestKnockAdmission:
         wire = serialize_frame(make_icmp_echo(CLIENT_MAC, SERVER_MAC, CLIENT_IP,
                                               SERVER_IP, b"ping"))
         actions = nic.on_wire_receive(wire, now=0)
-        assert actions.tx_frames == []
+        assert actions.tx_frames == ()
         assert actions.drops[0].reason is DropReason.NO_FILTER_MATCH
 
     def test_malformed_frame(self):
@@ -313,10 +313,10 @@ class TestKnockAdmission:
         nic = server_nic()
         padded = syn_wire()
         padded += bytes(1514 - len(padded))  # the largest frame still parses
-        assert nic.on_wire_receive(padded, now=0).drops == [
-            DropRecord(DropReason.NO_FILTER_MATCH, 1)]
+        assert nic.on_wire_receive(padded, now=0).drops == (
+            DropRecord(DropReason.NO_FILTER_MATCH, 1),)
         actions = nic.on_wire_receive(padded + b"\x00", now=0)
-        assert actions == Actions(drops=[DropRecord(DropReason.MALFORMED, 1, "Oversize")])
+        assert actions == Actions(drops=(DropRecord(DropReason.MALFORMED, 1, "Oversize"),))
 
     @pytest.mark.parametrize("wire, reason", [
         (syn_wire()[:14] + bytes([0x46]) + syn_wire()[15:], "UnsupportedIpHeader"),
@@ -327,7 +327,7 @@ class TestKnockAdmission:
     ])
     def test_unreadable_ip_or_arp_is_malformed_at_stage_1(self, wire, reason):
         actions = server_nic().on_wire_receive(wire, now=0)
-        assert actions == Actions(drops=[DropRecord(DropReason.MALFORMED, 1, reason)])
+        assert actions == Actions(drops=(DropRecord(DropReason.MALFORMED, 1, reason),))
 
     def test_knock_sealing_another_ip_is_refused(self):
         nic = server_nic()
@@ -335,7 +335,7 @@ class TestKnockAdmission:
         wire = serialize_frame(make_icmp_echo(CLIENT_MAC, SERVER_MAC, CLIENT_IP,
                                               SERVER_IP, payload))
         actions = nic.on_wire_receive(wire, now=0)
-        assert actions == Actions(drops=[DropRecord(DropReason.BAD_KNOCK, 2, "IpMismatch")])
+        assert actions == Actions(drops=(DropRecord(DropReason.BAD_KNOCK, 2, "IpMismatch"),))
         assert len(nic.filter) == 0
         assert not nic.filter.lookup(ATTACKER_IP, 40000, now=1)
 
@@ -349,7 +349,7 @@ class TestKnockAdmission:
                                               SERVER_IP, payload))
         nic = server_nic()
         assert nic.on_wire_receive(wire, now=0) == Actions(
-            drops=[DropRecord(DropReason.BAD_KNOCK, 2, RejectReason.NON_CANONICAL.value)])
+            drops=(DropRecord(DropReason.BAD_KNOCK, 2, RejectReason.NON_CANONICAL.value),))
         assert len(nic.filter) == 0 and len(nic.replay_cache) == 0
 
     def test_knock_into_a_full_filter_is_refused_and_spent(self):
@@ -358,12 +358,12 @@ class TestKnockAdmission:
             nic.filter.insert(CLIENT_IP, port, now=0)
         wire = knock_wire(now=1, port=50000)
         assert nic.on_wire_receive(wire, now=1) == Actions(
-            drops=[DropRecord(DropReason.BAD_KNOCK, 2, "TableFull")])
+            drops=(DropRecord(DropReason.BAD_KNOCK, 2, "TableFull"),))
         assert len(nic.filter) == FILTER_TABLE_CAP
         assert not nic.filter.lookup(CLIENT_IP, 50000, now=1)
         # the knock was authentic, so its nonce is spent
         assert nic.on_wire_receive(wire, now=2) == Actions(
-            drops=[DropRecord(DropReason.BAD_KNOCK, 2, RejectReason.REPLAYED.value)])
+            drops=(DropRecord(DropReason.BAD_KNOCK, 2, RejectReason.REPLAYED.value),))
 
 
 class TestCloakingSweep:
@@ -373,12 +373,12 @@ class TestCloakingSweep:
             actions = nic.on_wire_receive(
                 syn_wire(src_ip=ATTACKER_IP, src_mac=ATTACKER_MAC,
                          src_port=50000, dst_port=port), now=port)
-            assert actions.tx_frames == [] and actions.host_events == []
+            assert actions.tx_frames == () and actions.host_events == ()
             assert actions.drops[0].stage_count == 1
         echo = serialize_frame(make_icmp_echo(ATTACKER_MAC, SERVER_MAC,
                                               ATTACKER_IP, SERVER_IP, b"x"))
         actions = nic.on_wire_receive(echo, now=2000)
-        assert actions.tx_frames == []
+        assert actions.tx_frames == ()
 
     def test_udp_probe_is_silent(self):
         nic = server_nic()
@@ -386,7 +386,7 @@ class TestCloakingSweep:
                                                SERVER_IP, frames.PROTO_UDP,
                                                udp_datagram(1234, 53)))
         actions = nic.on_wire_receive(wire, now=0)
-        assert actions.tx_frames == []
+        assert actions.tx_frames == ()
 
 
 class TestHostTransmit:
@@ -423,7 +423,7 @@ class TestHostTransmit:
         wire = Wire(serialize_frame(make_ipv4_frame(nic.mac, ATTACKER_MAC, nic.ip, other_ip,
                                                     PROTO_TCP, tcp_segment(1, 2))))
         actions = nic.on_host_transmit(wire, now=0)
-        assert actions.tx_frames == [wire]  # the host's frame itself
+        assert actions.tx_frames == (wire,)  # the host's frame itself
 
     def test_unknown_peer_key(self):
         cfg = NicConfig(mac=CLIENT_MAC, ip=CLIENT_IP, protected_peers={SERVER_IP})
@@ -448,7 +448,7 @@ class TestHostTransmit:
         reply = serialize_frame(make_arp(ARP_REPLY, SERVER_MAC, SERVER_IP,
                                          CLIENT_MAC, CLIENT_IP))
         actions = nic.on_wire_receive(reply, now=7)
-        assert actions.host_events == []  # wire ARP never reaches the host
+        assert actions.host_events == ()  # wire ARP never reaches the host
         kinds = [type(f.frame.payload.payload).__name__ for f in actions.tx_frames]
         assert kinds == ["IcmpMessage", "bytes"]  # knock then SYN, now resolved
         assert all(f.frame.dst == SERVER_MAC for f in actions.tx_frames)
@@ -488,7 +488,7 @@ class TestResolverTable:
         nic = client_nic()
         assert is_arp_request_for_server(send_unresolved(nic, now=0))
         actions = nic.on_wire_receive(arp_reply_to_client(SERVER_IP, SERVER_MAC), now=2)
-        assert actions.drops == [CONSUMED]
+        assert actions.drops == (CONSUMED,)
         assert [f.frame.dst for f in actions.tx_frames] == [SERVER_MAC, SERVER_MAC]  # knock, SYN
         assert dict(nic.resolver.entries) == {SERVER_IP: (2 + FILTER_TTL_SECONDS, SERVER_MAC)}
         return nic
@@ -496,7 +496,7 @@ class TestResolverTable:
     def test_unsolicited_reply_never_writes(self):
         nic = client_nic()
         actions = nic.on_wire_receive(arp_reply_to_client(SERVER_IP, SERVER_MAC), now=0)
-        assert actions == Actions(drops=[UNSOLICITED])
+        assert actions == Actions(drops=(UNSOLICITED,))
         assert len(nic.resolver) == 0
         assert is_arp_request_for_server(send_unresolved(nic, now=1))
 
@@ -506,7 +506,7 @@ class TestResolverTable:
         # the poison program's reply: the server's IP at the attacker's MAC
         for forged_ip in (SERVER_IP, ATTACKER_IP):
             actions = nic.on_wire_receive(arp_reply_to_client(forged_ip, ATTACKER_MAC), now=3)
-            assert actions == Actions(drops=[UNSOLICITED])
+            assert actions == Actions(drops=(UNSOLICITED,))
         assert dict(nic.resolver.entries) == entries
         assert [f.frame.dst for f in send_unresolved(nic, now=4)] == [SERVER_MAC]
 
@@ -514,7 +514,7 @@ class TestResolverTable:
         nic = client_nic()
         send_unresolved(nic, now=0)  # parked until tick 2
         actions = nic.on_wire_receive(arp_reply_to_client(SERVER_IP, SERVER_MAC), now=3)
-        assert actions == Actions(drops=[UNSOLICITED])
+        assert actions == Actions(drops=(UNSOLICITED,))
         assert len(nic.resolver) == 0
         assert is_arp_request_for_server(send_unresolved(nic, now=4))
 
@@ -552,7 +552,7 @@ class TestResolverTable:
         for wire in (arp_reply_to_client(Ipv4Address.from_str("10.0.0.1"), ATTACKER_MAC),
                      serialize_frame(make_arp(ARP_REPLY, ATTACKER_MAC, CLIENT_IP,
                                               SERVER_MAC, SERVER_IP))):
-            assert nic.on_wire_receive(wire, now=0) == Actions(drops=[UNSOLICITED])
+            assert nic.on_wire_receive(wire, now=0) == Actions(drops=(UNSOLICITED,))
         assert len(nic.resolver) == 0
 
 

@@ -133,7 +133,7 @@ def test_a_burst_of_sends_in_one_tick_parks_in_linear_time():
             ARP_REPLY, mac, ip, client_mac, client_ip)), now)
 
     # at tick 3 the burst is live until its last tick, the stranger's frame is not
-    assert reply(STRANGER_IP, STRANGER_MAC, now=3).tx_frames == []
+    assert reply(STRANGER_IP, STRANGER_MAC, now=3).tx_frames == ()
     released = reply(SERVER_IP, SERVER_MAC, now=3).tx_frames
     assert len(released) == 10_000 and {f.data[:6] for f in released} == {SERVER_MAC.octets}
     assert len(nic._pending_arp) == 0
@@ -156,7 +156,7 @@ def test_replies_with_frames_parked_cost_only_the_frames_they_release():
     start = time.perf_counter()
     for _ in range(n):
         actions = nic.on_wire_receive(stranger, 2)
-        assert actions.drops == [DropRecord(DropReason.UNSOLICITED_ARP_REPLY, 1)]
+        assert actions.drops == (DropRecord(DropReason.UNSOLICITED_ARP_REPLY, 1),)
     assert time.perf_counter() - start < 1.0
     assert parked_frames(nic) == n
     released = nic.on_wire_receive(reply(SERVER_IP, SERVER_MAC), 3).tx_frames
@@ -227,7 +227,7 @@ class NicMachine(RuleBasedStateMachine):
         self.port = port
         wire = serialize_frame(make_icmp_echo(mac, SERVER_MAC, ip, SERVER_IP,
                                               self.seal(ip, key)))
-        assert self.receive(wire) == Actions(host_events=[ArpCacheUpdate(ip, mac)])
+        assert self.receive(wire) == Actions(host_events=(ArpCacheUpdate(ip, mac),))
         self.write(self.admitted, (ip, port), self.now + FILTER_TTL_SECONDS)
         self.write(self.accepted, self.nonce.to_bytes(8, "big"),
                    self.now + REPLAY_WINDOW_SECONDS)
@@ -243,7 +243,7 @@ class NicMachine(RuleBasedStateMachine):
         wire = serialize_frame(make_icmp_echo(mac, SERVER_MAC, ip, SERVER_IP,
                                               self.seal(other_ip, key)))
         assert self.receive(wire) == Actions(
-            drops=[DropRecord(DropReason.BAD_KNOCK, 2, "IpMismatch")])
+            drops=(DropRecord(DropReason.BAD_KNOCK, 2, "IpMismatch"),))
         # the knock was authentic, so its nonce is spent
         self.write(self.accepted, self.nonce.to_bytes(8, "big"),
                    self.now + REPLAY_WINDOW_SECONDS)
@@ -254,7 +254,7 @@ class NicMachine(RuleBasedStateMachine):
     def replay(self, data):
         wire, stamp = data.draw(st.sampled_from(self.knocks))
         detail = "Stale" if self.now - stamp > FRESHNESS_SECONDS else "Replayed"
-        assert self.receive(wire) == Actions(drops=[DropRecord(DropReason.BAD_KNOCK, 2, detail)])
+        assert self.receive(wire) == Actions(drops=(DropRecord(DropReason.BAD_KNOCK, 2, detail),))
 
     @rule(ip=st.sampled_from([ip for ip, _ in SENDERS]), port=st.sampled_from(CLIENT_PORTS))
     def syn(self, ip, port):
@@ -278,7 +278,7 @@ class NicMachine(RuleBasedStateMachine):
             wire[24:26] = bytes(2)
             wire[24:26] = internet_checksum(bytes(wire[14:34])).to_bytes(2, "big")
         wire = bytes(wire)
-        if self.receive(wire).host_events != [Delivered()]:
+        if self.receive(wire).host_events != (Delivered(),):
             return
         # delivered: a canonical frame from a live admission, whose TTL it refreshed
         frame = parse_frame(wire)
@@ -293,7 +293,7 @@ class NicMachine(RuleBasedStateMachine):
             assert [type(e) for e in actions.host_events] == [Delivered]
             self.admitted[(ip, port)] = self.now + FILTER_TTL_SECONDS
         else:
-            assert actions.drops == [DropRecord(DropReason.NO_FILTER_MATCH, 1)]
+            assert actions.drops == (DropRecord(DropReason.NO_FILTER_MATCH, 1),)
 
     @rule(own=st.booleans())
     def arp_request(self, own):
@@ -303,7 +303,7 @@ class NicMachine(RuleBasedStateMachine):
         if own:
             assert len(actions.tx_frames) == 1
         else:
-            assert actions.drops == [DropRecord(DropReason.NO_FILTER_MATCH, 1, "arp-other-ip")]
+            assert actions.drops == (DropRecord(DropReason.NO_FILTER_MATCH, 1, "arp-other-ip"),)
 
     @rule(data=st.binary(max_size=80))
     def noise(self, data):
@@ -383,9 +383,9 @@ class ResolverMachine(RuleBasedStateMachine):
         mac = STRANGER_MAC if forged else mac
         actions = self.nic.on_wire_receive(reply_to_client(ip, mac), self.now)
         if self.now > self.asked.pop(ip, -1):
-            assert actions == Actions(drops=[UNSOLICITED])
+            assert actions == Actions(drops=(UNSOLICITED,))
             return
-        assert actions.drops == [CONSUMED]
+        assert actions.drops == (CONSUMED,)
         assert {f.frame.dst for f in actions.tx_frames} == {mac}
         self.resolved.pop(ip, None)
         for key in [k for k, (expires, _) in self.resolved.items() if self.now > expires]:
@@ -399,7 +399,7 @@ class ResolverMachine(RuleBasedStateMachine):
     def stranger_reply(self):
         # a reply for an IP this NIC never asked about
         actions = self.nic.on_wire_receive(reply_to_client(STRANGER_IP, STRANGER_MAC), self.now)
-        assert actions == Actions(drops=[UNSOLICITED])
+        assert actions == Actions(drops=(UNSOLICITED,))
 
     @invariant()
     def table_matches_the_model(self):
@@ -422,7 +422,7 @@ def test_a_resolver_write_at_capacity_evicts_the_oldest_peer():
     # every peer is answered in one tick, so none has expired
     for ip, mac in peers:
         nic.on_host_transmit(udp_to(ip), 0)
-        assert nic.on_wire_receive(reply_to_client(ip, mac), 0).drops == [CONSUMED]
+        assert nic.on_wire_receive(reply_to_client(ip, mac), 0).drops == (CONSUMED,)
     assert list(nic.resolver.entries) == [ip for ip, _ in peers[1:]]
     (oldest, _), (second, second_mac) = peers[:2]
     request, = nic.on_host_transmit(udp_to(oldest), 1).tx_frames
@@ -442,7 +442,7 @@ def nic_admitting_live_pair() -> CloakingNic:
     knock = seal_knock(key, bytes(8), KnockFields(ip, LIVE_PAIR[1], 0))
     actions = nic.on_wire_receive(
         serialize_frame(make_icmp_echo(mac, SERVER_MAC, ip, SERVER_IP, knock)), 0)
-    assert actions.host_events == [ArpCacheUpdate(ip, mac)]
+    assert actions.host_events == (ArpCacheUpdate(ip, mac),)
     return nic
 
 

@@ -28,7 +28,7 @@ from cloaknic.frames import (
 )
 from cloaknic.knock import SharedKey
 from cloaknic.netsim import FrameEvent, TraceRecord
-from cloaknic.nic import Actions, ArpCacheUpdate, DropReason, DropRecord
+from cloaknic.nic import Actions, ArpCacheUpdate, DropReason, DropRecord, verdict
 from cloaknic.scenario import parse_scenario, run_scenario
 
 MAC_A = MacAddress(bytes.fromhex("aa0000000001"))
@@ -122,12 +122,12 @@ def test_events_equal_and_hash_by_value():
 
 
 def test_a_verdict_shares_one_record():
-    # a run repeats few verdicts, so the NIC keeps one immutable record of each
-    first = Actions().drop(DropReason.BAD_KNOCK, 2, "BadTag").drops[0]
-    again = Actions().drop(DropReason.BAD_KNOCK, 2, "BadTag").drops[0]
-    assert first is again
-    assert first == DropRecord(DropReason.BAD_KNOCK, 2, "BadTag")
-    assert Actions().drop(DropReason.MALFORMED, 1).drops == [DropRecord(DropReason.MALFORMED, 1)]
+    # a run repeats few verdicts, so the NIC keeps one immutable value of each
+    first = verdict(DropReason.BAD_KNOCK, 2, "BadTag")
+    assert first is verdict(DropReason.BAD_KNOCK, 2, "BadTag")
+    assert first == Actions(drops=(DropRecord(DropReason.BAD_KNOCK, 2, "BadTag"),))
+    assert verdict(DropReason.MALFORMED, 1).drops == (DropRecord(DropReason.MALFORMED, 1),)
+    assert_immutable(first)
 
 
 def test_shared_key_is_equal_by_its_bytes_alone():
