@@ -2,9 +2,9 @@
 
 Everything here is a pure function over immutable values: parse, build,
 serialize. The one exception, `Wire`, the one value a node transmits and
-receives, memoises only a frame's header and its parse, which it builds
-from that header, so a bad frame's error is raised from `Wire.header`
-alone. Big-endian; no FCS or minimum-size padding (there is no medium).
+receives, memoises only a frame's header, or the error its bytes raise, so
+a bad frame's error is raised from `Wire.header` alone. Big-endian; no
+FCS or minimum-size padding (there is no medium).
 Unknown ethertypes and IP protocols decode to opaque bytes on purpose --
 rejecting them is the packet filter's job, not the parser's.
 
@@ -28,10 +28,10 @@ The codec is on every frame's path, so it keeps to these rules:
   writes the Ethernet and IPv4 headers with one of them;
 - `read_header` is the one reader of every frame: it makes every check of
   the parse and returns the frame's header, for IPv4 read with that one
-  layout, and `parse_frame` builds a frame's values from its result. So a
-  reader that needs only a frame's header and fixed-offset fields (the
-  NIC's filter, the trace's description, an attacker's tap) gets them
-  without building the typed parse;
+  layout, and `parse_frame` builds a frame's values from its result. Every
+  receiver (the NIC's filter, the plain host, the trace's description, an
+  attacker's tap) reads a frame from its header and fixed-offset fields,
+  so no node builds the typed parse;
 - the benchmark's tracer wraps `parse_frame`, `serialize_frame`,
   `internet_checksum` and `make_ipv4_frame`, so each is called through its
   module global and never inlined;
@@ -41,8 +41,9 @@ The codec is on every frame's path, so it keeps to these rules:
   from typed values nor read back: it costs no `make_ipv4_frame`,
   `serialize_frame` or `read_header`, and one `internet_checksum` per
   checksum it carries, the IPv4 header's and an ICMP message's. The typed
-  builders and `serialize_frame` are the codec's API, against which the
-  packed builders are tested;
+  values, their builders, `serialize_frame` and `parse_frame` are the
+  codec's API, against which the packed builders and the header reader
+  are tested;
 - a cache is bounded, since attackers choose the addresses, and holds only
   text: an address's dotted quad. No parse is cached by its bytes.
 """
@@ -400,14 +401,10 @@ def read_header(data: bytes) -> Header:
                                    proto, end, ttl, ident, icmp, view))
 
 
-def parse_frame(wire: bytes, header: Optional[Header] = None) -> EthernetFrame:
+def parse_frame(wire: bytes) -> EthernetFrame:
     """Decode a frame into typed payloads; unknown protocols stay opaque bytes.
-
-    A frame's values come from `read_header(wire)`; a caller that has
-    already read its header passes it as `header`, and it is not read again.
-    """
-    if header is None:
-        header = read_header(wire)  # also refuses any frame by its length
+    A frame's values come from `read_header(wire)`."""
+    header = read_header(wire)  # also refuses any frame by its length
     dst, src, ethertype = _ETH.unpack_from(wire)
     payload = header  # an ARP packet and another ethertype's bytes are their own payload
     if type(header) is Ipv4Header:
@@ -423,33 +420,22 @@ def parse_frame(wire: bytes, header: Optional[Header] = None) -> EthernetFrame:
 
 
 class Wire:
-    """One frame on the wire: its bytes, its header read at most once, and
-    its parse built at most once.
+    """One frame on the wire: its bytes and its header, read at most once.
 
     `data` is kept as given, and every trace record of the frame holds that
     one object. The builders of sent frames (`tcp_wire`, `udp_wire`,
     `icmp_echo_wire`, `arp_wire`, `opaque_wire`) pack the bytes and pass the
     header they are read as. Of a frame that arrives as bytes, `header`
-    reads the header from the bytes and checks it. Of either, `frame` builds
-    the typed values from that header. So `header` is the one place a bad
-    frame's `FrameError` is raised, on every access to either.
+    reads the header from the bytes and checks it, and it is the one place
+    a bad frame's `FrameError` is raised.
     """
 
-    __slots__ = ("data", "_parsed", "_header")
+    __slots__ = ("data", "_error", "_header")
 
     def __init__(self, data: bytes, header: Optional[Header] = None):
         self.data = data
-        # the parse; or, of bytes that are not a frame, the error they raise
-        self._parsed: Union[EthernetFrame, FrameError, None] = None
+        self._error: Optional[FrameError] = None  # of bytes that are not a frame, what they raise
         self._header = header
-
-    @property
-    def frame(self) -> EthernetFrame:
-        """The parsed frame; raises the parse's `FrameError` on every access."""
-        parsed = self._parsed
-        if type(parsed) is not EthernetFrame:
-            parsed = self._parsed = parse_frame(self.data, self.header)
-        return parsed
 
     @property
     def header(self) -> Header:
@@ -458,13 +444,13 @@ class Wire:
         header = self._header
         if header is not None:
             return header
-        error = self._parsed
+        error = self._error
         if error is None:
             try:
                 header = self._header = read_header(self.data)
                 return header
             except FrameError as exc:
-                error = self._parsed = exc
+                error = self._error = exc
         raise error.with_traceback(None)
 
 

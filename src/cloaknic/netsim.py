@@ -52,9 +52,9 @@ these rules:
 - an entry is appended with one `list.extend` of its five fields, records
   are built on read with `tuple.__new__`, not through their Python-level
   constructor, and payloads and events are dispatched on `type(x) is`;
-- a frame is described, and a tap finds a knock, from its checked header
-  (`Wire.header`) and fixed offsets of its bytes, so a frame that arrives
-  as bytes is parsed only by a node that needs its values (the plain host);
+- a frame is described, judged by every receiver and searched for a knock
+  by a tap from its checked header (`Wire.header`) and fixed offsets of its
+  bytes, so no node parses a frame into typed values;
 - a node's verdict is an immutable `Actions`, one shared value when it
   sends and reports nothing, else built at return with `tuple.__new__`;
 - every frame a node sends is a `Wire` packed as bytes and header in one
@@ -78,6 +78,7 @@ these rules:
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -98,12 +99,9 @@ from .frames import (
     TCP_FLAG_RST,
     TCP_FLAG_SYN,
     ArpPacket,
-    EthernetFrame,
     FrameError,
-    IcmpMessage,
     Ipv4Address,
     Ipv4Header,
-    Ipv4Packet,
     MacAddress,
     Wire,
 )
@@ -130,6 +128,8 @@ PLAIN_STAGE_TRANSPORT = 3
 _PLAIN_DELIVERED = (Delivered(PLAIN_STAGE_TRANSPORT),)  # an answer's events, shared by the trace
 _NO_ACTIONS = Actions()  # an attacker's every verdict
 _actions = partial(tuple.__new__, Actions)  # (tx_frames, host_events, drops) -> Actions
+_mac = partial(tuple.__new__, MacAddress)  # (octets,) -> MacAddress, of 6 bytes read from a frame
+_ECHO_IDS = struct.Struct(">HH")  # an ICMP echo's identifier and sequence, 4 bytes into it
 
 
 class SimError(Exception):
@@ -472,7 +472,9 @@ class PlainHostNode(Node):
     """Baseline software stack: the host the paper's NIC replaces.
 
     Answers ARP for its IP, replies to echo, RSTs closed ports, SYN-ACKs
-    open ones, and accepts any ARP reply into its cache.
+    open ones, and accepts any ARP reply into its cache. It reads a frame as
+    the NIC does, from its header and fixed offsets of its bytes, so the two
+    differ in what they do with a frame, not in how they read it.
     """
 
     def __init__(self, name, mac, ip, services=frozenset()):
@@ -482,13 +484,12 @@ class PlainHostNode(Node):
 
     def receive(self, wire: Wire, now: int) -> Actions:
         try:
-            frame = wire.frame
+            p = wire.header
         except FrameError as exc:
             return verdict(DropReason.MALFORMED, PLAIN_STAGE_LINK, type(exc).__name__)
-        p = frame.payload
         kind = type(p)
-        if kind is Ipv4Packet:
-            return self._receive_ipv4(frame, p, wire.header.view)
+        if kind is Ipv4Header:
+            return self._receive_ipv4(wire.data, p)
         if kind is not ArpPacket:
             return verdict(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_LINK, "unknown-ethertype")
         if p.operation == ARP_REQUEST:
@@ -502,24 +503,27 @@ class PlainHostNode(Node):
         self.arp_cache[p.sender_ip] = p.sender_mac
         return _actions(((), (ArpCacheUpdate(p.sender_ip, p.sender_mac),), ()))
 
-    def _receive_ipv4(self, frame: EthernetFrame, p: Ipv4Packet,
-                      view: Optional[frames.TransportView]) -> Actions:
-        """`view` is the packet's `transport_view`, as the wire's header holds it."""
-        icmp = p.payload
-        if type(icmp) is IcmpMessage:
-            if icmp.icmp_type != ICMP_ECHO_REQUEST:
+    def _receive_ipv4(self, data: bytes, header: Ipv4Header) -> Actions:
+        """An IPv4 frame's verdict and answer, from its header and fixed
+        offsets of its bytes: the sender's MAC, and an echo's type,
+        identifier and sequence."""
+        icmp = header.icmp
+        if icmp is not None:
+            if data[frames.IPV4_BODY_AT] != ICMP_ECHO_REQUEST:
                 return verdict(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_TRANSPORT, "icmp-other")
+            ident, seq = _ECHO_IDS.unpack_from(data, frames.IPV4_BODY_AT + 4)
             return _actions(((frames.icmp_echo_wire(
-                self.mac, frame.src, self.ip, p.src, icmp.payload,
-                icmp.identifier, icmp.sequence, reply=True),), _PLAIN_DELIVERED, ()))
+                self.mac, _mac((data[6:12],)), self.ip, header.src, icmp, ident, seq,
+                reply=True),), _PLAIN_DELIVERED, ()))
+        view = header.view
         if view is None:
             return verdict(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_IP, "unknown-proto")
         if view.kind == "tcp" and view.is_syn:
             flags = TCP_FLAG_SYN | TCP_FLAG_ACK if view.dst_port in self.services \
                 else TCP_FLAG_RST | TCP_FLAG_ACK
             return _actions(((frames.tcp_wire(
-                self.mac, frame.src, self.ip, p.src, view.dst_port, view.src_port, flags),),
-                _PLAIN_DELIVERED, ()))
+                self.mac, _mac((data[6:12],)), self.ip, header.src, view.dst_port,
+                view.src_port, flags),), _PLAIN_DELIVERED, ()))
         return verdict(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_TRANSPORT, f"{view.kind}-closed")
 
 

@@ -143,18 +143,20 @@ _actions = partial(_new, Actions)  # (tx_frames, host_events, drops) -> Actions
 
 
 @lru_cache(maxsize=None)
-def verdict(reason: DropReason, stage: int, detail: Optional[str] = None) -> Actions:
+def verdict(reason: DropReason, stage: int, detail: Optional[str]) -> Actions:
     """The one shared value of a drop, and so its one `DropRecord`. It is
     immutable, and its reason, stage and detail come from the code's few
-    literals, so the cache stays small."""
+    literals, so the cache stays small. The cache keys a call by its
+    arguments as given, so every call passes all three, a drop with no
+    detail None."""
     return _actions(((), (), (DropRecord(reason, stage, detail),)))
 
 
 # the verdicts most frames get, each looked up once
-_NO_MATCH = verdict(DropReason.NO_FILTER_MATCH, 1)
+_NO_MATCH = verdict(DropReason.NO_FILTER_MATCH, 1, None)
 _ARP_OTHER_IP = verdict(DropReason.NO_FILTER_MATCH, 1, "arp-other-ip")
 _ARP_OTHER_OP = verdict(DropReason.NO_FILTER_MATCH, 1, "arp-other-op")
-_UNSOLICITED = verdict(DropReason.UNSOLICITED_ARP_REPLY, 1)
+_UNSOLICITED = verdict(DropReason.UNSOLICITED_ARP_REPLY, 1, None)
 _CONSUMED = verdict(DropReason.UNSOLICITED_ARP_REPLY, 1, "consumed by resolver").drops
 _BAD_KNOCK = {reason._value_: verdict(DropReason.BAD_KNOCK, 2, reason._value_)
               for reason in RejectReason}
@@ -292,11 +294,6 @@ class CloakingNic:
         parked.append((now + ARP_TIMEOUT_TICKS, frame))
         pending[ip] = parked
 
-    def _unpark(self, now: int, ip: Ipv4Address) -> List[Wire]:
-        """Take the frames parked for `ip`, releasing those still live."""
-        parked = self._pending_arp.pop(ip, ())
-        return [frame for expires, frame in parked if now <= expires]
-
     def _knock_frame(self, peer_ip: Ipv4Address, dst_mac: MacAddress,
                      local_port: int, now: int) -> Wire:
         key = self.config.role_keys.get(peer_ip)
@@ -369,15 +366,16 @@ class CloakingNic:
         # Replies never reach the host ARP cache. A reply answering our own
         # outstanding request does complete parked transmissions (the NIC is
         # the resolver on the client side), and only such a reply writes the
-        # resolver table, but it is still not delivered.
-        parked = self._unpark(now, arp.sender_ip)
-        if not parked:
+        # resolver table, but it is still not delivered. The reply takes the
+        # frames parked for its sender and releases those still live.
+        tx: List[Wire] = []
+        for expires, wire in self._pending_arp.pop(arp.sender_ip, ()):
+            if now <= expires:
+                self._emit_with_knock(
+                    tx, Wire(arp.sender_mac.octets + wire.data[6:], wire.header), now)
+        if not tx:
             return _UNSOLICITED
         self.resolver.learn(arp.sender_ip, arp.sender_mac, now)
-        mac = arp.sender_mac.octets
-        tx: List[Wire] = []
-        for wire in parked:
-            self._emit_with_knock(tx, Wire(mac + wire.data[6:], wire.header), now)
         return _actions((tuple(tx), (), _CONSUMED))
 
     def _receive_ipv4(self, wire: Wire, header: Ipv4Header, now: int) -> Actions:

@@ -307,10 +307,9 @@ def test_header_reader_accepts_what_the_parse_accepts(wire):
     assert (header.ttl, header.identification) == (pkt.ttl, pkt.identification)
     assert header.icmp == (body.payload if type(body) is IcmpMessage else None)
     assert header.view == pkt.transport_view()
-    # the parse built from a header already read is the parse of the bytes
+    # a `Wire` of the bytes reads the same header
     read_first = Wire(wire)
     assert read_first.header == header
-    assert read_first.frame == frame
 
 
 @given(macs, macs, ips, ips, st.integers(0, 0xFFFF), st.integers(0, 0xFFFF),
@@ -318,7 +317,7 @@ def test_header_reader_accepts_what_the_parse_accepts(wire):
 def test_tcp_wire_is_the_typed_tcp_frame(src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port,
                                          flags, identification):
     """`tcp_wire` packs the bytes the typed TCP frame serializes to, and
-    carries the header and parse those bytes give."""
+    carries the header those bytes give."""
     wire = tcp_wire(src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port, flags, identification)
     assert_packed_as_typed(wire, make_ipv4_frame(
         src_mac, dst_mac, src_ip, dst_ip, PROTO_TCP, tcp_segment(src_port, dst_port, flags),
@@ -326,13 +325,13 @@ def test_tcp_wire_is_the_typed_tcp_frame(src_mac, dst_mac, src_ip, dst_ip, src_p
 
 
 def assert_packed_as_typed(wire: Wire, frame: EthernetFrame) -> None:
-    """`wire` holds the bytes `frame` serializes to, and the header and
-    parse those bytes give."""
+    """`wire` holds the bytes `frame` serializes to, the header those bytes
+    give, and the bytes parse to `frame`."""
     data = serialize_frame(frame)
     assert wire.data == data
     header = read_header(data)
     assert type(wire.header) is type(header) and wire.header == header
-    assert wire.frame == parse_frame(data) == frame
+    assert parse_frame(wire.data) == frame
 
 
 sixteen_bits = st.integers(0, 0xFFFF)

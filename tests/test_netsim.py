@@ -1,14 +1,18 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from cloaknic.frames import (
     ARP_REPLY,
     ARP_REQUEST,
     MAC_BROADCAST,
     MAC_ZERO,
+    ICMP_ECHO_REQUEST,
     PROTO_TCP,
     PROTO_UDP,
     TCP_FLAG_ACK,
+    TCP_FLAG_RST,
+    TCP_FLAG_SYN,
     ArpPacket,
     EthernetFrame,
     FrameError,
@@ -17,15 +21,21 @@ from cloaknic.frames import (
     Ipv4Packet,
     MacAddress,
     Wire,
+    arp_wire,
+    icmp_echo_wire,
     make_arp,
     make_icmp_echo,
     make_ipv4_frame,
     parse_frame,
     serialize_frame,
     tcp_segment,
+    tcp_wire,
     udp_datagram,
 )
 from cloaknic.netsim import (
+    PLAIN_STAGE_IP,
+    PLAIN_STAGE_LINK,
+    PLAIN_STAGE_TRANSPORT,
     ArpPoison,
     AttackerNode,
     ClientNode,
@@ -50,6 +60,7 @@ from cloaknic.nic import (
     DropReason,
     DropRecord,
     NicConfig,
+    verdict,
 )
 from cloaknic.demos import DEMOS
 from cloaknic.knock import is_knock_payload
@@ -164,6 +175,68 @@ class TestPlainHost:
         host = plain("victim", "10.0.0.3", "aa:00:00:00:00:03", services={22})
         wire = Wire(b"\x00" * 13) if frame is None else Wire(serialize_frame(frame))
         assert host.receive(wire, now=0) == Actions(drops=(DropRecord(reason, stage, detail),))
+
+
+class TypedPlainHost(PlainHostNode):
+    """The plain host as it was when it read every frame from its typed
+    parse: the oracle of `PlainHostNode.receive`, which reads the header,
+    as `HubSegment` is dispatch's."""
+
+    def receive(self, wire, now):
+        try:
+            frame = parse_frame(wire.data)
+        except FrameError as exc:
+            return verdict(DropReason.MALFORMED, PLAIN_STAGE_LINK, type(exc).__name__)
+        p = frame.payload
+        if type(p) is Ipv4Packet:
+            return self._receive_typed_ipv4(frame, p)
+        if type(p) is not ArpPacket:
+            return verdict(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_LINK, "unknown-ethertype")
+        if p.operation == ARP_REQUEST:
+            if p.target_ip != self.ip:
+                return verdict(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_LINK, "arp-other-ip")
+            return Actions((arp_wire(ARP_REPLY, self.mac, self.ip, p.sender_mac, p.sender_ip),))
+        if p.operation != ARP_REPLY:
+            return verdict(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_LINK, "arp-other-op")
+        self.arp_cache[p.sender_ip] = p.sender_mac
+        return Actions(host_events=(ArpCacheUpdate(p.sender_ip, p.sender_mac),))
+
+    def _receive_typed_ipv4(self, frame, p):
+        delivered = (Delivered(PLAIN_STAGE_TRANSPORT),)
+        icmp = p.payload
+        if type(icmp) is IcmpMessage:
+            if icmp.icmp_type != ICMP_ECHO_REQUEST:
+                return verdict(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_TRANSPORT, "icmp-other")
+            return Actions((icmp_echo_wire(self.mac, frame.src, self.ip, p.src, icmp.payload,
+                                           icmp.identifier, icmp.sequence, reply=True),),
+                           delivered)
+        view = p.transport_view()
+        if view is None:
+            return verdict(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_IP, "unknown-proto")
+        if view.kind == "tcp" and view.is_syn:
+            flags = TCP_FLAG_SYN if view.dst_port in self.services else TCP_FLAG_RST
+            return Actions((tcp_wire(self.mac, frame.src, self.ip, p.src, view.dst_port,
+                                     view.src_port, flags | TCP_FLAG_ACK),), delivered)
+        return verdict(DropReason.NO_FILTER_MATCH, PLAIN_STAGE_TRANSPORT, f"{view.kind}-closed")
+
+
+@given(st.lists(any_wire, min_size=1, max_size=4), st.booleans())
+def test_the_plain_host_answers_as_the_typed_stack_does(wires, addressed):
+    """From its header alone, the plain host sends, reports, drops and
+    caches what it did from the typed parse. `addressed` gives the host the
+    first frame's ARP target IP and TCP destination port as its IP and
+    service, so ARP requests are answered and SYNs find an open port."""
+    ip, services = IP("10.0.0.3"), {22}
+    if addressed and len(wires[0]) >= 42:
+        ip, services = Ipv4Address(wires[0][38:42]), {int.from_bytes(wires[0][36:38], "big")}
+    host = PlainHostNode("plain", MAC("aa:00:00:00:00:03"), ip, services)
+    oracle = TypedPlainHost("plain", host.mac, ip, services)
+    for data in wires:
+        got, want = host.receive(Wire(data), now=0), oracle.receive(Wire(data), now=0)
+        assert [(w.data, w.header) for w in got.tx_frames] == \
+            [(w.data, w.header) for w in want.tx_frames]
+        assert (got.host_events, got.drops) == (want.host_events, want.drops)
+    assert host.arp_cache == oracle.arp_cache
 
 
 class TestAttackPrograms:

@@ -192,12 +192,12 @@ class TestArpProcessing:
         wire = serialize_frame(make_arp(ARP_REQUEST, CLIENT_MAC, CLIENT_IP, MAC_ZERO, SERVER_IP))
         actions = nic.on_wire_receive(wire, now=0)
         assert len(actions.tx_frames) == 1
-        reply = actions.tx_frames[0].frame.payload
+        reply = parse_frame(actions.tx_frames[0].data).payload
         assert isinstance(reply, ArpPacket)
         assert reply.operation == ARP_REPLY
         assert reply.sender_mac == SERVER_MAC
         assert reply.sender_ip == SERVER_IP
-        assert actions.tx_frames[0].frame.dst == CLIENT_MAC  # unicast
+        assert parse_frame(actions.tx_frames[0].data).dst == CLIENT_MAC  # unicast
         assert actions.host_events == () and actions.drops == ()
 
     def test_request_for_other_ip_silently_dropped(self):
@@ -399,11 +399,11 @@ class TestHostTransmit:
         actions = nic.on_host_transmit(self.syn_frame(nic), now=5)
         assert len(actions.tx_frames) == 2
         knock, syn = actions.tx_frames
-        pkt = knock.frame.payload
+        pkt = parse_frame(knock.data).payload
         assert isinstance(pkt, Ipv4Packet) and isinstance(pkt.payload, IcmpMessage)
         assert pkt.payload.payload[:4] == b"KNCK"
         assert len(pkt.payload.payload) == 46
-        assert syn.frame.payload.transport_view().is_syn
+        assert parse_frame(syn.data).payload.transport_view().is_syn
 
     def test_second_segment_has_no_knock(self):
         nic = client_nic()
@@ -444,14 +444,14 @@ class TestHostTransmit:
         nic = client_nic()
         actions = nic.on_host_transmit(self.syn_frame(nic, dst_mac=MAC_ZERO), now=5)
         assert len(actions.tx_frames) == 1
-        assert isinstance(actions.tx_frames[0].frame.payload, ArpPacket)
+        assert isinstance(parse_frame(actions.tx_frames[0].data).payload, ArpPacket)
         reply = serialize_frame(make_arp(ARP_REPLY, SERVER_MAC, SERVER_IP,
                                          CLIENT_MAC, CLIENT_IP))
         actions = nic.on_wire_receive(reply, now=7)
         assert actions.host_events == ()  # wire ARP never reaches the host
-        kinds = [type(f.frame.payload.payload).__name__ for f in actions.tx_frames]
+        kinds = [type(parse_frame(f.data).payload.payload).__name__ for f in actions.tx_frames]
         assert kinds == ["IcmpMessage", "bytes"]  # knock then SYN, now resolved
-        assert all(f.frame.dst == SERVER_MAC for f in actions.tx_frames)
+        assert all(parse_frame(f.data).dst == SERVER_MAC for f in actions.tx_frames)
 
 
 def send_unresolved(nic: CloakingNic, now: int, port: int = 40000):
@@ -466,7 +466,7 @@ def arp_reply_to_client(sender_ip: Ipv4Address, sender_mac: MacAddress) -> bytes
 
 
 def is_arp_request_for_server(tx) -> bool:
-    arp = tx[0].frame.payload if len(tx) == 1 else None
+    arp = parse_frame(tx[0].data).payload if len(tx) == 1 else None
     return isinstance(arp, ArpPacket) and (arp.operation, arp.target_ip) == (ARP_REQUEST, SERVER_IP)
 
 
@@ -489,7 +489,8 @@ class TestResolverTable:
         assert is_arp_request_for_server(send_unresolved(nic, now=0))
         actions = nic.on_wire_receive(arp_reply_to_client(SERVER_IP, SERVER_MAC), now=2)
         assert actions.drops == (CONSUMED,)
-        assert [f.frame.dst for f in actions.tx_frames] == [SERVER_MAC, SERVER_MAC]  # knock, SYN
+        # the knock, then the SYN
+        assert [parse_frame(f.data).dst for f in actions.tx_frames] == [SERVER_MAC, SERVER_MAC]
         assert dict(nic.resolver.entries) == {SERVER_IP: (2 + FILTER_TTL_SECONDS, SERVER_MAC)}
         return nic
 
@@ -508,7 +509,7 @@ class TestResolverTable:
             actions = nic.on_wire_receive(arp_reply_to_client(forged_ip, ATTACKER_MAC), now=3)
             assert actions == Actions(drops=(UNSOLICITED,))
         assert dict(nic.resolver.entries) == entries
-        assert [f.frame.dst for f in send_unresolved(nic, now=4)] == [SERVER_MAC]
+        assert [parse_frame(f.data).dst for f in send_unresolved(nic, now=4)] == [SERVER_MAC]
 
     def test_reply_after_the_parked_frames_expired_never_writes(self):
         nic = client_nic()
@@ -523,7 +524,8 @@ class TestResolverTable:
         # a duplicate reply a tick later answers nothing, so it does not extend the entry
         nic.on_wire_receive(arp_reply_to_client(SERVER_IP, SERVER_MAC), now=3)
         last_live = 2 + FILTER_TTL_SECONDS
-        assert [f.frame.dst for f in send_unresolved(nic, now=last_live)] == [SERVER_MAC]
+        assert [parse_frame(f.data).dst
+                for f in send_unresolved(nic, now=last_live)] == [SERVER_MAC]
         assert is_arp_request_for_server(send_unresolved(nic, now=last_live + 1))
         assert SERVER_IP in nic._pending_arp
 
@@ -532,11 +534,13 @@ class TestResolverTable:
         # a later reply claiming the server's IP changes nothing
         nic.on_wire_receive(arp_reply_to_client(SERVER_IP, ATTACKER_MAC), now=10)
         syn, = send_unresolved(nic, now=30)  # the port's knock is still live
-        assert syn.frame.dst == SERVER_MAC and syn.frame.payload.transport_view().is_syn
+        frame = parse_frame(syn.data)
+        assert frame.dst == SERVER_MAC and frame.payload.transport_view().is_syn
         knock, syn = send_unresolved(nic, now=31, port=40001)
-        assert (knock.frame.dst, syn.frame.dst) == (SERVER_MAC, SERVER_MAC)
+        assert (parse_frame(knock.data).dst, parse_frame(syn.data).dst) == (SERVER_MAC, SERVER_MAC)
         # with no ARP round trip, the knock is sealed at the send tick
-        sealed = open_knock(KEY, knock.frame.payload.payload.payload, 31, ReplayCache())
+        payload = parse_frame(knock.data).payload.payload.payload
+        sealed = open_knock(KEY, payload, 31, ReplayCache())
         assert sealed == KnockFields(CLIENT_IP, 40001, 31)
         assert not nic._pending_arp
 

@@ -373,7 +373,7 @@ class ResolverMachine(RuleBasedStateMachine):
             assert [f.data for f in tx] == [mac.octets + wire.data[6:]]
             return
         request, = tx
-        arp = request.frame.payload
+        arp = parse_frame(request.data).payload
         assert (arp.operation, arp.target_ip) == (ARP_REQUEST, peer[0])
         self.asked[peer[0]] = self.now + ARP_TIMEOUT_TICKS
 
@@ -386,7 +386,7 @@ class ResolverMachine(RuleBasedStateMachine):
             assert actions == Actions(drops=(UNSOLICITED,))
             return
         assert actions.drops == (CONSUMED,)
-        assert {f.frame.dst for f in actions.tx_frames} == {mac}
+        assert {parse_frame(f.data).dst for f in actions.tx_frames} == {mac}
         self.resolved.pop(ip, None)
         for key in [k for k, (expires, _) in self.resolved.items() if self.now > expires]:
             del self.resolved[key]
@@ -426,10 +426,10 @@ def test_a_resolver_write_at_capacity_evicts_the_oldest_peer():
     assert list(nic.resolver.entries) == [ip for ip, _ in peers[1:]]
     (oldest, _), (second, second_mac) = peers[:2]
     request, = nic.on_host_transmit(udp_to(oldest), 1).tx_frames
-    arp = request.frame.payload
+    arp = parse_frame(request.data).payload
     assert (arp.operation, arp.target_ip) == (ARP_REQUEST, oldest)
-    assert [f.frame.dst for f in nic.on_host_transmit(udp_to(second), 1).tx_frames] == \
-        [second_mac]
+    sent = nic.on_host_transmit(udp_to(second), 1).tx_frames
+    assert [parse_frame(f.data).dst for f in sent] == [second_mac]
 
 
 LIVE_PAIR = (CLIENTS[0][0], CLIENT_PORTS[0])

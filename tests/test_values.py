@@ -6,8 +6,12 @@ indistinguishable from one a constructor builds, and the constructors
 still check what they are given.
 """
 
+import ast
+import pathlib
+
 import pytest
 
+import cloaknic
 from cloaknic.demos import DEMOS, TEST_KEY_HEX
 from cloaknic.frames import (
     ARP_REPLY,
@@ -126,8 +130,20 @@ def test_a_verdict_shares_one_record():
     first = verdict(DropReason.BAD_KNOCK, 2, "BadTag")
     assert first is verdict(DropReason.BAD_KNOCK, 2, "BadTag")
     assert first == Actions(drops=(DropRecord(DropReason.BAD_KNOCK, 2, "BadTag"),))
-    assert verdict(DropReason.MALFORMED, 1).drops == (DropRecord(DropReason.MALFORMED, 1),)
+    assert verdict(DropReason.MALFORMED, 1, None).drops == (DropRecord(DropReason.MALFORMED, 1),)
     assert_immutable(first)
+
+
+def test_every_verdict_call_passes_its_three_arguments_by_position():
+    """`verdict`'s cache keys a call by its arguments as given, so a call
+    that named an argument would be a second entry, and a second value, of
+    its drop."""
+    calls = [node for path in pathlib.Path(cloaknic.__file__).parent.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and "verdict" in (getattr(node.func, "id", None),
+                                                             getattr(node.func, "attr", None))]
+    assert len(calls) > 10
+    assert [ast.unparse(call) for call in calls if len(call.args) != 3 or call.keywords] == []
 
 
 def test_shared_key_is_equal_by_its_bytes_alone():
